@@ -10,7 +10,7 @@ coefficients of the j-invariant.
 
 from __future__ import annotations
 
-from .exact import FactoredRat, LinForm, MPoly, Rat, TaggedFactor, linform
+from .exact import FactoredRat, LinForm, MPoly, TaggedFactor, linform
 from .residues import (
     ResidueError,
     ResiduePlan,
@@ -67,7 +67,6 @@ __all__ = [
     "FactoredRat",
     "LinForm",
     "MPoly",
-    "Rat",
     "TaggedFactor",
     "linform",
     "ResidueError",

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
-from .checks import run_verification
+from .checks import DEGREE_MAX, run_verification
 from .intersection import compute_w
 from .series import j_from_w, lagrange_oracle, mirror_w
 from .toric import (
@@ -126,7 +125,7 @@ def _cmd_intersect(args, out) -> int:
     params = {"degree": args.degree, "a": args.a, "b": args.b}
     if args.degree < 1:
         return _usage_error("intersect", params, "degree must be >= 1", args.format, out)
-    value = compute_w(args.degree, args.a, args.b, threads=args.threads)
+    value = compute_w(args.degree, args.a, args.b)
     CommandResult("intersect", params, [("w", str(value))]).emit(args.format, out)
     return EXIT_OK
 
@@ -156,12 +155,14 @@ def _cmd_verify(args, out) -> int:
     params = {"degree_max": args.degree_max}
     if args.degree_max < 1:
         return _usage_error("verify", params, "degree-max must be >= 1", args.format, out)
+    if args.degree_max > DEGREE_MAX:
+        return _usage_error("verify", params, f"degree-max must be <= {DEGREE_MAX}", args.format, out)
     if args.format == "json":
         emit = None
     else:
         def emit(line: str) -> None:
             out.write(line + "\n")
-    ok, results = run_verification(args.degree_max, threads=args.threads, emit=emit)
+    ok, results = run_verification(args.degree_max, emit=emit)
     values = [
         (r.name, ("PASS" if r.ok else "FAIL") + f" expected={r.expected} actual={r.actual}")
         for r in results
@@ -181,11 +182,6 @@ def _cmd_verify(args, out) -> int:
 def _add_format(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default: text)")
-
-
-def _add_threads(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                        help="cap on concurrent residue branches (results do not depend on it)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -210,7 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    _add_threads(p)
     _add_format(p)
     p.set_defaults(handler=_cmd_intersect)
 
@@ -225,8 +220,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_jinv)
 
     p = sub.add_parser("verify", help="run the full exact verification ladder")
-    p.add_argument("--degree-max", type=int, required=True)
-    _add_threads(p)
+    p.add_argument(
+        "--degree-max", type=int, required=True, metavar="N",
+        help=f"1 <= N <= {DEGREE_MAX}: the w-coefficient and period checks run for every d <= N; "
+             "volume normalization for d <= min(N, 5), the insertion identities for "
+             "d <= min(N, 4), ideal annihilation, degree selection and order independence "
+             "for d <= min(N, 3); the toric, series and property checks do not depend on N",
+    )
     _add_format(p)
     p.set_defaults(handler=_cmd_verify)
 

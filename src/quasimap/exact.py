@@ -5,12 +5,13 @@ floating point.  The three layers are
 
 * ``LinForm``   -- homogeneous linear forms ``sum_j c_j z_j`` (no constant term),
 * ``MPoly``     -- sparse multivariate polynomials over the rationals,
-* ``FactoredRat`` -- ``scalar * num / prod(form_i ** m_i)`` with each
+* ``FactoredRat`` -- ``scalar * num * prod(g_k ** n_k) / prod(form_i ** m_i)``
+  with the linear numerator factors ``g_k`` kept unexpanded and each
   denominator factor tagged by the set of variables whose integration contour
   encloses its zero locus.
 
-All values are immutable after construction and safe to share between
-concurrent workers; every operation is a pure function.
+All values are immutable after construction; every operation is a pure
+function.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
-
-Rat = Fraction
 
 
 def _as_rat(x) -> Fraction:
@@ -204,6 +203,11 @@ class MPoly:
         for f in factors:
             out = out * (f.to_mpoly(nvars) if isinstance(f, LinForm) else f)
         return out
+
+    @classmethod
+    def factored(cls, nvars: int, factors: Iterable[tuple[LinForm, int]]) -> MPoly:
+        """The expanded product ``prod form ** mult`` of a factor list."""
+        return cls.product(nvars, (form.to_mpoly(nvars) ** mult for form, mult in factors))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -428,18 +432,21 @@ class TaggedFactor:
 
 
 class FactoredRat:
-    """Rational function ``scalar * num / prod(form_i ** m_i)`` in factored shape.
+    """Rational function ``scalar * num * prod(g_k ** n_k) / prod(form_i ** m_i)``.
 
     The constructor canonicalizes each denominator form (absorbing the
     extracted rational scale into ``scalar``), merges proportional factors by
     adding multiplicities and taking the union of their allowed sets, and
     extracts the content of the numerator.  ``num = 0`` collapses the whole
-    object to the zero function.
+    object to the zero function.  ``factors`` holds linear numerator factors
+    ``(g_k, n_k)`` that stay unexpanded: the residue engine multiplies each
+    one in at the first step whose variable it involves.  :meth:`reduce`
+    leaves them alone; :meth:`derivative` and :meth:`subst` expand first.
     """
 
-    __slots__ = ("scalar", "num", "den")
+    __slots__ = ("scalar", "num", "den", "factors")
 
-    def __init__(self, scalar, num: MPoly, den: Iterable = ()):
+    def __init__(self, scalar, num: MPoly, den: Iterable = (), factors: Iterable[tuple[LinForm, int]] = ()):
         scalar = _as_rat(scalar)
         merged: dict[tuple, list] = {}
         for fac in den:
@@ -460,6 +467,7 @@ class FactoredRat:
             self.scalar = Fraction(0)
             self.num = MPoly.zero(num.nvars)
             self.den = ()
+            self.factors = ()
             return
         c = num.content()
         if num.terms[max(num.terms)] < 0:
@@ -473,6 +481,7 @@ class FactoredRat:
             TaggedFactor(form, mult, allowed)
             for _, (form, mult, allowed) in sorted(merged.items())
         )
+        self.factors = tuple(factors)
 
     def is_zero(self) -> bool:
         return self.scalar == 0
@@ -484,14 +493,16 @@ class FactoredRat:
     def den_degree(self) -> int:
         return sum(f.multiplicity for f in self.den)
 
-    def variables(self) -> frozenset[int]:
-        used = set(self.num.variables())
-        for f in self.den:
-            used |= f.form.support
-        return frozenset(used)
+    def num_degree(self) -> int:
+        """Total degree of the whole numerator, unexpanded factors included."""
+        return self.num.degree() + sum(mult for _, mult in self.factors)
+
+    def expand(self) -> FactoredRat:
+        """The same function with every numerator factor multiplied into ``num``."""
+        return FactoredRat(self.scalar, self.num * MPoly.factored(self.nvars, self.factors), self.den)
 
     def scale(self, s) -> FactoredRat:
-        return FactoredRat(self.scalar * _as_rat(s), self.num, self.den)
+        return FactoredRat(self.scalar * _as_rat(s), self.num, self.den, self.factors)
 
     def derivative(self, var: int) -> FactoredRat:
         """Exact partial derivative.
@@ -500,6 +511,8 @@ class FactoredRat:
         with one combined numerator over ``prod f_i^{m_i+1}``; factors not
         involving ``var`` are left untouched.
         """
+        if self.factors:
+            return self.expand().derivative(var)
         involved = [f for f in self.den if var in f.form.support]
         others = [f for f in self.den if var not in f.form.support]
         n_prime = self.num.derivative(var)
@@ -516,8 +529,9 @@ class FactoredRat:
     def reduce(self) -> FactoredRat:
         """Cancel denominator factors that divide the numerator exactly.
 
-        Value-preserving and idempotent; cancellation is an optimization for
-        the residue engine, never required for correctness.
+        Only ``num`` is divided; the unexpanded ``factors`` are kept as they
+        are.  Value-preserving and idempotent; cancellation is an optimization
+        for the residue engine, never required for correctness.
         """
         if self.is_zero():
             return self
@@ -533,10 +547,12 @@ class FactoredRat:
                 mult -= 1
             if mult:
                 new_den.append(TaggedFactor(f.form, mult, f.allowed))
-        return FactoredRat(self.scalar, num, new_den)
+        return FactoredRat(self.scalar, num, new_den, self.factors)
 
     def subst(self, var: int, point: LinForm) -> FactoredRat:
         """Substitute ``z_var = point``; no denominator factor may vanish there."""
+        if self.factors:
+            return self.expand().subst(var, point)
         num = self.num.subst_linear(var, point)
         den = []
         for f in self.den:
@@ -549,6 +565,8 @@ class FactoredRat:
 
     def evaluate(self, values: list[Fraction]) -> Fraction:
         v = self.scalar * self.num.evaluate(values)
+        for form, mult in self.factors:
+            v *= form.evaluate(values) ** mult
         for f in self.den:
             fv = f.form.evaluate(values)
             if fv == 0:
@@ -562,6 +580,7 @@ class FactoredRat:
             and self.scalar == other.scalar
             and self.num == other.num
             and self.den == other.den
+            and self.factors == other.factors
         )
 
     __hash__ = None
@@ -570,6 +589,8 @@ class FactoredRat:
         if self.is_zero():
             return "0"
         parts = [str(self.scalar), f"({self.num.render(names)})"]
+        for form, mult in self.factors:
+            parts.append(f"* ({form.render(names)})^{mult}")
         for f in self.den:
             parts.append(f"/ ({f.form.render(names)})^{f.multiplicity}")
         return " ".join(parts)

@@ -9,9 +9,10 @@ linear forms; the two-point numbers
 
 come from the same pairing.  All integrands are assembled by one constructor
 (:class:`IntegrandSpec`) that cancels numerator factors against denominator
-factors *before* expanding, which shrinks the excluded-factor population to
-the wall forms ``2 z_j - z_{j-1} - z_{j+1}`` and keeps the residue branching
-small.
+factors, which shrinks the excluded-factor population to the wall forms
+``2 z_j - z_{j-1} - z_{j+1}`` and keeps the residue branching small.  The
+surviving numerator factors are never expanded here: the residue engine
+multiplies each one in at the step whose variable it first involves.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from fractions import Fraction
 from .exact import FactoredRat, LinForm, MPoly
 from .residues import ResiduePlan, iterated_residue
 from .series import f0_coeff, harmonic_combo
+from .toric import wall_form
 
 
 def e6_factors(x: int, y: int) -> list[LinForm]:
@@ -33,11 +35,6 @@ def e6_factors(x: int, y: int) -> list[LinForm]:
     the two cofactors cancel against the pairing denominator.
     """
     return [LinForm({x: Fraction(6 - j), y: Fraction(j)}) for j in range(7)]
-
-
-def wall_form(i: int) -> LinForm:
-    """``2 z_i - z_{i-1} - z_{i+1}``, the excluded-side chamber wall at ``i``."""
-    return LinForm({i - 1: Fraction(-1), i: Fraction(2), i + 1: Fraction(-1)})
 
 
 def r_denominator_factors(d: int) -> list[tuple[LinForm, int, frozenset[int]]]:
@@ -92,7 +89,8 @@ class IntegrandSpec:
         return cls(d, _monomial_key(exps), forms)
 
     def build(self) -> FactoredRat:
-        """Assemble the integrand, cancelling factor-by-factor before expansion."""
+        """Assemble the integrand: the ``z_j`` monomial times the linear factors
+        that survive factor-by-factor cancellation, kept unexpanded."""
         d = self.d
         if d < 1:
             raise ValueError("degree must be >= 1")
@@ -160,19 +158,16 @@ class IntegrandSpec:
                     den[key][1] = mult - cancel
 
         num = MPoly.monomial(nvars, {j: e for j, e in enumerate(zpow) if e > 0})
-        for form, mult in sorted(num_counts.items(), key=lambda kv: kv[0].key()):
-            num = num * form.to_mpoly(nvars) ** mult
+        factors = [(form, mult) for form, mult in sorted(num_counts.items(), key=lambda kv: kv[0].key())
+                   if mult]
         den_list: list[tuple[LinForm, int, frozenset[int]]] = [
             (LinForm.variable(j), -e, frozenset({j})) for j, e in enumerate(zpow) if e < 0
         ]
         den_list.extend((canon, mult, allowed) for canon, mult, allowed in den.values())
-        return FactoredRat(scalar, num, den_list)
+        return FactoredRat(scalar, num, den_list, factors)
 
 
-_W_CACHE: dict[tuple[int, int, int], Fraction] = {}
-
-
-def compute_w(d: int, a: int, b: int, threads: int | None = None) -> Fraction:
+def compute_w(d: int, a: int, b: int) -> Fraction:
     """The two-point number ``w(O_{z^a} O_{z^b})_{0,d}``, exactly.
 
     Negative exponents fold into the denominator as tagged ``z`` powers.
@@ -180,19 +175,10 @@ def compute_w(d: int, a: int, b: int, threads: int | None = None) -> Fraction:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    key = (d, a, b)
-    if key not in _W_CACHE:
-        integrand = IntegrandSpec.insertions(d, a, b).build()
-        _W_CACHE[key] = iterated_residue(integrand, ResiduePlan.ascending(d), threads)
-    return _W_CACHE[key]
+    return iterated_residue(IntegrandSpec.insertions(d, a, b).build(), ResiduePlan.ascending(d))
 
 
-def integrate_class(
-    d: int,
-    omega: MPoly,
-    plan: ResiduePlan | None = None,
-    threads: int | None = None,
-) -> Fraction:
+def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None) -> Fraction:
     """Pair a polynomial class in ``H_0..H_d`` against the degree-d moduli.
 
     The variables of ``omega`` are read positionally (``H_j`` is variable
@@ -200,20 +186,18 @@ def integrate_class(
     """
     if omega.nvars != d + 1:
         raise ValueError("omega must live in d+1 variables")
-    integrand = FactoredRat(
-        Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d)
-    ).reduce()
-    return iterated_residue(integrand, plan or ResiduePlan.ascending(d), threads)
+    integrand = FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d))
+    return iterated_residue(integrand, plan or ResiduePlan.ascending(d))
 
 
-def mixed_insertion_residue(d: int, threads: int | None = None) -> Fraction:
+def mixed_insertion_residue(d: int) -> Fraction:
     """Residue of the insertion chain carrying ``z_0 z_1`` and ``1/z_d``."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     exps = {0: 1, 1: 1}
     exps[d] = exps.get(d, 0) - 1
     spec = IntegrandSpec.with_numerator(d, exps)
-    return iterated_residue(spec.build(), ResiduePlan.ascending(d), threads) / 2
+    return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
 
 
 def mixed_insertion_closed_form(d: int) -> Fraction:
@@ -224,7 +208,7 @@ def mixed_insertion_closed_form(d: int) -> Fraction:
     return f0_coeff(d) / d * (1 - Fraction(1, d) + harmonic_combo(d))
 
 
-def wall_insertion_residue(d: int, f: int, threads: int | None = None) -> Fraction:
+def wall_insertion_residue(d: int, f: int) -> Fraction:
     """Residue of the chain with numerator ``z_0 * (2 z_{d-f} - z_{d-f-1} - z_{d-f+1})``.
 
     The inserted wall factor cancels the matching excluded denominator factor,
@@ -233,26 +217,26 @@ def wall_insertion_residue(d: int, f: int, threads: int | None = None) -> Fracti
     if not 1 <= f <= d - 1:
         raise ValueError("need 1 <= f <= d-1")
     spec = IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (wall_form(d - f),))
-    return iterated_residue(spec.build(), ResiduePlan.ascending(d), threads) / 2
+    return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
 
 
-def wall_split_sides(d: int, f: int, threads: int | None = None) -> tuple[Fraction, Fraction]:
+def wall_split_sides(d: int, f: int) -> tuple[Fraction, Fraction]:
     """Both sides of the splitting identity at ``(d, f)``.
 
     The product side multiplies the half-normalized two-point numbers of the
     two sub-chains; it must equal the wall-insertion residue exactly.
     """
-    product_side = (compute_w(d - f, 1, 0, threads) / 2) * (compute_w(f, 2, -1, threads) / 2)
-    residue_side = wall_insertion_residue(d, f, threads)
+    product_side = (compute_w(d - f, 1, 0) / 2) * (compute_w(f, 2, -1) / 2)
+    residue_side = wall_insertion_residue(d, f)
     return product_side, residue_side
 
 
-def wall_split_check(d: int, f: int, threads: int | None = None) -> bool:
-    lhs, rhs = wall_split_sides(d, f, threads)
+def wall_split_check(d: int, f: int) -> bool:
+    lhs, rhs = wall_split_sides(d, f)
     return lhs == rhs
 
 
-def telescoped_insertion_residue(d: int, threads: int | None = None) -> Fraction:
+def telescoped_insertion_residue(d: int) -> Fraction:
     """Residue of the chain with numerator ``z_0 * (d (z_1 - z_0) + z_0)``.
 
     Equals ``sum_f f * wall_insertion_residue(d, f) + (1/2) w(O_z O_1)_{0,d}``
@@ -264,4 +248,4 @@ def telescoped_insertion_residue(d: int, threads: int | None = None) -> Fraction
         raise ValueError("degree must be >= 1")
     form = LinForm({0: Fraction(1 - d), 1: Fraction(d)})
     spec = IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (form,))
-    return iterated_residue(spec.build(), ResiduePlan.ascending(d), threads) / 2
+    return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2

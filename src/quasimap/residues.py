@@ -5,20 +5,23 @@ current variable ``z_j`` every live branch contributes one residue per
 *prescribed* pole, i.e. per distinct point ``z_j = p`` cut out by a
 denominator factor whose allowed-set contains ``j``.  The residue at a point
 uses the full local pole order (all factors vanishing there, allowed or not);
-tags only select which points are visited.  Branches are never summed against
-each other before the very end, where each survivor must be an exact rational
-constant.
+tags only select which points are visited.
+
+The engine follows the locality of the integrand: the numerator stays a list
+of factors, and a numerator or denominator factor joins the branches only at
+the first step whose variable it involves; until then it is shared by all of
+them and never expanded.  Branches whose tagged denominators agree after a
+step are merged by adding their numerators.  After the last step each
+survivor must be an exact rational constant.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .exact import FactoredRat, LinForm
+from .exact import FactoredRat, LinForm, MPoly
 
 
 class ResidueError(ValueError):
@@ -27,15 +30,9 @@ class ResidueError(ValueError):
 
 @dataclass(frozen=True)
 class ResiduePlan:
-    """Order in which variables are integrated out.
-
-    ``degree_target`` records the numerator degree that survives the
-    homogeneity selection (the dimension count of the ambient pairing); it is
-    informational, the engine recomputes the selection from the integrand.
-    """
+    """Order in which variables are integrated out."""
 
     order: tuple[int, ...]
-    degree_target: int | None = None
 
     def __post_init__(self):
         if sorted(self.order) != list(range(len(self.order))):
@@ -43,19 +40,11 @@ class ResiduePlan:
 
     @classmethod
     def ascending(cls, d: int) -> ResiduePlan:
-        return cls(tuple(range(d + 1)), 6 * d + 2)
+        return cls(tuple(range(d + 1)))
 
     @classmethod
     def descending(cls, d: int) -> ResiduePlan:
-        return cls(tuple(range(d, -1, -1)), 6 * d + 2)
-
-
-@dataclass(frozen=True)
-class BranchTerm:
-    """One live branch: its value and the variables still to be integrated."""
-
-    value: FactoredRat
-    remaining: tuple[int, ...] = field(default=())
+        return cls(tuple(range(d, -1, -1)))
 
 
 def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
@@ -83,7 +72,7 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
     scalar = f.scalar
     for fac in vanishing:
         scalar /= fac.form.coeff(var) ** fac.multiplicity
-    g = FactoredRat(scalar, f.num, surviving)
+    g = FactoredRat(scalar, f.num, surviving, f.factors)
     for _ in range(m - 1):
         g = g.derivative(var)
     if m > 1:
@@ -98,11 +87,12 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
     rational function by one, so only the numerator component of degree
     ``deg(denominator) - (d+1)`` can reach a nonzero constant after the d+1
     integrations; every other component is annihilated and is discarded here.
+    The linear factors kept unexpanded count towards that degree.
     """
     if f.is_zero():
         return f
-    target = f.den_degree() - (d + 1)
-    return FactoredRat(f.scalar, f.num.homogeneous_component(target), f.den)
+    target = f.den_degree() - (d + 1) - sum(mult for _, mult in f.factors)
+    return FactoredRat(f.scalar, f.num.homogeneous_component(target), f.den, f.factors)
 
 
 def _prescribed_points(f: FactoredRat, var: int) -> list[LinForm]:
@@ -114,44 +104,47 @@ def _prescribed_points(f: FactoredRat, var: int) -> list[LinForm]:
     return [points[k] for k in sorted(points)]
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
-def iterated_residue(f: FactoredRat, plan: ResiduePlan, threads: int | None = None) -> Fraction:
+def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
     """Run the full residue prescription and return the exact rational value.
 
-    Branches spawned at different poles are processed independently (and, when
-    ``threads > 1``, concurrently); the final value is the sum of the scalar
-    survivors, which is independent of scheduling because rational addition is
-    exact.  Raises :class:`ResidueError` when a surviving term still carries
-    variables after the last integration.
+    At the step for ``z_var`` only the factors that involve ``z_var`` join each
+    branch; the rest stay shared and unexpanded.  Branches with identical
+    tagged denominators are then merged.  Raises :class:`ResidueError` when a
+    surviving term still carries variables after the last integration.
     """
     nvars = f.nvars
     if len(plan.order) != nvars:
         raise ResidueError("plan does not cover the integrand's variables")
-    if threads is None:
-        threads = _default_threads()
-    d = nvars - 1
-    start = homogeneity_filter(f, d).reduce()
-    branches = [] if start.is_zero() else [BranchTerm(start, tuple(plan.order))]
-    for step, var in enumerate(plan.order):
-        rest = tuple(plan.order[step + 1:])
-        tasks = []
-        for b in branches:
-            for p in _prescribed_points(b.value, var):
-                tasks.append((b.value, var, p))
-        if threads > 1 and len(tasks) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                values = list(pool.map(lambda t: residue_at_point(*t), tasks))
-        else:
-            values = [residue_at_point(*t) for t in tasks]
-        branches = [BranchTerm(v, rest) for v in values if not v.is_zero()]
+    f = homogeneity_filter(f, nvars - 1).reduce()
+    if f.is_zero():
+        return Fraction(0)
+    # Numerator factors with the variables they involve.  A constant ``num``
+    # is 1 (its content lives in the scalar), so no step needs to claim it.
+    shared = [(f.num, f.num.variables())]
+    shared += [(form.to_mpoly(nvars) ** mult, form.support) for form, mult in f.factors]
+    shared_den = list(f.den)
+    branches = {(): FactoredRat(f.scalar, MPoly.const(nvars, 1))}
+    for var in plan.order:
+        local = MPoly.product(nvars, (poly for poly, used in shared if var in used))
+        shared = [(poly, used) for poly, used in shared if var not in used]
+        local_den = tuple(fac for fac in shared_den if var in fac.form.support)
+        shared_den = [fac for fac in shared_den if var not in fac.form.support]
+        merged: dict[tuple, FactoredRat] = {}
+        for branch in branches.values():
+            g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den).reduce()
+            for p in _prescribed_points(g, var):
+                r = residue_at_point(g, var, p)
+                prev = merged.pop(r.den, None)
+                if prev is not None:
+                    r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)
+                if not r.is_zero():
+                    merged[r.den] = r
+        branches = merged
     total = Fraction(0)
-    for b in branches:
-        if b.value.den or not b.value.num.is_constant():
+    for b in branches.values():
+        if b.den or not b.num.is_constant():
             raise ResidueError(
-                "non-scalar remainder after the last variable: " + b.value.render()
+                "non-scalar remainder after the last variable: " + b.render()
             )
-        total += b.value.scalar * b.value.num.constant_value()
+        total += b.scalar * b.num.constant_value()
     return total

@@ -191,7 +191,8 @@ class DivisorClasses:
         return MPoly.product(nvars, (self.table[label] for label in collection))
 
 
-def _wall(i: int) -> LinForm:
+def wall_form(i: int) -> LinForm:
+    """``2 z_i - z_{i-1} - z_{i+1}``, the excluded-side chamber wall at ``i``."""
     return LinForm({i - 1: Fraction(-1), i: Fraction(2), i + 1: Fraction(-1)})
 
 
@@ -206,7 +207,7 @@ def sr_ideal_factors(d: int) -> list[list[tuple[LinForm, int]]]:
             (LinForm.variable(i), 4),
             (LinForm({i - 1: Fraction(1), i: Fraction(2)}), 1),
             (LinForm({i: Fraction(2), i + 1: Fraction(1)}), 1),
-            (_wall(i), 1),
+            (wall_form(i), 1),
         ])
     gens.append([(LinForm.variable(d), 4), (LinForm({d - 1: Fraction(1), d: Fraction(2)}), 1)])
     return gens
@@ -214,14 +215,7 @@ def sr_ideal_factors(d: int) -> list[list[tuple[LinForm, int]]]:
 
 def sr_ideal(d: int) -> list[MPoly]:
     """Expanded generators of the intersection-ring ideal in H_0..H_d."""
-    nvars = d + 1
-    out = []
-    for factors in sr_ideal_factors(d):
-        p = MPoly.const(nvars, 1)
-        for form, mult in factors:
-            p = p * form.to_mpoly(nvars) ** mult
-        out.append(p)
-    return out
+    return [MPoly.factored(d + 1, factors) for factors in sr_ideal_factors(d)]
 
 
 def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
@@ -235,18 +229,14 @@ def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
         factors.append((LinForm({i: Fraction(2), i + 1: Fraction(1)}), 1))
         factors.append((LinForm({i: Fraction(1), i + 1: Fraction(2)}), 1))
     for k in range(1, d):
-        factors.append((_wall(k), 1))
+        factors.append((wall_form(k), 1))
     return Fraction(3 ** (d + 1)), factors
 
 
 def volume_form(d: int) -> MPoly:
     """The class dual to a smooth point, ``3^{d+1} * prod H_i^3 * ...`` expanded."""
     scalar, factors = volume_form_factors(d)
-    nvars = d + 1
-    p = MPoly.const(nvars, scalar)
-    for form, mult in factors:
-        p = p * form.to_mpoly(nvars) ** mult
-    return p
+    return MPoly.factored(d + 1, factors) * scalar
 
 
 def _int_det(rows: list[list[int]]) -> int:

@@ -29,14 +29,15 @@ def _report(criterion: str, results) -> None:
 
 
 def test_criterion_1_w_coefficients_reproduce_inverse_j_expansion():
-    # 744, 473652, 451734080, 510531007770 for d = 1..4; d = 5 against the
-    # series route (the coefficient is genuinely fractional there).
-    _report("criterion 1: w-coefficients d<=4 (+ d=5 stretch)", check_w_coefficients(5))
+    # 744, 473652, 451734080, 510531007770 for d = 1..4; d = 5..10 against
+    # the series route (the coefficients are genuinely fractional there).
+    _report("criterion 1: w-coefficients d<=4 (+ d=5..10 against the series)",
+            check_w_coefficients(10))
 
 
 def test_criterion_2_period_coefficients():
-    _report("criterion 2: (d/2) w(2,-1) = 2^{3d}(6d-1)!!/(d!)^3 for d<=5",
-            check_period_coefficients(5))
+    _report("criterion 2: (d/2) w(2,-1) = 2^{3d}(6d-1)!!/(d!)^3 for d<=10",
+            check_period_coefficients(10))
 
 
 def test_criterion_3_volume_normalization():
@@ -55,8 +56,9 @@ def test_criterion_5_degree_selection():
 
 
 def test_criterion_6_order_independence():
-    _report("criterion 6: ascending vs descending residue plans agree, d<=3",
-            check_order_independence(3))
+    _report("criterion 6: ascending vs descending residue plans agree, "
+            "insertion integrands d<=10, volume class d<=3",
+            check_order_independence(10))
 
 
 def test_criterion_7_insertion_identities():

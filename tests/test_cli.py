@@ -94,14 +94,16 @@ def test_byte_determinism():
         assert first == second
 
 
-def test_threads_flag_does_not_change_results():
-    _, one = run_cli(["intersect", "--degree", "2", "--a", "2", "--b", "-1", "--threads", "1"])
-    _, four = run_cli(["intersect", "--degree", "2", "--a", "2", "--b", "-1", "--threads", "4"])
-    assert one == four
+def test_threads_flag_is_usage_error():
+    # The residue engine is single-threaded; there is no --threads option.
+    for argv in (["intersect", "--degree", "1", "--a", "1", "--b", "0"], ["verify", "--degree-max", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--threads", "2"])
+        assert exc.value.code == 2
 
 
 def test_verify_degree_one_passes():
-    code, text = run_cli(["verify", "--degree-max", "1", "--threads", "1"])
+    code, text = run_cli(["verify", "--degree-max", "1"])
     assert code == 0
     assert "PASS w-coefficient d=1" in text
     assert "status: ok" in text
@@ -112,6 +114,14 @@ def test_verify_usage_error():
     code, text = run_cli(["verify", "--degree-max", "0"])
     assert code == 2
     assert "usage_error" in text
+
+
+def test_verify_rejects_degree_above_documented_maximum():
+    from quasimap.checks import DEGREE_MAX
+
+    code, text = run_cli(["verify", "--degree-max", str(DEGREE_MAX + 1)])
+    assert code == 2
+    assert "usage_error" in text and f"degree-max must be <= {DEGREE_MAX}" in text
 
 
 def test_unknown_subcommand_is_usage_error():
@@ -137,9 +147,5 @@ def test_verify_fails_on_tampered_insertion_factors(monkeypatch):
         return [LinForm({x: 6 - j, y: 1}) for j in range(7)]
 
     monkeypatch.setattr(intersection, "e6_factors", tampered)
-    intersection._W_CACHE.clear()
-    try:
-        results = check_w_coefficients(1, threads=1)
-        assert not results[0].ok
-    finally:
-        intersection._W_CACHE.clear()
+    results = check_w_coefficients(1)
+    assert not results[0].ok

@@ -71,7 +71,9 @@ def test_integrand_structure_degree_one():
     assert f.scalar == 48
     powers = {tuple(sorted(fac.form.coeffs)): fac.multiplicity for fac in f.den}
     assert powers == {(0,): 2, (1,): 3}
-    assert f.num.homogeneous_degree() == 3
+    # the numerator stays factored: z-monomial times the surviving linear factors
+    assert len(f.factors) == 3 and f.num_degree() == 3
+    assert f.expand().num.homogeneous_degree() == 3
 
 
 def test_compute_w_known_examples():

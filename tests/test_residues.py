@@ -8,6 +8,13 @@ from fractions import Fraction
 import pytest
 
 from quasimap.exact import FactoredRat, LinForm, MPoly, linform
+from quasimap.intersection import (
+    IntegrandSpec,
+    mixed_insertion_residue,
+    telescoped_insertion_residue,
+    wall_form,
+    wall_insertion_residue,
+)
 from quasimap.residues import (
     ResidueError,
     ResiduePlan,
@@ -125,18 +132,6 @@ def _random_poly(rng, nvars, degree, nterms=4):
     return MPoly(nvars, terms)
 
 
-def test_branch_determinism_across_thread_counts():
-    nvars = 3
-    num = MPoly.product(nvars, [linform((0, 1), (1, 1)), linform((1, 1), (2, 1)),
-                                linform((0, 5), (1, 1)), linform((1, 5), (2, 1))])
-    wall = linform((0, -1), (1, 2), (2, -1))
-    f = FactoredRat(7, num, [(zvar(0), 2, frozenset({0})), (zvar(1), 2, frozenset({1})),
-                             (zvar(2), 3, frozenset({2})), (wall, 1, frozenset({1}))])
-    plan = ResiduePlan.ascending(2)
-    values = {iterated_residue(f, plan, threads=t) for t in (1, 2, 4)}
-    assert len(values) == 1
-
-
 def test_plan_validation():
     with pytest.raises(ValueError):
         ResiduePlan((0, 2))
@@ -156,3 +151,40 @@ def test_excluded_factors_are_never_visited():
     )
     # degree -2 = -(d+1), so the filter keeps it; z0 has two prescribed points.
     assert iterated_residue(f, ResiduePlan.ascending(1)) == 0
+
+
+def _chain_integrands(d):
+    """Every insertion integrand the two-point identities use at degree d, with
+    the value its public function reports (halved ones doubled back)."""
+    mixed = {0: 1, 1: 1}
+    mixed[d] = mixed.get(d, 0) - 1
+    telescoped = LinForm({0: Fraction(1 - d), 1: Fraction(d)})
+    specs = [
+        ("insertions(1,0)", IntegrandSpec.insertions(d, 1, 0), None),
+        ("insertions(2,-1)", IntegrandSpec.insertions(d, 2, -1), None),
+        ("mixed", IntegrandSpec.with_numerator(d, mixed), 2 * mixed_insertion_residue(d)),
+        ("telescoped", IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (telescoped,)),
+         2 * telescoped_insertion_residue(d)),
+    ]
+    for f in range(1, d):
+        spec = IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (wall_form(d - f),))
+        specs.append((f"wall f={f}", spec, 2 * wall_insertion_residue(d, f)))
+    return specs
+
+
+@pytest.mark.parametrize("d", range(1, 6))
+def test_factored_and_expanded_integrands_agree(d):
+    # The engine multiplies numerator factors in step by step; multiplying
+    # them all out first must give the same value under both plans.
+    for name, spec, reported in _chain_integrands(d):
+        factored = spec.build()
+        expanded = factored.expand()
+        assert not expanded.factors and expanded.num_degree() == factored.num_degree()
+        values = {
+            iterated_residue(g, plan)
+            for g in (factored, expanded)
+            for plan in (ResiduePlan.ascending(d), ResiduePlan.descending(d))
+        }
+        assert len(values) == 1, (name, values)
+        if reported is not None:
+            assert values == {reported}, name
