@@ -29,6 +29,7 @@ from .toric import (
     orientation_enumeration,
     relation_check,
     relation_defects,
+    block_forms,
     sr_ideal,
     sr_ideal_factors,
     volume_form,
@@ -44,7 +45,6 @@ from .intersection import (
     telescoped_insertion_residue,
     wall_form,
     wall_insertion_residue,
-    wall_split_check,
     wall_split_sides,
 )
 from .series import (
@@ -58,7 +58,6 @@ from .series import (
     lagrange_oracle,
     mirror_w,
     pf_first_failure,
-    pf_recursion_check,
 )
 
 __version__ = "0.1.0"
@@ -84,6 +83,7 @@ __all__ = [
     "orientation_enumeration",
     "relation_check",
     "relation_defects",
+    "block_forms",
     "sr_ideal",
     "sr_ideal_factors",
     "volume_form",
@@ -97,7 +97,6 @@ __all__ = [
     "telescoped_insertion_residue",
     "wall_form",
     "wall_insertion_residue",
-    "wall_split_check",
     "wall_split_sides",
     "LogSeries",
     "SeriesQ",
@@ -109,5 +108,4 @@ __all__ = [
     "lagrange_oracle",
     "mirror_w",
     "pf_first_failure",
-    "pf_recursion_check",
 ]

@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full exact verification ladder")
     p.add_argument(
         "--degree-max", type=int, required=True, metavar="N",
-        help=f"1 <= N <= {DEGREE_MAX}: the w-coefficient and period checks run for every d <= N; "
-             "volume normalization for d <= min(N, 5), the insertion identities for "
+        help=f"1 <= N <= {DEGREE_MAX}: the w-coefficient, period and volume normalization "
+             "checks run for every d <= N; the insertion identities for "
              "d <= min(N, 4), ideal annihilation, degree selection and order independence "
              "for d <= min(N, 3); the toric, series and property checks do not depend on N",
     )

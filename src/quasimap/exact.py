@@ -440,8 +440,12 @@ class FactoredRat:
     extracts the content of the numerator.  ``num = 0`` collapses the whole
     object to the zero function.  ``factors`` holds linear numerator factors
     ``(g_k, n_k)`` that stay unexpanded: the residue engine multiplies each
-    one in at the first step whose variable it involves.  :meth:`reduce`
-    leaves them alone; :meth:`derivative` and :meth:`subst` expand first.
+    one in at the first step whose variable it involves.  The constructor
+    canonicalizes them too and cancels each against a proportional
+    denominator factor (a partly cancelled denominator factor keeps its
+    allowed set); the survivors are merged and sorted.  This is the one place
+    where numerator factors cancel.  :meth:`reduce` leaves them alone;
+    :meth:`derivative` and :meth:`subst` expand first.
     """
 
     __slots__ = ("scalar", "num", "den", "factors")
@@ -469,6 +473,20 @@ class FactoredRat:
             self.den = ()
             self.factors = ()
             return
+        kept: dict[tuple, list] = {}
+        for form, mult in factors:
+            scale, canon = form.canonicalized()
+            scalar *= scale ** mult
+            key = canon.key()
+            entry = merged.get(key)
+            if entry is not None:
+                cancel = min(mult, entry[1])
+                mult -= cancel
+                entry[1] -= cancel
+                if not entry[1]:
+                    del merged[key]
+            if mult:
+                kept.setdefault(key, [canon, 0])[1] += mult
         c = num.content()
         if num.terms[max(num.terms)] < 0:
             c = -c
@@ -481,7 +499,7 @@ class FactoredRat:
             TaggedFactor(form, mult, allowed)
             for _, (form, mult, allowed) in sorted(merged.items())
         )
-        self.factors = tuple(factors)
+        self.factors = tuple((form, mult) for _, (form, mult) in sorted(kept.items()))
 
     def is_zero(self) -> bool:
         return self.scalar == 0

@@ -7,9 +7,10 @@ linear forms; the two-point numbers
     w(O_{z^a} O_{z^b})_{0,d} = integral of
         H_0^a H_d^b * prod_{i=1}^d e6(H_{i-1}, H_i) / prod_{i=1}^{d-1} 6 H_i
 
-come from the same pairing.  All integrands are assembled by one constructor
-(:class:`IntegrandSpec`) that cancels numerator factors against denominator
-factors, which shrinks the excluded-factor population to the wall forms
+come from the same pairing.  The insertion integrands are listed factor by
+factor (:class:`IntegrandSpec`) and handed to :class:`~quasimap.exact.FactoredRat`,
+which cancels each numerator factor against a proportional denominator factor;
+this shrinks the excluded-factor population to the wall forms
 ``2 z_j - z_{j-1} - z_{j+1}`` and keeps the residue branching small.  The
 surviving numerator factors are never expanded here: the residue engine
 multiplies each one in at the step whose variable it first involves.
@@ -19,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .exact import FactoredRat, LinForm, MPoly
 from .residues import ResiduePlan, iterated_residue
 from .series import f0_coeff, harmonic_combo
-from .toric import wall_form
+from .toric import sr_ideal_factors, wall_form
 
 
 def e6_factors(x: int, y: int) -> list[LinForm]:
@@ -40,21 +42,12 @@ def e6_factors(x: int, y: int) -> list[LinForm]:
 def r_denominator_factors(d: int) -> list[tuple[LinForm, int, frozenset[int]]]:
     """Tagged factors of the pairing denominator ``R`` (without its 3^{d+1} scalar).
 
-    Tags record which variable's contour encloses each zero: ``z_j`` powers for
-    ``j``; ``2 z_{i-1} + z_i`` for ``i-1``; ``z_{i-1} + 2 z_i`` for ``i``; the
-    wall at ``i`` for ``i``.
+    ``R`` is the product of the ideal generators; every form of block ``i``
+    (:func:`~quasimap.toric.block_forms`) is tagged ``{i}``, since the ``z_i``
+    contour encloses its zero.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    factors: list[tuple[LinForm, int, frozenset[int]]] = []
-    for j in range(d + 1):
-        factors.append((LinForm.variable(j), 4, frozenset({j})))
-    for i in range(1, d + 1):
-        factors.append((LinForm({i - 1: Fraction(2), i: Fraction(1)}), 1, frozenset({i - 1})))
-        factors.append((LinForm({i - 1: Fraction(1), i: Fraction(2)}), 1, frozenset({i})))
-    for i in range(1, d):
-        factors.append((wall_form(i), 1, frozenset({i})))
-    return factors
+    return [(form, mult, frozenset({i}))
+            for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
 
 
 def _monomial_key(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
@@ -63,19 +56,16 @@ def _monomial_key(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class IntegrandSpec:
-    """Recipe for one residue integrand over the degree-d moduli.
+    """Recipe for one insertion-chain integrand over the degree-d moduli.
 
     ``monomial`` holds net Laurent exponents of the plain ``z_j`` powers
     (negative exponents become tagged denominator factors); ``extra_forms``
-    are additional numerator linear factors; ``use_e6`` switches the full
-    two-point machinery (insertion chain over ``R``) on, or leaves a bare
-    ``numerator / R`` pairing integrand.
+    are additional numerator linear factors.
     """
 
     d: int
     monomial: tuple[tuple[int, int], ...] = ()
     extra_forms: tuple[LinForm, ...] = ()
-    use_e6: bool = True
 
     @classmethod
     def insertions(cls, d: int, a: int, b: int) -> IntegrandSpec:
@@ -89,82 +79,19 @@ class IntegrandSpec:
         return cls(d, _monomial_key(exps), forms)
 
     def build(self) -> FactoredRat:
-        """Assemble the integrand: the ``z_j`` monomial times the linear factors
-        that survive factor-by-factor cancellation, kept unexpanded."""
+        """The integrand ``z^monomial * prod e6 * prod extra_forms / (R * prod 6 z_i)``.
+
+        Every factor is listed as it is; :class:`FactoredRat` cancels the
+        proportional ones and keeps the survivors unexpanded.
+        """
         d = self.d
-        if d < 1:
-            raise ValueError("degree must be >= 1")
-        nvars = d + 1
-        scalar = Fraction(1)
-        zpow = [0] * nvars
-        num_counts: dict[LinForm, int] = {}
-        den: dict[tuple, list] = {}
-
-        def put_num(form: LinForm, mult: int = 1) -> None:
-            nonlocal scalar
-            scale, canon = form.canonicalized()
-            scalar *= scale ** mult
-            support = canon.support
-            if len(support) == 1:
-                (j,) = support
-                zpow[j] += mult
-            else:
-                num_counts[canon] = num_counts.get(canon, 0) + mult
-
-        def put_den(form: LinForm, mult: int, allowed: frozenset[int]) -> None:
-            nonlocal scalar
-            scale, canon = form.canonicalized()
-            scalar /= scale ** mult
-            support = canon.support
-            if len(support) == 1:
-                (j,) = support
-                zpow[j] -= mult
-                return
-            key = canon.key()
-            entry = den.get(key)
-            if entry is None:
-                den[key] = [canon, mult, frozenset(allowed)]
-            else:
-                entry[1] += mult
-                entry[2] |= frozenset(allowed)
-
-        if self.use_e6:
-            scalar /= Fraction(3 ** (d + 1) * 6 ** (d - 1))
-            for form, mult, allowed in r_denominator_factors(d):
-                put_den(form, mult, allowed)
-            for i in range(1, d):
-                put_den(LinForm.variable(i), 1, frozenset({i}))
-            for i in range(1, d + 1):
-                for form in e6_factors(i - 1, i):
-                    put_num(form)
-        else:
-            scalar /= Fraction(3 ** (d + 1))
-            for form, mult, allowed in r_denominator_factors(d):
-                put_den(form, mult, allowed)
-        for v, e in self.monomial:
-            zpow[v] += e
-        for form in self.extra_forms:
-            put_num(form)
-
-        for key in list(den):
-            canon, mult, allowed = den[key]
-            have = num_counts.get(canon, 0)
-            cancel = min(mult, have)
-            if cancel:
-                num_counts[canon] = have - cancel
-                if mult == cancel:
-                    del den[key]
-                else:
-                    den[key][1] = mult - cancel
-
-        num = MPoly.monomial(nvars, {j: e for j, e in enumerate(zpow) if e > 0})
-        factors = [(form, mult) for form, mult in sorted(num_counts.items(), key=lambda kv: kv[0].key())
-                   if mult]
-        den_list: list[tuple[LinForm, int, frozenset[int]]] = [
-            (LinForm.variable(j), -e, frozenset({j})) for j, e in enumerate(zpow) if e < 0
-        ]
-        den_list.extend((canon, mult, allowed) for canon, mult, allowed in den.values())
-        return FactoredRat(scalar, num, den_list, factors)
+        den = r_denominator_factors(d)
+        den += [(LinForm({i: 6}), 1, frozenset({i})) for i in range(1, d)]
+        den += [(LinForm.variable(v), -e, frozenset({v})) for v, e in self.monomial if e < 0]
+        num = [(form, 1) for i in range(1, d + 1) for form in e6_factors(i - 1, i)]
+        num += [(form, 1) for form in self.extra_forms]
+        num += [(LinForm.variable(v), e) for v, e in self.monomial if e > 0]
+        return FactoredRat(Fraction(1, 3 ** (d + 1)), MPoly.const(d + 1, 1), den, num)
 
 
 def compute_w(d: int, a: int, b: int) -> Fraction:
@@ -178,15 +105,18 @@ def compute_w(d: int, a: int, b: int) -> Fraction:
     return iterated_residue(IntegrandSpec.insertions(d, a, b).build(), ResiduePlan.ascending(d))
 
 
-def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None) -> Fraction:
-    """Pair a polynomial class in ``H_0..H_d`` against the degree-d moduli.
+def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
+                    factors: Iterable[tuple[LinForm, int]] = ()) -> Fraction:
+    """Pair the class ``omega * prod(form ** mult for form, mult in factors)``
+    in ``H_0..H_d`` against the degree-d moduli.
 
-    The variables of ``omega`` are read positionally (``H_j`` is variable
-    ``j``); the value is the iterated residue of ``omega / R``.
+    The variables are read positionally (``H_j`` is variable ``j``); the value
+    is the iterated residue of the class over ``R``.  A class given as a factor
+    list stays factored and cancels against ``R`` factor by factor.
     """
     if omega.nvars != d + 1:
         raise ValueError("omega must live in d+1 variables")
-    integrand = FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d))
+    integrand = FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d), factors)
     return iterated_residue(integrand, plan or ResiduePlan.ascending(d))
 
 
@@ -229,11 +159,6 @@ def wall_split_sides(d: int, f: int) -> tuple[Fraction, Fraction]:
     product_side = (compute_w(d - f, 1, 0) / 2) * (compute_w(f, 2, -1) / 2)
     residue_side = wall_insertion_residue(d, f)
     return product_side, residue_side
-
-
-def wall_split_check(d: int, f: int) -> bool:
-    lhs, rhs = wall_split_sides(d, f)
-    return lhs == rhs
 
 
 def telescoped_insertion_residue(d: int) -> Fraction:

@@ -208,10 +208,6 @@ def pf_first_failure(order: int) -> int | None:
     return None
 
 
-def pf_recursion_check(order: int) -> bool:
-    return pf_first_failure(order) is None
-
-
 def mirror_w(order: int) -> list[Fraction]:
     """Coefficients ``w_1..w_order`` of the mirror map, by exact series division.
 

@@ -196,21 +196,39 @@ def wall_form(i: int) -> LinForm:
     return LinForm({i - 1: Fraction(-1), i: Fraction(2), i + 1: Fraction(-1)})
 
 
-def sr_ideal_factors(d: int) -> list[list[tuple[LinForm, int]]]:
-    """The d+1 ideal generators as (linear form, multiplicity) factor lists."""
+def block_forms(d: int) -> list[list[LinForm]]:
+    """The divisor forms of each primitive collection ``P_i``, one block per ``i``.
+
+    Block ``i`` holds ``z_i``, ``z_{i-1} + 2 z_i``, ``2 z_i + z_{i+1}`` and the
+    wall at ``i``, each where its indices lie in ``0..d`` (the end blocks hold
+    two forms, the others four).  Block ``i`` is the ``i``-th ideal generator,
+    the ``i``-th row of the recession map and the part of ``R`` whose zeros the
+    ``z_i`` contour encloses.
+    """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    gens: list[list[tuple[LinForm, int]]] = []
-    gens.append([(LinForm.variable(0), 4), (LinForm({0: Fraction(2), 1: Fraction(1)}), 1)])
-    for i in range(1, d):
-        gens.append([
-            (LinForm.variable(i), 4),
-            (LinForm({i - 1: Fraction(1), i: Fraction(2)}), 1),
-            (LinForm({i: Fraction(2), i + 1: Fraction(1)}), 1),
-            (wall_form(i), 1),
-        ])
-    gens.append([(LinForm.variable(d), 4), (LinForm({d - 1: Fraction(1), d: Fraction(2)}), 1)])
-    return gens
+    blocks = []
+    for i in range(d + 1):
+        block = [LinForm.variable(i)]
+        if i > 0:
+            block.append(LinForm({i - 1: 1, i: 2}))
+        if i < d:
+            block.append(LinForm({i: 2, i + 1: 1}))
+        if 0 < i < d:
+            block.append(wall_form(i))
+        blocks.append(block)
+    return blocks
+
+
+def _block_factors(d: int, z_mult: int) -> list[list[tuple[LinForm, int]]]:
+    """:func:`block_forms` as factor lists, ``z_i`` to the power ``z_mult``."""
+    return [[(form, z_mult if k == 0 else 1) for k, form in enumerate(block)]
+            for block in block_forms(d)]
+
+
+def sr_ideal_factors(d: int) -> list[list[tuple[LinForm, int]]]:
+    """The d+1 ideal generators as (linear form, multiplicity) factor lists."""
+    return _block_factors(d, 4)
 
 
 def sr_ideal(d: int) -> list[MPoly]:
@@ -220,17 +238,7 @@ def sr_ideal(d: int) -> list[MPoly]:
 
 def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
     """Scalar and factor list of the degree-(6d+2) volume class."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    factors: list[tuple[LinForm, int]] = []
-    for i in range(d + 1):
-        factors.append((LinForm.variable(i), 3))
-    for i in range(d):
-        factors.append((LinForm({i: Fraction(2), i + 1: Fraction(1)}), 1))
-        factors.append((LinForm({i: Fraction(1), i + 1: Fraction(2)}), 1))
-    for k in range(1, d):
-        factors.append((wall_form(k), 1))
-    return Fraction(3 ** (d + 1)), factors
+    return Fraction(3 ** (d + 1)), [fac for gen in _block_factors(d, 3) for fac in gen]
 
 
 def volume_form(d: int) -> MPoly:
@@ -284,22 +292,10 @@ def det_Bk(k: int) -> int:
 
 
 def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
-    def e(*pairs):
-        row = [0] * (d + 1)
-        for idx, c in pairs:
-            row[idx] += c
-        return tuple(row)
-
-    choices = [[e((0, 1)), e((0, 2), (1, 1))]]
-    for i in range(1, d):
-        choices.append([
-            e((i, 1)),
-            e((i - 1, 1), (i, 2)),
-            e((i, 2), (i + 1, 1)),
-            e((i - 1, -1), (i, 2), (i + 1, -1)),
-        ])
-    choices.append([e((d, 1)), e((d - 1, 1), (d, 2))])
-    return choices
+    """The gradients each row of the gluing map chooses from: block ``i`` of
+    :func:`block_forms` as integer coefficient rows."""
+    return [[tuple(int(form.coeff(j)) for j in range(d + 1)) for form in block]
+            for block in block_forms(d)]
 
 
 @dataclass(frozen=True)
@@ -343,8 +339,11 @@ def orientation_enumeration(d: int) -> OrientationReport:
 def eval_recession(d: int, alpha: list[Fraction]) -> list[Fraction]:
     """Componentwise min-expressions of the recession map on R^{d+1}.
 
-    Positively homogeneous: ``F(t*alpha) = t*F(alpha)`` for ``t >= 0``; its
-    injectivity (sampled elsewhere) is what makes the fan complete.
+    Component ``i`` is the minimum of the forms of block ``i`` of
+    :func:`block_forms`, written out here because this is the inner loop of
+    the sampled injectivity check.  Positively homogeneous:
+    ``F(t*alpha) = t*F(alpha)`` for ``t >= 0``; its injectivity (sampled
+    elsewhere) is what makes the fan complete.
     """
     if len(alpha) != d + 1:
         raise ValueError("alpha must have length d+1")

@@ -5,6 +5,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import assume, given, settings, strategies as st
+
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor, linform
 
 
@@ -218,3 +220,78 @@ def test_homogeneous_degree_report():
     q = p + z(0)
     assert q.homogeneous_degree() is None
     assert q.homogeneous_component(1) == z(0)
+
+
+def test_fr_numerator_factor_cancels_fully():
+    # (2 z0 + 2 z1)^2 / (z0 + z1)^2 = 4
+    f = FactoredRat(1, MPoly.const(2, 1), [(linform((0, 1), (1, 1)), 2, frozenset({0}))],
+                    [(linform((0, 2), (1, 2)), 2)])
+    assert f.scalar == 4 and f.den == () and f.factors == ()
+
+
+def test_fr_numerator_factor_cancels_partly_and_keeps_allowed_set():
+    s = linform((0, 1), (1, 1))
+    f = FactoredRat(1, MPoly.const(2, 1), [(s, 3, frozenset({0, 1}))], [(s, 1)])
+    assert f.den == (TaggedFactor(s, 2, frozenset({0, 1})),) and f.factors == ()
+    # more numerator than denominator: the rest survives as a factor
+    g = FactoredRat(1, MPoly.const(2, 1), [(s, 1, frozenset({0}))], [(s, 3)])
+    assert g.den == () and g.factors == ((s, 2),)
+
+
+def test_fr_numerator_factor_negative_scale():
+    # (-3 z0 + 6 z1) / (z0 - 2 z1) = -3
+    f = FactoredRat(1, MPoly.const(2, 1), [(linform((0, 1), (1, -2)), 1, frozenset({0}))],
+                    [(linform((0, -3), (1, 6)), 1)])
+    assert f.scalar == -3 and f.den == () and f.factors == ()
+    # -(z0 + z1) against (z0 + z1)^2 leaves -1/(z0 + z1)
+    g = FactoredRat(1, MPoly.const(2, 1), [(linform((0, 1), (1, 1)), 2, frozenset({0}))],
+                    [(linform((0, -1), (1, -1)), 1)])
+    assert g.scalar == -1 and g.den[0].multiplicity == 1 and g.factors == ()
+
+
+def test_fr_numerator_survivors_merged_in_sorted_order():
+    f = FactoredRat(1, MPoly.const(3, 1), [(LinForm.variable(2), 1, frozenset({2}))], [
+        (linform((1, 1), (2, 1)), 1),
+        (linform((0, 2), (1, -4)), 1),
+        (linform((2, 3)), 2),
+        (linform((1, -2), (2, -2)), 2),
+        (linform((0, -1), (1, 2)), 1),
+    ])
+    assert f.den == ()
+    assert f.factors == (
+        (linform((0, 1), (1, -2)), 2),
+        (linform((1, 1), (2, 1)), 3),
+        (LinForm.variable(2), 1),
+    )
+    # 2 * (-1) from the z0 - 2 z1 pair, 3^2 from z2, (-2)^2 from z1 + z2
+    assert f.scalar == 2 * -1 * 9 * 4
+
+
+def _forms(rows):
+    return [(LinForm(dict(enumerate(row))), m) for row, m in rows]
+
+
+_rows = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
+_points = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7), min_size=3, max_size=3)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    num=st.lists(st.tuples(_rows, st.integers(1, 3)), max_size=5),
+    den=st.lists(st.tuples(_rows, st.integers(1, 3)), max_size=5),
+    scalar=st.fractions(min_value=-5, max_value=5, max_denominator=5).filter(bool),
+    point=_points,
+)
+def test_fr_factor_cancellation_preserves_value(num, den, scalar, point):
+    num, den = _forms(num), _forms(den)
+    assume(all(form.evaluate(point) for form, _ in den))
+    f = FactoredRat(scalar, MPoly.const(3, 1), [(g, m, frozenset({min(g.support)})) for g, m in den], num)
+    expected = scalar
+    for g, m in num:
+        expected *= g.evaluate(point) ** m
+    for g, m in den:
+        expected /= g.evaluate(point) ** m
+    assert f.evaluate(point) == expected
+    keys = [g.key() for g, _ in f.factors]
+    assert keys == sorted(set(keys))
+    assert not set(keys) & {fac.form.key() for fac in f.den}

@@ -18,12 +18,11 @@ from quasimap.intersection import (
     telescoped_insertion_residue,
     wall_form,
     wall_insertion_residue,
-    wall_split_check,
     wall_split_sides,
 )
 from quasimap.residues import ResiduePlan
 from quasimap.series import f0_coeff, f1_hat_coeff, mirror_w
-from quasimap.toric import sr_ideal, volume_form
+from quasimap.toric import sr_ideal, sr_ideal_factors, volume_form, volume_form_factors
 
 
 def _etilde(nvars, x, y):
@@ -96,6 +95,8 @@ def test_compute_w_matches_period_coefficients():
 def test_volume_normalization():
     for d in (1, 2, 3):
         assert integrate_class(d, volume_form(d)) == 1
+        scalar, factors = volume_form_factors(d)
+        assert integrate_class(d, MPoly.const(d + 1, scalar), factors=factors) == 1
 
 
 def test_ideal_annihilation_explicit_samples():
@@ -112,7 +113,7 @@ def test_ideal_annihilation_sampled():
     rng = random.Random(515151)
     for d in (1, 2):
         nvars = d + 1
-        for gen in sr_ideal(d):
+        for gen, factors in zip(sr_ideal(d), sr_ideal_factors(d)):
             comp = 6 * d + 2 - gen.homogeneous_degree()
             for _ in range(10):
                 exps = [0] * nvars
@@ -120,6 +121,16 @@ def test_ideal_annihilation_sampled():
                     exps[rng.randrange(nvars)] += 1
                 mono = MPoly(nvars, {tuple(exps): Fraction(1)})
                 assert integrate_class(d, gen * mono) == 0
+                assert integrate_class(d, mono, factors=factors) == 0
+
+
+def test_partly_cancelled_factored_class_matches_expanded():
+    # e6 cancels only partly against R; the rest stays factored and integrates to non-zero
+    factors = [(form, 1) for form in e6_factors(0, 1)]
+    mono = MPoly.monomial(2, {1: 1})
+    value = integrate_class(1, mono, factors=factors)
+    assert value != 0
+    assert value == integrate_class(1, mono * MPoly.product(2, e6_factors(0, 1)))
 
 
 def test_degree_selection_zeroes():
@@ -154,8 +165,9 @@ def test_mixed_insertion_values():
 def test_wall_split_identity():
     lhs, rhs = wall_split_sides(2, 1)
     assert lhs == rhs == 89280  # (1488/2) * (240/2)
-    assert wall_split_check(3, 1)
-    assert wall_split_check(3, 2)
+    for f in (1, 2):
+        lhs, rhs = wall_split_sides(3, f)
+        assert lhs == rhs
 
 
 def test_wall_split_argument_validation():

@@ -6,18 +6,17 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from quasimap.checks import check_properties, linearity_samples
+from quasimap.checks import linearity_samples
 from quasimap.exact import FactoredRat, MPoly
 from quasimap.intersection import IntegrandSpec
 from quasimap.residues import ResiduePlan, iterated_residue
 from quasimap.toric import eval_recession
 
 
-def test_property_suite_all_green():
-    results = check_properties()
-    for r in results:
+def test_property_suite_all_green(property_results):
+    for r in property_results:
         assert r.ok, r.line()
-    names = {r.name for r in results}
+    names = {r.name for r in property_results}
     assert {
         "degree zeros a+b != 1",
         "residue linearity",

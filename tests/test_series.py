@@ -19,7 +19,6 @@ from quasimap.series import (
     lagrange_oracle,
     mirror_w,
     pf_first_failure,
-    pf_recursion_check,
     series_exp,
     series_reversion,
 )
@@ -38,7 +37,6 @@ def test_f0_factorial_cross_identity():
 
 
 def test_pf_recursion_check():
-    assert pf_recursion_check(20)
     assert pf_first_failure(20) is None
 
 
@@ -50,7 +48,6 @@ def test_pf_negative_control(monkeypatch):
 
     monkeypatch.setattr(series, "f0_coeff", corrupted)
     assert pf_first_failure(5) == 3
-    assert not pf_recursion_check(5)
 
 
 def test_log_bookkeeping_order_zero():

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from quasimap.exact import MPoly
+from quasimap.exact import LinForm, MPoly
+from quasimap.intersection import r_denominator_factors
 from quasimap.toric import (
     DivisorClasses,
     FanData,
+    block_forms,
     build_fan,
     det_Bk,
     eval_recession,
@@ -19,6 +21,7 @@ from quasimap.toric import (
     relation_check,
     relation_defects,
     sr_ideal,
+    sr_ideal_factors,
     volume_form,
     volume_form_factors,
     _row_choices,
@@ -196,3 +199,78 @@ def test_recession_positive_homogeneity():
 def test_recession_length_validation():
     with pytest.raises(ValueError):
         eval_recession(2, [1, 2])
+
+
+# The block forms as they were written out by hand before ``block_forms``:
+# coefficient rows of z_0..z_d with their multiplicities (and, for R, the
+# variable whose contour encloses the zero).  Generators and recession rows
+# are listed block by block; the volume and R factors in their old order.
+SR_LITERAL = {
+    1: [[((1, 0), 4), ((2, 1), 1)],
+        [((0, 1), 4), ((1, 2), 1)]],
+    2: [[((1, 0, 0), 4), ((2, 1, 0), 1)],
+        [((0, 1, 0), 4), ((1, 2, 0), 1), ((0, 2, 1), 1), ((-1, 2, -1), 1)],
+        [((0, 0, 1), 4), ((0, 1, 2), 1)]],
+    3: [[((1, 0, 0, 0), 4), ((2, 1, 0, 0), 1)],
+        [((0, 1, 0, 0), 4), ((1, 2, 0, 0), 1), ((0, 2, 1, 0), 1), ((-1, 2, -1, 0), 1)],
+        [((0, 0, 1, 0), 4), ((0, 1, 2, 0), 1), ((0, 0, 2, 1), 1), ((0, -1, 2, -1), 1)],
+        [((0, 0, 0, 1), 4), ((0, 0, 1, 2), 1)]],
+}
+VOLUME_LITERAL = {
+    1: [((1, 0), 3), ((0, 1), 3), ((2, 1), 1), ((1, 2), 1)],
+    2: [((1, 0, 0), 3), ((0, 1, 0), 3), ((0, 0, 1), 3),
+        ((2, 1, 0), 1), ((1, 2, 0), 1), ((0, 2, 1), 1), ((0, 1, 2), 1),
+        ((-1, 2, -1), 1)],
+    3: [((1, 0, 0, 0), 3), ((0, 1, 0, 0), 3), ((0, 0, 1, 0), 3), ((0, 0, 0, 1), 3),
+        ((2, 1, 0, 0), 1), ((1, 2, 0, 0), 1), ((0, 2, 1, 0), 1), ((0, 1, 2, 0), 1),
+        ((0, 0, 2, 1), 1), ((0, 0, 1, 2), 1),
+        ((-1, 2, -1, 0), 1), ((0, -1, 2, -1), 1)],
+}
+R_LITERAL = {
+    1: [((1, 0), 4, 0), ((0, 1), 4, 1), ((2, 1), 1, 0), ((1, 2), 1, 1)],
+    2: [((1, 0, 0), 4, 0), ((0, 1, 0), 4, 1), ((0, 0, 1), 4, 2),
+        ((2, 1, 0), 1, 0), ((1, 2, 0), 1, 1), ((0, 2, 1), 1, 1), ((0, 1, 2), 1, 2),
+        ((-1, 2, -1), 1, 1)],
+    3: [((1, 0, 0, 0), 4, 0), ((0, 1, 0, 0), 4, 1), ((0, 0, 1, 0), 4, 2), ((0, 0, 0, 1), 4, 3),
+        ((2, 1, 0, 0), 1, 0), ((1, 2, 0, 0), 1, 1), ((0, 2, 1, 0), 1, 1), ((0, 1, 2, 0), 1, 2),
+        ((0, 0, 2, 1), 1, 2), ((0, 0, 1, 2), 1, 3),
+        ((-1, 2, -1, 0), 1, 1), ((0, -1, 2, -1), 1, 2)],
+}
+
+
+def _form(row):
+    return LinForm(dict(enumerate(row)))
+
+
+def test_sr_ideal_factors_and_row_choices_match_literal_blocks():
+    for d, blocks in SR_LITERAL.items():
+        assert sr_ideal_factors(d) == [[(_form(row), m) for row, m in gen] for gen in blocks]
+        assert _row_choices(d) == [[row for row, _ in gen] for gen in blocks]
+        assert block_forms(d) == [[_form(row) for row, _ in gen] for gen in blocks]
+
+
+def test_volume_and_r_factors_match_literal_lists():
+    def key(form, *rest):
+        return (form.key(),) + rest
+
+    for d in (1, 2, 3):
+        scalar, factors = volume_form_factors(d)
+        assert scalar == 3 ** (d + 1)
+        assert sorted(key(f, m) for f, m in factors) == sorted(
+            key(_form(row), m) for row, m in VOLUME_LITERAL[d])
+        assert sorted(key(f, m, tuple(tags)) for f, m, tags in r_denominator_factors(d)) == sorted(
+            key(_form(row), m, (tag,)) for row, m, tag in R_LITERAL[d])
+
+
+def test_eval_recession_is_the_block_minimum():
+    rng = random.Random(8086)
+    for d in range(1, 7):
+        blocks = block_forms(d)
+        for _ in range(200):
+            alpha = [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d + 1)]
+            assert eval_recession(d, alpha) == [min(f.evaluate(alpha) for f in block) for block in blocks]
+
+
+def test_block_forms_reject_bad_degree():
+    with pytest.raises(ValueError):
+        block_forms(0)
