@@ -50,7 +50,6 @@ from .intersection import (
 from .series import (
     LogSeries,
     SeriesQ,
-    compositions,
     f0_coeff,
     f1_hat_coeff,
     harmonic_combo,
@@ -100,7 +99,6 @@ __all__ = [
     "wall_split_sides",
     "LogSeries",
     "SeriesQ",
-    "compositions",
     "f0_coeff",
     "f1_hat_coeff",
     "harmonic_combo",

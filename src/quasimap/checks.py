@@ -26,6 +26,7 @@ from .series import (
     f0_coeff,
     f1_hat_coeff,
     j_from_w,
+    j_modular,
     lagrange_oracle,
     mirror_w,
     pf_first_failure,
@@ -242,7 +243,7 @@ def check_toric(
 
 
 def check_series() -> list[CheckResult]:
-    """Differential-equation recursion, mirror coefficients, j-coefficients, two routes."""
+    """Differential-equation recursion, mirror coefficients, j-coefficients, three routes."""
     out = []
     failure = pf_first_failure(20)
     out.append(
@@ -256,16 +257,16 @@ def check_series() -> list[CheckResult]:
     mirror = mirror_w(4)
     for d in range(1, 5):
         out.append(_cmp(f"mirror coefficient w_{d}", Fraction(W_KNOWN[d - 1]), mirror[d - 1]))
-    j = j_from_w(5)
+    j = j_from_w(20)
     for d in range(1, 6):
         out.append(_cmp(f"j coefficient j_{d}", Fraction(J_KNOWN[d - 1]), j[d - 1]))
-    composed, inverted = j_from_w(8), lagrange_oracle(8)
+    agree = j == lagrange_oracle(20) == j_modular(20)
     out.append(
         CheckResult(
-            "j reconstruction routes N=8",
-            composed == inverted,
-            "composition and inversion routes agree",
-            "agree" if composed == inverted else "diverge",
+            "j reconstruction routes N=20",
+            agree,
+            "composition, inversion and modular routes agree",
+            "agree" if agree else "diverge",
         )
     )
     return out

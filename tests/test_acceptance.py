@@ -18,6 +18,8 @@ from quasimap.checks import (
     check_volume_normalization,
     check_w_coefficients,
 )
+from quasimap.intersection import compute_w
+from quasimap.series import j_composition_sum, j_modular
 
 
 def _report(criterion: str, results) -> None:
@@ -72,9 +74,19 @@ def test_criterion_8_toric_checks():
 
 
 def test_criterion_9_series_suite():
-    _report("criterion 9: differential-equation check, mirror and j coefficients, two routes",
+    _report("criterion 9: differential-equation check, mirror and j coefficients, three routes",
             check_series())
 
 
 def test_criterion_10_property_suite(property_results):
     _report("criterion 10: seeded property suite", property_results)
+
+
+def test_headline_chain_residue_w_to_modular_j():
+    # w(O_z O_1)_{0,d} / 2 from iterated residues, through the composition sum,
+    # against j = E4^3 / Delta: the series-side w_d takes no part.
+    residue_w = [compute_w(d, 1, 0) / 2 for d in range(1, 11)]
+    ok = j_composition_sum(residue_w) == j_modular(10)
+    print(f"{'PASS' if ok else 'FAIL'} headline chain: residue w_d for d<=10 "
+          "-> composition sum -> modular j_1..j_10")
+    assert ok

@@ -67,6 +67,33 @@ def test_mirror_and_jinv_tables():
     assert "j_1" in text
 
 
+def test_jinv_order_24_routes_agree():
+    code, text = run_cli(["jinv", "--order", "24"])
+    assert code == 0
+    assert "routes_agree  true" in text
+
+
+def test_order_above_documented_maximum_is_usage_error():
+    from quasimap.cli import ORDER_MAX
+
+    for command in ("jinv", "mirror"):
+        code, text = run_cli([command, "--order", str(ORDER_MAX + 1)])
+        assert code == 2
+        assert "usage_error" in text and f"order must be <= {ORDER_MAX}" in text
+
+
+def test_text_and_json_carry_the_same_values():
+    for argv in (["jinv", "--order", "6"], ["mirror", "--order", "6"]):
+        _, text = run_cli(argv)
+        _, doc = run_cli([*argv, "--format", "json"])
+        result = CommandResult.from_json_text(doc)
+        lines = text.splitlines()
+        assert lines[0] == f"command: {result.command}"
+        assert lines[1] == f"order = {result.parameters['order']}"
+        assert [tuple(line.split()) for line in lines[2:-1]] == result.values
+        assert lines[-1] == f"status: {result.status}"
+
+
 def test_json_round_trip():
     code, text = run_cli(["intersect", "--degree", "1", "--a", "1", "--b", "0", "--format", "json"])
     assert code == 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import factorial, lcm
 
@@ -11,11 +12,12 @@ import quasimap.series as series
 from quasimap.series import (
     LogSeries,
     SeriesQ,
-    compositions,
     f0_coeff,
     f0_series,
     f1_hat_coeff,
+    j_composition_sum,
     j_from_w,
+    j_modular,
     lagrange_oracle,
     mirror_w,
     pf_first_failure,
@@ -92,14 +94,44 @@ def test_mirror_w_higher_coefficients_are_fractional():
     assert w[6].denominator == 7
 
 
+def _compositions(d):
+    """Every ordered sequence of positive integers summing to ``d``."""
+    if d == 0:
+        yield ()
+        return
+    for first in range(1, d + 1):
+        for rest in _compositions(d - first):
+            yield (first, *rest)
+
+
+def _composition_sum(w):
+    """``j_d = sum over compositions of (-(d-1))^{len-1} / len! * prod w_parts``, term by term."""
+    out = []
+    for d in range(1, len(w) + 1):
+        total = Fraction(0)
+        for parts in _compositions(d):
+            prod = Fraction(1)
+            for part in parts:
+                prod *= w[part - 1]
+            total += Fraction((-(d - 1)) ** (len(parts) - 1), factorial(len(parts))) * prod
+        out.append(total)
+    return out
+
+
 def test_composition_enumeration():
-    assert set(compositions(2)) == {(2,), (1, 1)}
-    assert set(compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
+    assert set(_compositions(2)) == {(2,), (1, 1)}
+    assert set(_compositions(3)) == {(3,), (1, 2), (2, 1), (1, 1, 1)}
     for d in range(1, 16):
-        seen = list(compositions(d))
+        seen = list(_compositions(d))
         assert len(seen) == 2 ** (d - 1)
         assert len(set(seen)) == len(seen)
         assert all(sum(parts) == d and min(parts) >= 1 for parts in seen)
+    # the sum grouped by length equals the sum over every composition
+    for seed in range(3):
+        rng = random.Random(seed)
+        w = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(12)]
+        assert j_composition_sum(w) == _composition_sum(w)
+    assert j_composition_sum(mirror_w(10)) == _composition_sum(mirror_w(10))
 
 
 def test_j_from_w_values():
@@ -119,6 +151,25 @@ def test_two_routes_agree_through_order_eight():
     assert j_from_w(8) == lagrange_oracle(8)
 
 
+def test_modular_route_values():
+    assert j_modular(1) == [744]
+    assert j_modular(5) == [744, 196884, 21493760, 864299970, 20245856256]
+
+
+def test_three_routes_agree_through_order_thirty():
+    composed = j_from_w(30)
+    assert composed == lagrange_oracle(30) == j_modular(30)
+    assert all(c.denominator == 1 for c in composed)
+
+
+def _compose(outer, inner):
+    """``outer(inner)`` by Horner's rule, for ``inner`` with zero constant term."""
+    acc = SeriesQ.zero(inner.order)
+    for c in reversed(outer.coeffs):
+        acc = acc * inner + SeriesQ([c] + [0] * inner.order)
+    return acc
+
+
 def test_series_exp_and_reversion_sanity():
     n = 8
     s = SeriesQ([Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 1))
@@ -129,8 +180,18 @@ def test_series_exp_and_reversion_sanity():
 
     q = SeriesQ([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(0), Fraction(1)])
     inv = series_reversion(q)
-    composed = series._compose(q, inv)
+    composed = _compose(q, inv)
     assert composed.coeffs == (Fraction(0), Fraction(1)) + (Fraction(0),) * (q.order - 1)
+
+
+def test_reversion_of_z_exp_z_is_lambert_w():
+    n = 30
+    z_exp_z = SeriesQ([Fraction(0)] + [Fraction(1, factorial(k - 1)) for k in range(1, n + 1)])
+    inv = series_reversion(z_exp_z)
+    assert inv[0] == 0
+    assert [inv[m] for m in range(1, n + 1)] == [
+        Fraction((-m) ** (m - 1), factorial(m)) for m in range(1, n + 1)
+    ]
 
 
 def test_series_division_needs_unit():
