@@ -8,6 +8,7 @@ comparisons are exact (rational arithmetic, tolerance zero).  The CLI
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -295,6 +296,40 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
     return out
 
 
+# lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
+RECESSION_SCALE = 420
+
+# Seeded injectivity samples per degree in check_properties.
+RECESSION_SAMPLES = 10_000
+
+
+def recession_samples(d: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
+    """``RECESSION_SAMPLES`` seeded points of ``(1/420) Z^{d+1}``, scaled by 420 to integers.
+
+    Each coordinate is ``420 * p/q`` for ``p`` in -50..50 and ``q`` in 1..7,
+    made from the two draws ``randint(-50, 50)``, ``randint(1, 7)`` in that order.
+    """
+    for _ in range(RECESSION_SAMPLES):
+        yield tuple(rng.randint(-50, 50) * (RECESSION_SCALE // rng.randint(1, 7))
+                    for _ in range(d + 1))
+
+
+def recession_injective(d: int, rng: random.Random) -> bool:
+    """No two distinct points of :func:`recession_samples` share a recession image.
+
+    ``eval_recession`` is a minimum of integer linear forms, so
+    ``F(420 a) = 420 F(a)`` and the scaled samples collide exactly when the
+    unscaled ones do; all arithmetic stays in ``int``.
+    """
+    seen: dict[tuple, tuple] = {}
+    ok = True
+    for alpha in recession_samples(d, rng):
+        prev = seen.setdefault(tuple(eval_recession(d, alpha)), alpha)
+        if prev != alpha:
+            ok = False
+    return ok
+
+
 def check_properties() -> list[CheckResult]:
     """Seeded property suite: degree zeros, linearity, closure, recession map."""
     out = []
@@ -341,14 +376,7 @@ def check_properties() -> list[CheckResult]:
             left = eval_recession(d, [t * x for x in alpha])
             right = [t * y for y in eval_recession(d, alpha)]
             hom_ok = hom_ok and left == right
-        seen: dict[tuple, tuple] = {}
-        for _ in range(10_000):
-            alpha = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for _ in range(d + 1))
-            image = tuple(eval_recession(d, list(alpha)))
-            prev = seen.get(image)
-            if prev is not None and prev != alpha:
-                inj_ok = False
-            seen[image] = alpha
+        inj_ok = recession_injective(d, rng) and inj_ok
     out.append(CheckResult("recession homogeneity", hom_ok, "F(t a) = t F(a)", "holds" if hom_ok else "violation"))
     out.append(
         CheckResult(

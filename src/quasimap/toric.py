@@ -13,6 +13,7 @@ positivity of every linearity-region determinant of the gluing map
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -336,18 +337,26 @@ def orientation_enumeration(d: int) -> OrientationReport:
     return OrientationReport(d, count, min_det, tuple(violations))
 
 
-def eval_recession(d: int, alpha: list[Fraction]) -> list[Fraction]:
+def eval_recession(d: int, a: Sequence[int | Fraction]) -> list[int | Fraction]:
     """Componentwise min-expressions of the recession map on R^{d+1}.
 
     Component ``i`` is the minimum of the forms of block ``i`` of
     :func:`block_forms`, written out here because this is the inner loop of
     the sampled injectivity check.  Positively homogeneous:
-    ``F(t*alpha) = t*F(alpha)`` for ``t >= 0``; its injectivity (sampled
+    ``F(t*a) = t*F(a)`` for ``t >= 0``; its injectivity (sampled
     elsewhere) is what makes the fan complete.
+
+    The forms have integer coefficients, so the components lie in the ring
+    of the coordinates: all-``int`` coordinates give ``int`` components, and
+    where some coordinate is a ``Fraction`` the components may be
+    ``Fraction``s (each one exact either way).  Any other coordinate type
+    (``float`` included) raises ``TypeError``.
     """
-    if len(alpha) != d + 1:
-        raise ValueError("alpha must have length d+1")
-    a = [Fraction(x) for x in alpha]
+    if len(a) != d + 1:
+        raise ValueError("a must have length d+1")
+    for x in a:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError("coordinates of a must be int or Fraction")
     out = [min(a[0], 2 * a[0] + a[1])]
     for i in range(1, d):
         out.append(min(a[i], a[i - 1] + 2 * a[i], 2 * a[i] + a[i + 1],

@@ -35,6 +35,21 @@ def test_intersect_degree_zero_result():
     assert "w  0" in text
 
 
+def test_intersect_degree_above_documented_maximum_is_usage_error():
+    from quasimap.cli import INTERSECT_DEGREE_MAX
+
+    assert INTERSECT_DEGREE_MAX == 100
+    argv = ["intersect", "--degree", "101", "--a", "1", "--b", "0"]
+    code, text = run_cli(argv)
+    assert code == 2
+    assert "usage_error" in text and "degree must be <= 100" in text
+    code, doc = run_cli([*argv, "--format", "json"])
+    assert code == 2
+    result = CommandResult.from_json_text(doc)
+    assert result.status == "usage_error"
+    assert result.values == [("error", "degree must be <= 100")]
+
+
 def test_fan_counts_and_usage_error():
     code, text = run_cli(["fan", "--degree", "2"])
     assert code == 0

@@ -198,3 +198,17 @@ def test_degree_zero_insertions_vanish():
             for b in (-1, 0, 1, 2):
                 if a + b != 1:
                     assert compute_w(d, a, b) == 0
+
+
+def test_insertion_symmetry_for_a_plus_b_one():
+    # w(O_{z^a} O_{z^b}) = w(O_{z^b} O_{z^a}) when a + b = 1.
+    for d in (1, 2, 5):
+        assert compute_w(d, 1, 0) == compute_w(d, 0, 1)
+    for d in (5, 10):
+        assert compute_w(d, 2, -1) == compute_w(d, -1, 2)
+
+
+def test_insertions_with_exponent_three_vanish():
+    for d in (5, 10, 20):
+        assert compute_w(d, 3, -2) == 0
+    assert compute_w(10, -2, 3) == 0

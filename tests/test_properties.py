@@ -6,7 +6,12 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from quasimap.checks import linearity_samples
+from quasimap.checks import (
+    RECESSION_SAMPLES,
+    linearity_samples,
+    recession_injective,
+    recession_samples,
+)
 from quasimap.exact import FactoredRat, MPoly
 from quasimap.intersection import IntegrandSpec
 from quasimap.residues import ResiduePlan, iterated_residue
@@ -42,6 +47,38 @@ def test_recession_injectivity_direct_sampling():
             b = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(d + 1))
             if a != b:
                 assert eval_recession(d, list(a)) != eval_recession(d, list(b))
+
+
+def test_integer_recession_samples_are_scaled_fraction_samples():
+    # Replays the seed-40961 stream of ``check_properties``, homogeneity draws
+    # included.  Each integer injectivity sample makes the same draws as the
+    # ``Fraction(randint(-50, 50), randint(1, 7))`` sample it replaced and is
+    # 420 times it, and so is its recession image; checked on the first 500
+    # samples of each degree.
+    rng = random.Random(40961)
+    for d in (1, 2, 3, 4):
+        for _ in range(50):  # the homogeneity draws: d + 1 coordinates, then t
+            for _ in range(d + 1):
+                rng.randint(-20, 20), rng.randint(1, 9)
+            rng.randint(1, 30), rng.randint(1, 9)
+        samples = recession_samples(d, rng)
+        for _ in range(500):
+            before = rng.getstate()
+            ints = next(samples)
+            after = rng.getstate()
+            rng.setstate(before)
+            fracs = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for _ in range(d + 1))
+            assert rng.getstate() == after
+            assert ints == tuple(420 * x for x in fracs)
+            assert eval_recession(d, ints) == [420 * y for y in eval_recession(d, fracs)]
+        assert sum(1 for _ in samples) == RECESSION_SAMPLES - 500
+
+
+def test_recession_injectivity_beyond_the_ladder():
+    # The ladder samples d = 1..4; the same integer path, 10^4 seeded samples, at d = 5, 6.
+    assert RECESSION_SAMPLES == 10_000
+    for d in (5, 6):
+        assert recession_injective(d, random.Random(40961))
 
 
 def test_numerator_linearity_with_random_scalars():

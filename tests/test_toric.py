@@ -201,6 +201,21 @@ def test_recession_length_validation():
         eval_recession(2, [1, 2])
 
 
+def test_recession_stays_in_the_input_ring():
+    ints = eval_recession(3, [3, -7, 2, 5])
+    assert ints == [-1, -19, -3, 5]
+    assert all(type(y) is int for y in ints)
+    fracs = eval_recession(3, [Fraction(3, 2), Fraction(-7, 3), Fraction(2), Fraction(5, 7)])
+    assert fracs == [Fraction(2, 3), Fraction(-49, 6), Fraction(5, 3), Fraction(5, 7)]
+    assert all(type(y) is Fraction for y in fracs)
+    # Mixed int and Fraction coordinates: exact values, types not pinned.
+    assert eval_recession(3, [3, Fraction(-7, 3), 2, Fraction(5, 7)]) == [
+        3, Fraction(-29, 3), Fraction(5, 3), Fraction(5, 7)]
+    for alpha in ([0.1, 0, 0], [0, Fraction(1, 3), 0.5], ["1", 0, 0]):
+        with pytest.raises(TypeError):
+            eval_recession(2, alpha)
+
+
 # The block forms as they were written out by hand before ``block_forms``:
 # coefficient rows of z_0..z_d with their multiplicities (and, for R, the
 # variable whose contour encloses the zero).  Generators and recession rows
