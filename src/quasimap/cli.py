@@ -33,8 +33,14 @@ EXIT_USAGE = 2
 # Largest --order of mirror and jinv: jinv takes about 5 s at 100 (2 CPUs), cost ~ order^3.
 ORDER_MAX = 100
 
-# Largest intersect --degree: --a 1 --b 0 takes about 6 s at 50 and 25 s at 100 (2 CPUs).
+# Largest intersect --degree: --a 1 --b 0 takes about 2.7 s at 50 and 10 s at 100 (2 CPUs).
 INTERSECT_DEGREE_MAX = 100
+
+# Largest |--a| and |--b| of intersect, enough for every pair the tests and checks
+# use.  A negative exponent is a pole at z_0 or z_d and costs more the deeper it is;
+# the slowest accepted pair, --a -2 --b 3, takes about 35 s at --degree 100 and
+# 0.3 s at --degree 5 (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
+INSERTION_EXPONENT_MAX = 3
 
 
 @dataclass
@@ -134,6 +140,9 @@ def _cmd_intersect(args, out) -> int:
     if args.degree > INTERSECT_DEGREE_MAX:
         return _usage_error("intersect", params, f"degree must be <= {INTERSECT_DEGREE_MAX}",
                             args.format, out)
+    if max(abs(args.a), abs(args.b)) > INSERTION_EXPONENT_MAX:
+        return _usage_error("intersect", params,
+                            f"|a| and |b| must be <= {INSERTION_EXPONENT_MAX}", args.format, out)
     value = compute_w(args.degree, args.a, args.b)
     CommandResult("intersect", params, [("w", str(value))]).emit(args.format, out)
     return EXIT_OK
@@ -218,9 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", help="the two-point number w(O_{z^a} O_{z^b})_{0,d}")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help=f"1 <= D <= {INTERSECT_DEGREE_MAX}; at D = {INTERSECT_DEGREE_MAX} "
-                        "about 25 s for --a 1 --b 0 and 95 s for --a -1 --b 2")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
+                        "about 10 s for --a 1 --b 0 and 35 s for --a -2 --b 3, the slowest "
+                        "accepted pair (0.3 s at D = 5)")
+    p.add_argument("--a", type=int, required=True, metavar="A",
+                   help=f"exponent of z_0, |A| <= {INSERTION_EXPONENT_MAX}")
+    p.add_argument("--b", type=int, required=True, metavar="B",
+                   help=f"exponent of z_D, |B| <= {INSERTION_EXPONENT_MAX}")
     _add_format(p)
     p.set_defaults(handler=_cmd_intersect)
 

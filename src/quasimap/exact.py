@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Mapping
 
 
@@ -118,12 +118,17 @@ class LinForm:
         """Write ``self = scale * canon`` with integer ``canon`` of content 1.
 
         The first (lowest-index) nonzero coefficient of ``canon`` is positive,
-        so proportional forms always canonicalize to the identical object.
+        so proportional forms always canonicalize to the identical form.  A
+        form that is already canonical comes back as ``(1, self)``.
         """
         if not self.coeffs:
             raise ValueError("the zero form has no canonical representative")
-        den_lcm = lcm(*(c.denominator for c in self.coeffs.values()))
-        num_gcd = gcd(*(abs((c * den_lcm).numerator) for c in self.coeffs.values()))
+        cs = self.coeffs.values()
+        if self.coeffs[min(self.coeffs)] > 0 and all(c.denominator == 1 for c in cs) \
+                and gcd(*(c.numerator for c in cs)) == 1:
+            return Fraction(1), self
+        den_lcm = lcm(*(c.denominator for c in cs))
+        num_gcd = gcd(*(abs((c * den_lcm).numerator) for c in cs))
         scale = Fraction(num_gcd, den_lcm)
         if self.coeffs[min(self.coeffs)] < 0:
             scale = -scale
@@ -328,10 +333,13 @@ class MPoly:
     def divide_linear(self, form: LinForm) -> MPoly | None:
         """Exact quotient ``self / form``, or None when a remainder is left.
 
-        Synthetic division against the pivot variable of ``form``: writing
-        ``form = c*z_p + t`` and ``self = sum_k P_k z_p^k``, the quotient
-        coefficients satisfy ``Q_{k-1} = (P_k - t*Q_k)/c`` from the top down,
-        and the division is exact iff ``P_0 - t*Q_0 = 0``.
+        A single variable ``c*z_p`` divides ``self`` iff every term carries
+        ``z_p``.  Otherwise ``self`` must vanish at :func:`_probe_point`, a
+        fixed point of ``form = 0``, before synthetic division against the
+        pivot variable of ``form`` runs: writing ``form = c*z_p + t`` and
+        ``self = sum_k P_k z_p^k``, the quotient coefficients satisfy
+        ``Q_{k-1} = (P_k - t*Q_k)/c`` from the top down, and the division is
+        exact iff ``P_0 - t*Q_0 = 0``.
         """
         if form.is_zero():
             raise ZeroDivisionError("division by the zero form")
@@ -339,6 +347,13 @@ class MPoly:
             return self
         pivot = min(form.support)
         c = form.coeff(pivot)
+        if len(form.coeffs) == 1:
+            if not all(e[pivot] for e in self.terms):
+                return None
+            return MPoly(self.nvars, {e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]: coeff / c
+                                      for e, coeff in self.terms.items()})
+        if self.evaluate(_probe_point(form, self.nvars)):
+            return None
         t = LinForm({v: w for v, w in form.coeffs.items() if v != pivot})
         slices: dict[int, dict] = {}
         top = 0
@@ -373,14 +388,12 @@ class MPoly:
         return Fraction(num, den)
 
     def evaluate(self, values: list[Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            v = c
-            for j, k in enumerate(e):
-                if k:
-                    v *= values[j] ** k
-            total += v
-        return total
+        """The value at ``values``, summed over the common denominator of the
+        coefficients (in integers when the values are integers)."""
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        return Fraction(sum(c.numerator * (den // c.denominator)
+                            * prod(values[j] ** k for j, k in enumerate(e) if k)
+                            for e, c in self.terms.items()), den)
 
     def render(self, names: str = "z") -> str:
         if not self.terms:
@@ -406,6 +419,19 @@ class MPoly:
 
     def __repr__(self) -> str:
         return f"MPoly({self.render()})"
+
+
+def _probe_point(form: LinForm, nvars: int) -> list[int]:
+    """The integer point of ``form = 0`` at which :meth:`MPoly.divide_linear`
+    tests a numerator: proportional to ``z_j = j*j + 1`` off the pivot (the
+    lowest variable of ``form``), with the pivot solved.  The values are not
+    an arithmetic progression, on which every wall form
+    ``2 z_i - z_{i-1} - z_{i+1}`` would vanish."""
+    values = [j * j + 1 for j in range(nvars)]
+    pivot = min(form.coeffs)
+    values[pivot] = 0
+    p = -form.evaluate(values) / form.coeffs[pivot]
+    return [p.numerator if j == pivot else v * p.denominator for j, v in enumerate(values)]
 
 
 @dataclass(frozen=True)
@@ -518,9 +544,6 @@ class FactoredRat:
     def expand(self) -> FactoredRat:
         """The same function with every numerator factor multiplied into ``num``."""
         return FactoredRat(self.scalar, self.num * MPoly.factored(self.nvars, self.factors), self.den)
-
-    def scale(self, s) -> FactoredRat:
-        return FactoredRat(self.scalar * _as_rat(s), self.num, self.den, self.factors)
 
     def derivative(self, var: int) -> FactoredRat:
         """Exact partial derivative.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import comb
 
 from .exact import FactoredRat, LinForm, MPoly
 
@@ -51,11 +51,14 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
     """Residue of ``f`` at ``z_var = point``.
 
     With ``m`` the total multiplicity of all denominator factors vanishing on
-    ``z_var = point``, the residue is
-    ``(1/(m-1)!) * d^{m-1}/dz_var^{m-1} [(z_var - point)^m * f]`` evaluated at
-    ``z_var = point``; each vanishing factor ``c*(z_var - point)`` contributes
-    ``c**multiplicity`` to the extracted scalar.  The result no longer
-    involves ``z_var``.
+    ``z_var = point``, each vanishing factor ``c*(z_var - point)`` contributes
+    ``c**multiplicity`` to the extracted scalar, and the residue is the
+    coefficient of ``t^(m-1)`` in the rest of ``f`` at ``z_var = point + t``.
+    A simple pole is a substitution.  Otherwise one truncated expansion in
+    ``t`` takes that coefficient: the numerator's Taylor coefficients at
+    ``point``, times each surviving factor ``(a + c t)^-k`` that involves
+    ``z_var``, expanded to order ``m-1`` over ``a^(k+m-1)``.  The result no
+    longer involves ``z_var``.
     """
     if point.coeff(var):
         raise ResidueError("ill-formed point: it involves the residue variable")
@@ -73,11 +76,55 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
     for fac in vanishing:
         scalar /= fac.form.coeff(var) ** fac.multiplicity
     g = FactoredRat(scalar, f.num, surviving, f.factors)
-    for _ in range(m - 1):
-        g = g.derivative(var)
-    if m > 1:
-        g = g.scale(Fraction(1, factorial(m - 1)))
-    return g.subst(var, point).reduce()
+    if m == 1:
+        return g.subst(var, point).reduce()
+    if g.factors:
+        g = g.expand()
+    nvars = g.nvars
+    # The product of the surviving factors' expansions in t; the numerator's
+    # Taylor coefficients join only for the one coefficient that is kept.
+    series = [MPoly.const(nvars, 1)] + [MPoly.zero(nvars)] * (m - 1)
+    den = []
+    for fac in g.den:
+        c = fac.form.coeff(var)
+        a = fac.form.subst(var, point)
+        mult = fac.multiplicity
+        if c:
+            inverse = _inverse_power(a.to_mpoly(nvars), c, mult, m)
+            series = [_coefficient(series, inverse, n) for n in range(m)]
+            mult += m - 1
+        den.append((a, mult, (fac.allowed - {var}) & a.support))
+    top = _coefficient(_taylor(g.num, var, point, m), series, m - 1)
+    return FactoredRat(g.scalar, top, den).reduce()
+
+
+def _taylor(poly: MPoly, var: int, point: LinForm, m: int) -> list[MPoly]:
+    """The coefficients of ``t^0 .. t^(m-1)`` in ``poly`` at ``z_var = point + t``."""
+    nvars = poly.nvars
+    slices: dict[int, dict] = {}
+    for e, c in poly.terms.items():
+        slices.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1:]] = c
+    p = point.to_mpoly(nvars)
+    out = [MPoly.zero(nvars)] * m
+    for k, part in slices.items():
+        p_k = MPoly(nvars, part)
+        for i in range(min(k + 1, m)):
+            out[i] = out[i] + (p_k if i == k else p_k * p ** (k - i) * comb(k, i))
+    return out
+
+
+def _inverse_power(a: MPoly, c: Fraction, k: int, m: int) -> list[MPoly]:
+    """``(a + c t)^-k`` to order ``t^(m-1)``, times ``a^(k+m-1)``: the
+    coefficient of ``t^n`` is ``binom(-k, n) c^n a^(m-1-n)``."""
+    return [a ** (m - 1 - n) * ((-c) ** n * comb(k + n - 1, n)) for n in range(m)]
+
+
+def _coefficient(x: list[MPoly], y: list[MPoly], n: int) -> MPoly:
+    """The coefficient of ``t^n`` in the product of two series in ``t``."""
+    out = x[0] * y[n]
+    for i in range(1, n + 1):
+        out = out + x[i] * y[n - i]
+    return out
 
 
 def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:

@@ -63,8 +63,8 @@ def test_criterion_6_order_independence():
 
 
 def test_criterion_7_insertion_identities():
-    _report("criterion 7: mixed insertion, chain splitting, telescoped insertion, d<=4",
-            check_insertion_identities(4))
+    _report("criterion 7: mixed insertion, chain splitting, telescoped insertion, d<=7",
+            check_insertion_identities(7))
 
 
 def test_criterion_8_toric_checks():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -191,3 +192,34 @@ def test_verify_fails_on_tampered_insertion_factors(monkeypatch):
     monkeypatch.setattr(intersection, "e6_factors", tampered)
     results = check_w_coefficients(1)
     assert not results[0].ok
+
+
+def test_insertion_exponents_above_documented_maximum_are_usage_errors():
+    from quasimap.cli import INSERTION_EXPONENT_MAX
+
+    assert INSERTION_EXPONENT_MAX == 3
+    code, text = run_cli(["intersect", "--degree", "5", "--a", "-2", "--b", "3"])
+    assert code == 0 and "w  0" in text
+    for a, b in ((-3, 4), (4, -3), (-29, 30), (1, -4)):
+        argv = ["intersect", "--degree", "5", "--a", str(a), "--b", str(b)]
+        code, text = run_cli(argv)
+        assert code == 2
+        assert "usage_error" in text and "|a| and |b| must be <= 3" in text
+        code, doc = run_cli([*argv, "--format", "json"])
+        assert code == 2
+        result = CommandResult.from_json_text(doc)
+        assert result.status == "usage_error"
+        assert result.values == [("error", "|a| and |b| must be <= 3")]
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["verify", "--degree-max", "4", "--format", "json"],
+     "ed4988dcdb34aad40ac16d562c8f731a16651fe3b49a02592935173339cb67ef"),
+    (["intersect", "--degree", "5", "--a", "1", "--b", "0"],
+     "93c54dd5dfa9f791c4b66349796ef8978023495e14c0a75977f8f8811ac868cd"),
+])
+def test_golden_stdout(argv, digest):
+    # The sha256 of the exact stdout: any change of value, order or format shows.
+    code, text = run_cli(argv)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

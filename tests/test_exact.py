@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
-from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor, linform
+from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor, _probe_point, linform
 
 
 def z(j, nvars=4):
@@ -295,3 +295,66 @@ def test_fr_factor_cancellation_preserves_value(num, den, scalar, point):
     keys = [g.key() for g, _ in f.factors]
     assert keys == sorted(set(keys))
     assert not set(keys) & {fac.form.key() for fac in f.den}
+
+
+_small_forms = _rows.map(lambda row: LinForm(dict(enumerate(row))))
+_general_forms = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(
+    lambda row: sum(1 for c in row if c) >= 2).map(lambda row: LinForm(dict(enumerate(row))))
+_single_forms = st.tuples(st.integers(0, 2), st.integers(-3, 3).filter(bool)).map(
+    lambda vc: LinForm({vc[0]: vc[1]}))
+_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3),
+    st.fractions(min_value=-5, max_value=5, max_denominator=3),
+    max_size=4,
+).map(lambda terms: MPoly(3, terms))
+
+
+def _divisible(p, form):
+    """``form | p`` iff ``p`` vanishes identically on ``form = 0``."""
+    pivot = min(form.support)
+    return p.subst_linear(pivot, form.solve_for(pivot)).is_zero()
+
+
+def _check_division(p, form):
+    q = p.divide_linear(form)
+    assert (q is None) == (not _divisible(p, form))
+    if q is not None:
+        assert q * form.to_mpoly(3) == p
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=_polys, form=st.one_of(_single_forms, _general_forms))
+def test_divide_linear_exact_or_none(p, form):
+    _check_division(p, form)
+    _check_division(p * form.to_mpoly(3), form)
+
+
+@settings(derandomize=True, deadline=None)
+@given(q=_polys, form=_general_forms, pair=st.permutations(range(3)))
+def test_divide_linear_past_a_vanishing_probe(q, form, pair):
+    # ``g`` vanishes at the probe point, so ``q * g`` reaches the synthetic division.
+    values = _probe_point(form, 3)
+    i, j = pair[:2]
+    g = values[j] * z(i, 3) - values[i] * z(j, 3)
+    assume(not g.is_zero())
+    assert (q * g).evaluate(values) == 0
+    _check_division(q * g, form)
+
+
+def test_divide_linear_probe_zero_but_not_divisible():
+    form = linform((0, 1), (1, 1))
+    values = _probe_point(form, 3)
+    p = z(0, 3) * (values[2] * z(1, 3) - values[1] * z(2, 3))
+    assert p.evaluate(values) == 0
+    assert p.divide_linear(form) is None
+    assert (p * form.to_mpoly(3)).divide_linear(form) == p
+
+
+@settings(derandomize=True, deadline=None)
+@given(form=_small_forms, s=st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
+def test_canonical_forms_left_alone(form, s):
+    scale, canon = form.canonicalized()
+    assert canon * scale == form
+    assert (form * s).canonicalized()[1] == canon
+    again = canon.canonicalized()
+    assert again == (1, canon) and again[1] is canon

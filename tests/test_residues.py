@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasimap.exact import FactoredRat, LinForm, MPoly, linform
 from quasimap.intersection import (
@@ -188,3 +190,52 @@ def test_factored_and_expanded_integrands_agree(d):
         assert len(values) == 1, (name, values)
         if reported is not None:
             assert values == {reported}, name
+
+
+def _residue_by_derivatives(f, var, point):
+    """The residue as ``(1/(m-1)!) d^{m-1}/dz_var^{m-1} [(z_var - point)^m f]``
+    at ``z_var = point``, by ``m-1`` derivative passes."""
+    vanishing = [fac for fac in f.den if fac.form.subst(var, point).is_zero()]
+    surviving = [fac for fac in f.den if not fac.form.subst(var, point).is_zero()]
+    m = sum(fac.multiplicity for fac in vanishing)
+    scalar = f.scalar
+    for fac in vanishing:
+        scalar /= fac.form.coeff(var) ** fac.multiplicity
+    g = FactoredRat(scalar, f.num, surviving, f.factors)
+    for _ in range(m - 1):
+        g = g.derivative(var)
+    g = FactoredRat(g.scalar / factorial(m - 1), g.num, g.den, g.factors)
+    return g.subst(var, point).reduce()
+
+
+_rows = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+_num = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), st.integers(-5, 5).filter(bool), min_size=1, max_size=3
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    var=st.integers(0, 2),
+    point_row=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    order=st.integers(1, 4),
+    scales=st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=2),
+    others=st.lists(st.tuples(_rows, st.integers(1, 2)), max_size=3),
+    num=_num,
+    factors=st.lists(st.tuples(_rows, st.integers(1, 2)), max_size=2),
+)
+def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, scales, others, num, factors):
+    # A pole of the given order at z_var = point, split over one or two
+    # proportional factors; the other factors do not vanish there.
+    point = LinForm({v: c for v, c in enumerate(point_row) if v != var})
+    pole = LinForm.variable(var) - point
+    mults = [order] if order == 1 else [order - len(scales) + 1] + [1] * (len(scales) - 1)
+    den = [(pole * c, mult, frozenset({var})) for c, mult in zip(scales, mults)]
+
+    def off_pole(rows):
+        forms = [(LinForm(dict(enumerate(row))), mult) for row, mult in rows]
+        return [(form, mult) for form, mult in forms if not form.subst(var, point).is_zero()]
+
+    den += [(form, mult, form.support) for form, mult in off_pole(others)]
+    f = FactoredRat(Fraction(3, 7), MPoly(3, num), den, off_pole(factors))
+    assert residue_at_point(f, var, point) == _residue_by_derivatives(f, var, point)
