@@ -35,6 +35,7 @@ from .series import (
 from .toric import (
     build_fan,
     det_Bk,
+    divisor_classes,
     eval_recession,
     orientation_enumeration,
     relation_check,
@@ -190,23 +191,16 @@ def check_insertion_identities(dmax: int = 4) -> list[CheckResult]:
     return out
 
 
-def _expected_sr_factors(d: int) -> list[list[tuple[LinForm, int]]]:
-    gens = [[(LinForm({0: 1}), 4), (LinForm({0: 2, 1: 1}), 1)]]
-    for i in range(1, d):
-        gens.append([
-            (LinForm({i: 1}), 4),
-            (LinForm({i - 1: 1, i: 2}), 1),
-            (LinForm({i: 2, i + 1: 1}), 1),
-            (LinForm({i - 1: -1, i: 2, i + 1: -1}), 1),
-        ])
-    gens.append([(LinForm({d: 1}), 4), (LinForm({d - 1: 1, d: 2}), 1)])
-    return gens
+def _canonical_factors(d: int, factors: list[tuple[LinForm, int]]) -> tuple[tuple[LinForm, int], ...]:
+    """``factors`` canonicalized and merged, as :class:`FactoredRat` keeps them."""
+    return FactoredRat(1, MPoly.const(d + 1, 1), factors=factors).factors
 
 
 def check_toric(
     relation_dmax: int = 10, det_kmax: int = 30, orientation_dmax: int = 4
 ) -> list[CheckResult]:
-    """Ray relations, corner determinants, orientation positivity, ideal generators."""
+    """Ray relations read off the divisor classes, corner determinants, orientation
+    positivity, ideal generators proportional to the fan's collection products."""
     out = []
     for d in range(1, relation_dmax + 1):
         out.append(_cmp(f"ray relations d={d}", True, relation_check(build_fan(d))))
@@ -230,14 +224,16 @@ def check_toric(
             )
         )
     for d in (1, 2):
-        got = sr_ideal_factors(d)
-        expected = _expected_sr_factors(d)
+        classes = divisor_classes(d)
+        products = [_canonical_factors(d, [(classes[label], 1) for label in collection])
+                    for collection in build_fan(d).primitive_collections]
+        ok = products == [_canonical_factors(d, gen) for gen in sr_ideal_factors(d)]
         out.append(
             CheckResult(
                 f"ideal generators d={d}",
-                got == expected,
+                ok,
                 "stated factor lists",
-                "match" if got == expected else "mismatch",
+                "match" if ok else "mismatch",
             )
         )
     return out

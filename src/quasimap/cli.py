@@ -18,8 +18,8 @@ from .checks import DEGREE_MAX, run_verification
 from .intersection import compute_w
 from .series import j_from_w, j_modular, lagrange_oracle, mirror_w
 from .toric import (
-    DivisorClasses,
     build_fan,
+    divisor_classes,
     max_cone_count,
     relation_check,
     sr_ideal,
@@ -33,8 +33,9 @@ EXIT_USAGE = 2
 # Largest --order of mirror and jinv: jinv takes about 5 s at 100 (2 CPUs), cost ~ order^3.
 ORDER_MAX = 100
 
-# Largest intersect --degree: --a 1 --b 0 takes about 2.7 s at 50 and 10 s at 100 (2 CPUs).
-INTERSECT_DEGREE_MAX = 100
+# Largest --degree of fan, chow and intersect.  At 100 fan and chow take about 0.3 s
+# and intersect --a 1 --b 0 about 10 s (2.7 s at 50; 2 CPUs).
+DEGREE_OPTION_MAX = 100
 
 # Largest |--a| and |--b| of intersect, enough for every pair the tests and checks
 # use.  A negative exponent is a pole at z_0 or z_d and costs more the deeper it is;
@@ -92,10 +93,16 @@ def _usage_error(command: str, parameters: dict, message: str, fmt: str, out) ->
     return EXIT_USAGE
 
 
+def _degree_problem(degree: int) -> str | None:
+    if degree < 1:
+        return "degree must be >= 1"
+    return f"degree must be <= {DEGREE_OPTION_MAX}" if degree > DEGREE_OPTION_MAX else None
+
+
 def _cmd_fan(args, out) -> int:
     params = {"degree": args.degree}
-    if args.degree < 1:
-        return _usage_error("fan", params, "degree must be >= 1", args.format, out)
+    if problem := _degree_problem(args.degree):
+        return _usage_error("fan", params, problem, args.format, out)
     fan = build_fan(args.degree)
     values = [
         ("dimension", str(fan.dimension)),
@@ -113,8 +120,8 @@ def _cmd_fan(args, out) -> int:
 
 def _cmd_chow(args, out) -> int:
     params = {"degree": args.degree}
-    if args.degree < 1:
-        return _usage_error("chow", params, "degree must be >= 1", args.format, out)
+    if problem := _degree_problem(args.degree):
+        return _usage_error("chow", params, problem, args.format, out)
     d = args.degree
     values = []
     gens = sr_ideal(d)
@@ -125,21 +132,17 @@ def _cmd_chow(args, out) -> int:
         )
         values.append((f"generator {i} factors", pretty))
         values.append((f"generator {i} expanded", poly.render("H")))
-    classes = DivisorClasses(d)
-    fan = build_fan(d)
-    for label in fan.labels:
-        values.append((f"class {label}", classes.rewrite(label).render("H")))
+    classes = divisor_classes(d)
+    for label in build_fan(d).labels:
+        values.append((f"class {label}", classes[label].render("H")))
     CommandResult("chow", params, values).emit(args.format, out)
     return EXIT_OK
 
 
 def _cmd_intersect(args, out) -> int:
     params = {"degree": args.degree, "a": args.a, "b": args.b}
-    if args.degree < 1:
-        return _usage_error("intersect", params, "degree must be >= 1", args.format, out)
-    if args.degree > INTERSECT_DEGREE_MAX:
-        return _usage_error("intersect", params, f"degree must be <= {INTERSECT_DEGREE_MAX}",
-                            args.format, out)
+    if problem := _degree_problem(args.degree):
+        return _usage_error("intersect", params, problem, args.format, out)
     if max(abs(args.a), abs(args.b)) > INSERTION_EXPONENT_MAX:
         return _usage_error("intersect", params,
                             f"|a| and |b| must be <= {INSERTION_EXPONENT_MAX}", args.format, out)
@@ -215,18 +218,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("fan", help="rays and primitive collections of the degree-d fan")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True, metavar="D",
+                   help=f"1 <= D <= {DEGREE_OPTION_MAX}; output grows as D^2, about 0.3 s "
+                        f"and 1.3 MB at D = {DEGREE_OPTION_MAX}")
     _add_format(p)
     p.set_defaults(handler=_cmd_fan)
 
     p = sub.add_parser("chow", help="intersection-ring ideal generators and divisor classes")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=int, required=True, metavar="D",
+                   help=f"1 <= D <= {DEGREE_OPTION_MAX}; about 0.3 s at D = {DEGREE_OPTION_MAX}")
     _add_format(p)
     p.set_defaults(handler=_cmd_chow)
 
     p = sub.add_parser("intersect", help="the two-point number w(O_{z^a} O_{z^b})_{0,d}")
     p.add_argument("--degree", type=int, required=True, metavar="D",
-                   help=f"1 <= D <= {INTERSECT_DEGREE_MAX}; at D = {INTERSECT_DEGREE_MAX} "
+                   help=f"1 <= D <= {DEGREE_OPTION_MAX}; at D = {DEGREE_OPTION_MAX} "
                         "about 10 s for --a 1 --b 0 and 35 s for --a -2 --b 3, the slowest "
                         "accepted pair (0.3 s at D = 5)")
     p.add_argument("--a", type=int, required=True, metavar="A",

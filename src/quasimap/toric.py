@@ -3,8 +3,14 @@
 The fan lives in dimension ``6d+2`` and has ``7d+3`` rays: three families
 ``v_{0,j}, v_{1,j}, v_{2,j}`` (one per coordinate block of the target), the
 ``3d+1`` rays ``v_{3,j}`` for the weight-3 coordinate, and the ``d-1``
-compactifying rays ``u_k``.  Completeness and simpliciality reduce to finite
-linear algebra: the ray relations checked by :func:`relation_check`, the
+compactifying rays ``u_k``.  Three functions state the data, each checked
+against the one before it: :func:`build_fan`, the rays and primitive
+collections; :func:`divisor_classes`, a Gale dual of the ray matrix (relation
+``j`` of :func:`relation_check` is ``sum_rho D_rho(H_j) v_rho = 0``, and the
+rays other than ``v_{0,j}`` form a lattice basis, so with ``D(v_{0,j}) = H_j``
+no other table passes); and :func:`block_forms`, whose block ``i`` makes ideal
+generator ``i``, proportional to the classes' product over collection ``i``.
+Completeness and simpliciality reduce to finite linear algebra: the
 positivity of every linearity-region determinant of the gluing map
 (:func:`orientation_enumeration`, with the corner determinants
 :func:`det_Bk`), and the sampled injectivity of its recession function
@@ -47,9 +53,6 @@ class FanData:
     @property
     def ray_count(self) -> int:
         return len(self.labels)
-
-    def ray(self, label: str) -> tuple[int, ...]:
-        return self.rays[label]
 
 
 def build_fan(d: int) -> FanData:
@@ -108,43 +111,18 @@ def build_fan(d: int) -> FanData:
     return FanData(d, tuple(labels), rays, tuple(collections))
 
 
-def _relation_coefficients(d: int) -> list[dict[str, int]]:
-    """The d+1 integer relations among the rays (out-of-range u terms drop)."""
-    relations = []
-    rel0 = {_v_label(0, 0): 1, _v_label(1, 0): 1, _v_label(2, 0): 1,
-            _v_label(3, 0): 3, _v_label(3, 1): 2, _v_label(3, 2): 1}
-    if 1 <= d - 1:
-        rel0[_u_label(1)] = -1
-    relations.append(rel0)
-    for i in range(1, d):
-        rel = {_v_label(0, i): 1, _v_label(1, i): 1, _v_label(2, i): 1,
-               _v_label(3, 3 * i - 2): 1, _v_label(3, 3 * i - 1): 2, _v_label(3, 3 * i): 3,
-               _v_label(3, 3 * i + 1): 2, _v_label(3, 3 * i + 2): 1}
-        for k, c in ((i - 1, -1), (i, 2), (i + 1, -1)):
-            if 1 <= k <= d - 1:
-                rel[_u_label(k)] = rel.get(_u_label(k), 0) + c
-        relations.append(rel)
-    reld = {_v_label(0, d): 1, _v_label(1, d): 1, _v_label(2, d): 1,
-            _v_label(3, 3 * d - 2): 1, _v_label(3, 3 * d - 1): 2, _v_label(3, 3 * d): 3}
-    if 1 <= d - 1:
-        reld[_u_label(d - 1)] = -1
-    relations.append(reld)
-    return relations
-
-
 def relation_defects(fan: FanData) -> list[int]:
-    """Indices of ray relations that fail as exact integer vector identities."""
-    dim = fan.dimension
-    bad = []
-    for idx, rel in enumerate(_relation_coefficients(fan.d)):
-        total = [0] * dim
-        for label, coeff in rel.items():
-            col = fan.rays[label]
-            for r in range(dim):
-                total[r] += coeff * col[r]
-        if any(total):
-            bad.append(idx)
-    return bad
+    """Indices ``j`` whose relation ``sum_rho D_rho(H_j) v_rho = 0`` fails, with
+    ``D_rho(H_j)`` the ``H_j`` coefficient of :func:`divisor_classes`."""
+    classes = divisor_classes(fan.d)
+    totals = [[0] * fan.dimension for _ in range(fan.d + 1)]
+    for label in fan.labels:
+        entries = [(r, x) for r, x in enumerate(fan.rays[label]) if x]
+        for j, c in classes[label].coeffs.items():
+            total = totals[j]
+            for r, x in entries:
+                total[r] += c * x
+    return [j for j, total in enumerate(totals) if any(total)]
 
 
 def relation_check(fan: FanData) -> bool:
@@ -157,44 +135,30 @@ def max_cone_count(d: int) -> int:
     return 25 * 7 ** (d - 1)
 
 
-class DivisorClasses:
-    """Rewrite table sending every ray's divisor class into the H basis.
-
-    ``H_j`` is the class shared by ``v_{0,j}, v_{1,j}, v_{2,j}``; the weight-3
-    and compactifying classes rewrite as ``3H_j``, ``2H_j + H_{j+1}``,
-    ``H_j + 2H_{j+1}`` and ``-H_{k-1} + 2H_k - H_{k+1}``.
-    """
-
-    def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("degree must be >= 1")
-        self.d = d
-        table: dict[str, LinForm] = {}
-        for i in range(3):
-            for j in range(d + 1):
-                table[_v_label(i, j)] = LinForm.variable(j)
-        for m in range(3 * d + 1):
-            j, r = divmod(m, 3)
-            if r == 0:
-                table[_v_label(3, m)] = LinForm({j: Fraction(3)})
-            elif r == 1:
-                table[_v_label(3, m)] = LinForm({j: Fraction(2), j + 1: Fraction(1)})
-            else:
-                table[_v_label(3, m)] = LinForm({j: Fraction(1), j + 1: Fraction(2)})
-        for k in range(1, d):
-            table[_u_label(k)] = LinForm({k - 1: Fraction(-1), k: Fraction(2), k + 1: Fraction(-1)})
-        self.table = table
-
-    def rewrite(self, label: str) -> LinForm:
-        return self.table[label]
-
-    def collection_product(self, collection: tuple[str, ...], nvars: int) -> MPoly:
-        return MPoly.product(nvars, (self.table[label] for label in collection))
-
-
 def wall_form(i: int) -> LinForm:
     """``2 z_i - z_{i-1} - z_{i+1}``, the excluded-side chamber wall at ``i``."""
     return LinForm({i - 1: Fraction(-1), i: Fraction(2), i + 1: Fraction(-1)})
+
+
+def divisor_classes(d: int) -> dict[str, LinForm]:
+    """Every ray's divisor class in the H basis.
+
+    ``H_j`` is the class shared by ``v_{0,j}, v_{1,j}, v_{2,j}``; the weight-3
+    classes are ``3H_j``, ``2H_j + H_{j+1}`` and ``H_j + 2H_{j+1}``, and
+    ``u_k`` has the class of the wall at ``k``.
+    """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    table: dict[str, LinForm] = {}
+    for i in range(3):
+        for j in range(d + 1):
+            table[_v_label(i, j)] = LinForm.variable(j)
+    for m in range(3 * d + 1):
+        j, r = divmod(m, 3)
+        table[_v_label(3, m)] = LinForm({j: 3 - r, j + 1: r})
+    for k in range(1, d):
+        table[_u_label(k)] = wall_form(k)
+    return table
 
 
 def block_forms(d: int) -> list[list[LinForm]]:
@@ -242,12 +206,6 @@ def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
     return Fraction(3 ** (d + 1)), [fac for gen in _block_factors(d, 3) for fac in gen]
 
 
-def volume_form(d: int) -> MPoly:
-    """The class dual to a smooth point, ``3^{d+1} * prod H_i^3 * ...`` expanded."""
-    scalar, factors = volume_form_factors(d)
-    return MPoly.factored(d + 1, factors) * scalar
-
-
 def _int_det(rows: list[list[int]]) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     n = len(rows)
@@ -273,29 +231,19 @@ def _int_det(rows: list[list[int]]) -> int:
 def det_Bk(k: int) -> int:
     """Determinant of the (k+1)x(k+1) corner matrix; equals ``9k - 6``.
 
-    First row ``(2, 1, 0, ...)``, tridiagonal ``(-1, 2, -1)`` interior, last
-    row ``(..., 1, 2)``.
+    The gluing map's region where each row takes the last form of its block
+    of :func:`block_forms`: first row ``(2, 1, 0, ...)``, the walls
+    ``(-1, 2, -1)`` inside, last row ``(..., 1, 2)``.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    n = k + 1
-    rows = []
-    for r in range(n):
-        row = [0] * n
-        if r == 0:
-            row[0], row[1] = 2, 1
-        elif r == n - 1:
-            row[n - 2], row[n - 1] = 1, 2
-        else:
-            row[r - 1], row[r], row[r + 1] = -1, 2, -1
-        rows.append(row)
-    return _int_det(rows)
+    return _int_det([list(block[-1]) for block in _row_choices(k)])
 
 
 def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
     """The gradients each row of the gluing map chooses from: block ``i`` of
     :func:`block_forms` as integer coefficient rows."""
-    return [[tuple(int(form.coeff(j)) for j in range(d + 1)) for form in block]
+    return [[tuple(int(form.coeffs.get(j, 0)) for j in range(d + 1)) for form in block]
             for block in block_forms(d)]
 
 

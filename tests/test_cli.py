@@ -37,9 +37,9 @@ def test_intersect_degree_zero_result():
 
 
 def test_intersect_degree_above_documented_maximum_is_usage_error():
-    from quasimap.cli import INTERSECT_DEGREE_MAX
+    from quasimap.cli import DEGREE_OPTION_MAX
 
-    assert INTERSECT_DEGREE_MAX == 100
+    assert DEGREE_OPTION_MAX == 100
     argv = ["intersect", "--degree", "101", "--a", "1", "--b", "0"]
     code, text = run_cli(argv)
     assert code == 2
@@ -49,6 +49,20 @@ def test_intersect_degree_above_documented_maximum_is_usage_error():
     result = CommandResult.from_json_text(doc)
     assert result.status == "usage_error"
     assert result.values == [("error", "degree must be <= 100")]
+
+
+@pytest.mark.parametrize("command", ["fan", "chow"])
+def test_fan_and_chow_degree_above_documented_maximum_is_usage_error(command):
+    argv = [command, "--degree", "101"]
+    code, text = run_cli(argv)
+    assert code == 2
+    assert "usage_error" in text and "degree must be <= 100" in text
+    code, doc = run_cli([*argv, "--format", "json"])
+    assert code == 2
+    result = CommandResult.from_json_text(doc)
+    assert result.status == "usage_error"
+    assert result.values == [("error", "degree must be <= 100")]
+    assert run_cli([command, "--degree", "100"])[0] == 0
 
 
 def test_fan_counts_and_usage_error():

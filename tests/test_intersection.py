@@ -22,7 +22,13 @@ from quasimap.intersection import (
 )
 from quasimap.residues import ResiduePlan
 from quasimap.series import f0_coeff, f1_hat_coeff, mirror_w
-from quasimap.toric import sr_ideal, sr_ideal_factors, volume_form, volume_form_factors
+from quasimap.toric import sr_ideal, sr_ideal_factors, volume_form_factors
+
+
+def volume_form(d):
+    """The volume class ``3^{d+1} * prod H_i^3 * ...``, expanded."""
+    scalar, factors = volume_form_factors(d)
+    return MPoly.factored(d + 1, factors) * scalar
 
 
 def _etilde(nvars, x, y):

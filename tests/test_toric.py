@@ -7,14 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from quasimap.exact import LinForm, MPoly
+from quasimap import checks, toric
+from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import r_denominator_factors
 from quasimap.toric import (
-    DivisorClasses,
     FanData,
     block_forms,
     build_fan,
     det_Bk,
+    divisor_classes,
     eval_recession,
     max_cone_count,
     orientation_enumeration,
@@ -22,10 +23,16 @@ from quasimap.toric import (
     relation_defects,
     sr_ideal,
     sr_ideal_factors,
-    volume_form,
     volume_form_factors,
+    _int_det,
     _row_choices,
 )
+
+
+def volume_form(d):
+    """The volume class ``3^{d+1} * prod H_i^3 * ...``, expanded."""
+    scalar, factors = volume_form_factors(d)
+    return MPoly.factored(d + 1, factors) * scalar
 
 
 def test_fan_counts_and_dimension():
@@ -87,12 +94,41 @@ def test_max_cone_count():
 
 
 def test_divisor_class_table():
-    classes = DivisorClasses(2)
-    assert classes.rewrite("v1_1") == classes.rewrite("v0_1") == classes.rewrite("v2_1")
-    assert classes.rewrite("v3_0").coeffs == {0: 3}
-    assert classes.rewrite("v3_1").coeffs == {0: 2, 1: 1}
-    assert classes.rewrite("v3_2").coeffs == {0: 1, 1: 2}
-    assert classes.rewrite("u1").coeffs == {0: -1, 1: 2, 2: -1}
+    classes = divisor_classes(2)
+    assert classes["v1_1"] == classes["v0_1"] == classes["v2_1"]
+    assert classes["v3_0"].coeffs == {0: 3}
+    assert classes["v3_1"].coeffs == {0: 2, 1: 1}
+    assert classes["v3_2"].coeffs == {0: 1, 1: 2}
+    assert classes["u1"].coeffs == {0: -1, 1: 2, 2: -1}
+
+
+def test_rays_off_v0_form_a_lattice_basis():
+    # So a relation is fixed by its v_{0,j} coefficients: with D(v_{0,j}) = H_j
+    # the class table is the only Gale dual of the ray matrix.
+    for d in range(1, 9):
+        fan = build_fan(d)
+        others = [fan.rays[label] for label in fan.labels if not label.startswith("v0_")]
+        assert len(others) == fan.dimension
+        assert abs(_int_det([list(row) for row in zip(*others)])) == 1
+
+
+def test_wrong_class_fails_relations_and_ideal_generators(monkeypatch):
+    true_classes = toric.divisor_classes
+
+    def wrong_classes(d):
+        table = true_classes(d)
+        if d == 2:
+            table["u1"] = LinForm({0: -1, 1: 2})
+        return table
+
+    monkeypatch.setattr(toric, "divisor_classes", wrong_classes)
+    monkeypatch.setattr(checks, "divisor_classes", wrong_classes)
+    assert relation_check(build_fan(1))
+    assert not relation_check(build_fan(2))
+    lines = {r.name: r.ok for r in checks.check_toric(relation_dmax=2, det_kmax=1, orientation_dmax=1)}
+    assert lines["ideal generators d=1"]
+    assert not lines["ideal generators d=2"]
+    assert not lines["ray relations d=2"]
 
 
 def test_sr_ideal_degree_one_verbatim():
@@ -123,14 +159,18 @@ def test_sr_generator_degrees():
 
 
 def test_sr_generators_match_primitive_collection_products():
-    # product of rewritten divisor classes over P_i equals 3 * generator
-    for d in (1, 2, 3):
-        fan = build_fan(d)
-        classes = DivisorClasses(d)
-        gens = sr_ideal(d)
-        for collection, gen in zip(fan.primitive_collections, gens):
-            prod = classes.collection_product(collection, d + 1)
-            assert prod == 3 * gen
+    # product of the divisor classes over P_i is proportional to generator i;
+    # expanded, it equals 3 * generator
+    for d in range(1, 11):
+        one = MPoly.const(d + 1, 1)
+        classes = divisor_classes(d)
+        collections = build_fan(d).primitive_collections
+        for collection, factors in zip(collections, sr_ideal_factors(d)):
+            prod = FactoredRat(1, one, factors=[(classes[label], 1) for label in collection])
+            assert prod.factors == FactoredRat(1, one, factors=factors).factors
+        if d <= 3:
+            for collection, gen in zip(collections, sr_ideal(d)):
+                assert MPoly.product(d + 1, (classes[label] for label in collection)) == 3 * gen
 
 
 def test_volume_form_degree_one_exact():
