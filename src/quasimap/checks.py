@@ -8,6 +8,7 @@ comparisons are exact (rational arithmetic, tolerance zero).  The CLI
 from __future__ import annotations
 
 import random
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -45,6 +46,20 @@ from .toric import (
 
 W_KNOWN = (744, 473652, 451734080, 510531007770)
 J_KNOWN = (744, 196884, 21493760, 864299970, 20245856256)
+
+# Seeded monomials per ideal generator in check_ideal_annihilation, and their seed.
+IDEAL_SAMPLES = 10
+IDEAL_SEED = 1113
+
+# Seeded off-degree monomials per degree in check_degree_selection, and their seed.
+DEGREE_SELECTION_SAMPLES = 20
+DEGREE_SELECTION_SEED = 62
+
+# Seeded injectivity samples per degree in check_properties.
+RECESSION_SAMPLES = 10_000
+
+# lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
+RECESSION_SCALE = 420
 
 
 @dataclass(frozen=True)
@@ -88,7 +103,7 @@ def check_period_coefficients(dmax: int = 5) -> list[CheckResult]:
 def _integrate_volume(d: int, plan: ResiduePlan | None = None) -> Fraction:
     """The volume class, kept factored: over ``R`` it cancels to ``1/prod z_j``."""
     scalar, factors = volume_form_factors(d)
-    return integrate_class(d, MPoly.const(d + 1, scalar), plan, factors)
+    return integrate_class(d, MPoly.const(scalar), plan, factors)
 
 
 def check_volume_normalization(dmax: int = 5) -> list[CheckResult]:
@@ -105,47 +120,44 @@ def _zero_on_samples(name: str, samples: int, bad: list) -> CheckResult:
                        "all zero" if not bad else f"nonzero at {bad[0]}")
 
 
-def _random_monomial(nvars: int, degree: int, rng: random.Random) -> MPoly:
-    exps = [0] * nvars
-    for _ in range(degree):
-        exps[rng.randrange(nvars)] += 1
-    return MPoly(nvars, {tuple(exps): Fraction(1)})
+def _random_monomial(d: int, degree: int, rng: random.Random) -> MPoly:
+    """A monomial of the given degree in ``H_0..H_d``, one seeded draw per factor."""
+    return MPoly.monomial(Counter(rng.randrange(d + 1) for _ in range(degree)))
 
 
-def check_ideal_annihilation(dmax: int = 3, samples: int = 10, seed: int = 1113) -> list[CheckResult]:
+def check_ideal_annihilation(dmax: int = 3) -> list[CheckResult]:
     """Each ideal generator times complementary-degree monomials integrates to 0."""
-    rng = random.Random(seed)
+    rng = random.Random(IDEAL_SEED)
     out = []
     for d in range(1, dmax + 1):
-        nvars = d + 1
         for gi, factors in enumerate(sr_ideal_factors(d)):
             comp = 6 * d + 2 - sum(mult for _, mult in factors)
             bad = []
-            for _ in range(samples):
-                mono = _random_monomial(nvars, comp, rng)
+            for _ in range(IDEAL_SAMPLES):
+                mono = _random_monomial(d, comp, rng)
                 value = integrate_class(d, mono, factors=factors)
                 if value:
                     bad.append((mono.render(), str(value)))
-            out.append(_zero_on_samples(f"ideal annihilation d={d} generator={gi}", samples, bad))
+            out.append(_zero_on_samples(f"ideal annihilation d={d} generator={gi}",
+                                        IDEAL_SAMPLES, bad))
     return out
 
 
-def check_degree_selection(dmax: int = 3, samples: int = 20, seed: int = 62) -> list[CheckResult]:
+def check_degree_selection(dmax: int = 3) -> list[CheckResult]:
     """Monomials of total degree != 6d+2 integrate to 0."""
-    rng = random.Random(seed)
+    rng = random.Random(DEGREE_SELECTION_SEED)
     out = []
     for d in range(1, dmax + 1):
-        nvars = d + 1
         bad = []
-        for _ in range(samples):
+        for _ in range(DEGREE_SELECTION_SAMPLES):
             degree = rng.randrange(0, 8 * d + 4)
             if degree == 6 * d + 2:
                 degree += 1
-            mono = _random_monomial(nvars, degree, rng)
+            mono = _random_monomial(d, degree, rng)
             value = integrate_class(d, mono)
             if value:
                 bad.append((mono.render(), str(value)))
-        out.append(_zero_on_samples(f"degree selection d={d}", samples, bad))
+        out.append(_zero_on_samples(f"degree selection d={d}", DEGREE_SELECTION_SAMPLES, bad))
     return out
 
 
@@ -191,9 +203,9 @@ def check_insertion_identities(dmax: int = 4) -> list[CheckResult]:
     return out
 
 
-def _canonical_factors(d: int, factors: list[tuple[LinForm, int]]) -> tuple[tuple[LinForm, int], ...]:
+def _canonical_factors(factors: list[tuple[LinForm, int]]) -> tuple[tuple[LinForm, int], ...]:
     """``factors`` canonicalized and merged, as :class:`FactoredRat` keeps them."""
-    return FactoredRat(1, MPoly.const(d + 1, 1), factors=factors).factors
+    return FactoredRat(1, MPoly.const(1), factors=factors).factors
 
 
 def check_toric(
@@ -225,9 +237,9 @@ def check_toric(
         )
     for d in (1, 2):
         classes = divisor_classes(d)
-        products = [_canonical_factors(d, [(classes[label], 1) for label in collection])
+        products = [_canonical_factors([(classes[label], 1) for label in collection])
                     for collection in build_fan(d).primitive_collections]
-        ok = products == [_canonical_factors(d, gen) for gen in sr_ideal_factors(d)]
+        ok = products == [_canonical_factors(gen) for gen in sr_ideal_factors(d)]
         out.append(
             CheckResult(
                 f"ideal generators d={d}",
@@ -283,20 +295,13 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
         for _ in range(3):
             alpha = Fraction(rng.randint(1, 9), rng.randint(1, 5))
             beta = Fraction(rng.randint(-9, -1), rng.randint(1, 5))
-            nf = _random_monomial(d + 1, base.num_degree(), rng)
-            ng = _random_monomial(d + 1, base.num_degree(), rng)
+            nf = _random_monomial(d, base.num_degree(), rng)
+            ng = _random_monomial(d, base.num_degree(), rng)
             lhs = iterated_residue(FactoredRat(base.scalar, alpha * nf + beta * ng, base.den), plan)
             rhs = alpha * iterated_residue(FactoredRat(base.scalar, nf, base.den), plan)
             rhs += beta * iterated_residue(FactoredRat(base.scalar, ng, base.den), plan)
             out.append((lhs, rhs))
     return out
-
-
-# lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
-RECESSION_SCALE = 420
-
-# Seeded injectivity samples per degree in check_properties.
-RECESSION_SAMPLES = 10_000
 
 
 def recession_samples(d: int, rng: random.Random) -> Iterator[tuple[int, ...]]:

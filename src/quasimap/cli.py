@@ -34,13 +34,13 @@ EXIT_USAGE = 2
 ORDER_MAX = 100
 
 # Largest --degree of fan, chow and intersect.  At 100 fan and chow take about 0.3 s
-# and intersect --a 1 --b 0 about 10 s (2.7 s at 50; 2 CPUs).
+# and intersect --a 1 --b 0 about 7 s (2.7 s at 50; 2 CPUs).
 DEGREE_OPTION_MAX = 100
 
 # Largest |--a| and |--b| of intersect, enough for every pair the tests and checks
-# use.  A negative exponent is a pole at z_0 or z_d and costs more the deeper it is;
-# the slowest accepted pair, --a -2 --b 3, takes about 35 s at --degree 100 and
-# 0.3 s at --degree 5 (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
+# use.  compute_w integrates from the end with the larger exponent, so at --degree 100
+# the slowest accepted pairs are --a 1 --b 0 and --a 0 --b 1, about 7 s each, and a
+# negative exponent takes about 0.4 s (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
 INSERTION_EXPONENT_MAX = 3
 
 
@@ -99,6 +99,12 @@ def _degree_problem(degree: int) -> str | None:
     return f"degree must be <= {DEGREE_OPTION_MAX}" if degree > DEGREE_OPTION_MAX else None
 
 
+def _order_problem(order: int) -> str | None:
+    if order < 1:
+        return "order must be >= 1"
+    return f"order must be <= {ORDER_MAX}" if order > ORDER_MAX else None
+
+
 def _cmd_fan(args, out) -> int:
     params = {"degree": args.degree}
     if problem := _degree_problem(args.degree):
@@ -153,10 +159,8 @@ def _cmd_intersect(args, out) -> int:
 
 def _cmd_mirror(args, out) -> int:
     params = {"order": args.order}
-    if args.order < 1:
-        return _usage_error("mirror", params, "order must be >= 1", args.format, out)
-    if args.order > ORDER_MAX:
-        return _usage_error("mirror", params, f"order must be <= {ORDER_MAX}", args.format, out)
+    if problem := _order_problem(args.order):
+        return _usage_error("mirror", params, problem, args.format, out)
     values = [(f"w_{d}", str(c)) for d, c in enumerate(mirror_w(args.order), start=1)]
     CommandResult("mirror", params, values).emit(args.format, out)
     return EXIT_OK
@@ -164,10 +168,8 @@ def _cmd_mirror(args, out) -> int:
 
 def _cmd_jinv(args, out) -> int:
     params = {"order": args.order}
-    if args.order < 1:
-        return _usage_error("jinv", params, "order must be >= 1", args.format, out)
-    if args.order > ORDER_MAX:
-        return _usage_error("jinv", params, f"order must be <= {ORDER_MAX}", args.format, out)
+    if problem := _order_problem(args.order):
+        return _usage_error("jinv", params, problem, args.format, out)
     composed = j_from_w(args.order)
     agree = composed == lagrange_oracle(args.order) == j_modular(args.order)
     values = [(f"j_{d}", str(c)) for d, c in enumerate(composed, start=1)]
@@ -233,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", help="the two-point number w(O_{z^a} O_{z^b})_{0,d}")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help=f"1 <= D <= {DEGREE_OPTION_MAX}; at D = {DEGREE_OPTION_MAX} "
-                        "about 10 s for --a 1 --b 0 and 35 s for --a -2 --b 3, the slowest "
-                        "accepted pair (0.3 s at D = 5)")
+                        "about 7 s for --a 1 --b 0 or --a 0 --b 1, the slowest accepted "
+                        "pairs, and 0.4 s for --a -2 --b 3 (0.3 s at D = 5)")
     p.add_argument("--a", type=int, required=True, metavar="A",
                    help=f"exponent of z_0, |A| <= {INSERTION_EXPONENT_MAX}")
     p.add_argument("--b", type=int, required=True, metavar="B",

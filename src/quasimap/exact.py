@@ -16,6 +16,7 @@ function.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
@@ -137,13 +138,8 @@ class LinForm:
     def evaluate(self, values: list[Fraction]) -> Fraction:
         return sum((c * values[v] for v, c in self.coeffs.items()), Fraction(0))
 
-    def to_mpoly(self, nvars: int) -> MPoly:
-        terms = {}
-        for v, c in self.coeffs.items():
-            e = [0] * nvars
-            e[v] = 1
-            terms[tuple(e)] = c
-        return MPoly(nvars, terms)
+    def to_mpoly(self) -> MPoly:
+        return MPoly({((v, 1),): c for v, c in self.coeffs.items()})
 
     def render(self, names: str = "z") -> str:
         if not self.coeffs:
@@ -163,109 +159,99 @@ class LinForm:
 
 
 class MPoly:
-    """A sparse multivariate polynomial: exponent vector -> rational coefficient."""
+    """A sparse multivariate polynomial: monomial -> rational coefficient.
 
-    __slots__ = ("nvars", "terms")
+    A monomial is the tuple of ``(variable, exponent)`` pairs of the variables
+    it uses, sorted by variable, with positive exponents; ``()`` is the
+    constant monomial.  A polynomial carries no variable count: it involves
+    exactly the variables of its monomials.
+    """
 
-    def __init__(self, nvars: int, terms: Mapping[tuple[int, ...], Fraction] | None = None):
-        self.nvars = int(nvars)
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: Mapping[tuple[tuple[int, int], ...], Fraction] | None = None):
         clean = {}
         if terms:
             for e, c in terms.items():
                 c = _as_rat(c)
                 if c:
-                    if len(e) != self.nvars:
-                        raise ValueError("exponent vector length differs from variable count")
-                    clean[tuple(e)] = c
+                    clean[e] = c
         self.terms = clean
 
     @classmethod
-    def zero(cls, nvars: int) -> MPoly:
-        return cls(nvars)
+    def zero(cls) -> MPoly:
+        return cls()
 
     @classmethod
-    def const(cls, nvars: int, c) -> MPoly:
-        return cls(nvars, {(0,) * nvars: _as_rat(c)})
+    def const(cls, c) -> MPoly:
+        return cls({(): _as_rat(c)})
 
     @classmethod
-    def variable(cls, nvars: int, j: int) -> MPoly:
-        e = [0] * nvars
-        e[j] = 1
-        return cls(nvars, {tuple(e): Fraction(1)})
+    def variable(cls, j: int) -> MPoly:
+        return cls({((j, 1),): Fraction(1)})
 
     @classmethod
-    def monomial(cls, nvars: int, exps: Mapping[int, int], c=1) -> MPoly:
-        e = [0] * nvars
-        for v, k in exps.items():
-            if k < 0:
-                raise ValueError("monomial exponents must be nonnegative")
-            e[v] = k
-        return cls(nvars, {tuple(e): _as_rat(c)})
+    def monomial(cls, exps: Mapping[int, int], c=1) -> MPoly:
+        if any(k < 0 for k in exps.values()):
+            raise ValueError("monomial exponents must be nonnegative")
+        return cls({tuple(sorted((v, k) for v, k in exps.items() if k)): _as_rat(c)})
 
     @classmethod
-    def product(cls, nvars: int, factors: Iterable[LinForm | MPoly]) -> MPoly:
-        out = cls.const(nvars, 1)
+    def product(cls, factors: Iterable[LinForm | MPoly]) -> MPoly:
+        out = cls.const(1)
         for f in factors:
-            out = out * (f.to_mpoly(nvars) if isinstance(f, LinForm) else f)
+            out = out * (f.to_mpoly() if isinstance(f, LinForm) else f)
         return out
 
     @classmethod
-    def factored(cls, nvars: int, factors: Iterable[tuple[LinForm, int]]) -> MPoly:
+    def factored(cls, factors: Iterable[tuple[LinForm, int]]) -> MPoly:
         """The expanded product ``prod form ** mult`` of a factor list."""
-        return cls.product(nvars, (form.to_mpoly(nvars) ** mult for form, mult in factors))
+        return cls.product(form.to_mpoly() ** mult for form, mult in factors)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(not e for e in self.terms)
 
     def constant_value(self) -> Fraction:
-        if self.is_zero():
-            return Fraction(0)
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return next(iter(self.terms.values()))
-
-    def _check(self, other: MPoly) -> None:
-        if self.nvars != other.nvars:
-            raise ValueError("polynomials live in different variable contexts")
+        return self.terms.get((), Fraction(0))
 
     def __add__(self, other: MPoly) -> MPoly:
-        self._check(other)
         d = dict(self.terms)
         for e, c in other.terms.items():
             d[e] = d.get(e, Fraction(0)) + c
-        return MPoly(self.nvars, d)
+        return MPoly(d)
 
     def __sub__(self, other: MPoly) -> MPoly:
         return self + (-other)
 
     def __neg__(self) -> MPoly:
-        return MPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> MPoly:
         if not isinstance(other, MPoly):
             s = _as_rat(other)
-            return MPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
-        self._check(other)
+            return MPoly({e: c * s for e, c in self.terms.items()})
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        d: dict[tuple[int, ...], Fraction] = {}
+        d: dict[tuple, Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = _monomial_product(ea, eb)
                 v = d.get(e)
                 d[e] = ca * cb if v is None else v + ca * cb
-        return MPoly(self.nvars, d)
+        return MPoly(d)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> MPoly:
         if k < 0:
             raise ValueError("negative power")
-        out = MPoly.const(self.nvars, 1)
+        out = MPoly.const(1)
         base = self
         while k:
             if k & 1:
@@ -276,58 +262,48 @@ class MPoly:
         return out
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MPoly) and self.nvars == other.nvars and self.terms == other.terms
+        return isinstance(other, MPoly) and self.terms == other.terms
 
     __hash__ = None
 
     def variables(self) -> frozenset[int]:
-        used = set()
-        for e in self.terms:
-            used.update(v for v, k in enumerate(e) if k)
-        return frozenset(used)
+        return frozenset(v for e in self.terms for v, _ in e)
 
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
+        return max((_degree(e) for e in self.terms), default=-1)
 
     def homogeneous_degree(self) -> int | None:
         """The common total degree, or None when the terms mix degrees."""
-        degs = {sum(e) for e in self.terms}
+        degs = {_degree(e) for e in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
     def homogeneous_component(self, k: int) -> MPoly:
-        return MPoly(self.nvars, {e: c for e, c in self.terms.items() if sum(e) == k})
+        return MPoly({e: c for e, c in self.terms.items() if _degree(e) == k})
+
+    def split(self, var: int) -> dict[int, MPoly]:
+        """``{k: P_k}`` with ``self = sum_k P_k z_var^k``; no ``P_k`` involves ``z_var``."""
+        parts: dict[int, dict] = {}
+        for e, c in self.terms.items():
+            i = bisect_left(e, (var,))
+            if i < len(e) and e[i][0] == var:
+                parts.setdefault(e[i][1], {})[e[:i] + e[i + 1:]] = c
+            else:
+                parts.setdefault(0, {})[e] = c
+        return {k: MPoly(part) for k, part in parts.items()}
 
     def derivative(self, var: int) -> MPoly:
-        d = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            if k:
-                e2 = list(e)
-                e2[var] = k - 1
-                key = tuple(e2)
-                d[key] = d.get(key, Fraction(0)) + c * k
-        return MPoly(self.nvars, d)
+        return _unsplit({k - 1: p * k for k, p in self.split(var).items() if k}, var)
 
     def subst_linear(self, var: int, point: LinForm) -> MPoly:
         """Replace ``z_var`` by the linear form ``point`` (which must not involve it)."""
         if var in point.support:
             raise ValueError("substitution point must not involve the substituted variable")
-        by_exp: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            k = e[var]
-            e2 = list(e)
-            e2[var] = 0
-            by_exp.setdefault(k, {})[tuple(e2)] = c
-        point_poly = point.to_mpoly(self.nvars)
-        out = MPoly.zero(self.nvars)
-        power = MPoly.const(self.nvars, 1)
-        for k in range(max(by_exp, default=0) + 1):
-            if k:
-                power = power * point_poly
-            part = by_exp.get(k)
-            if part:
-                out = out + MPoly(self.nvars, part) * power
+        parts = self.split(var)
+        point_poly = point.to_mpoly()
+        out = MPoly()
+        for k in range(max(parts, default=0), -1, -1):
+            out = out * point_poly + parts.get(k, MPoly())
         return out
 
     def divide_linear(self, form: LinForm) -> MPoly | None:
@@ -348,36 +324,22 @@ class MPoly:
         pivot = min(form.support)
         c = form.coeff(pivot)
         if len(form.coeffs) == 1:
-            if not all(e[pivot] for e in self.terms):
+            parts = self.split(pivot)
+            if 0 in parts:
                 return None
-            return MPoly(self.nvars, {e[:pivot] + (e[pivot] - 1,) + e[pivot + 1:]: coeff / c
-                                      for e, coeff in self.terms.items()})
-        if self.evaluate(_probe_point(form, self.nvars)):
+            return _unsplit({k - 1: p for k, p in parts.items()}, pivot) * (1 / c)
+        if self.evaluate(_probe_point(form, self.variables())):
             return None
-        t = LinForm({v: w for v, w in form.coeffs.items() if v != pivot})
-        slices: dict[int, dict] = {}
-        top = 0
-        for e, coeff in self.terms.items():
-            k = e[pivot]
-            top = max(top, k)
-            e2 = list(e)
-            e2[pivot] = 0
-            slices.setdefault(k, {})[tuple(e2)] = coeff
-        if top == 0:
+        parts = self.split(pivot)
+        t_poly = LinForm({v: w for v, w in form.coeffs.items() if v != pivot}).to_mpoly()
+        q_k = MPoly()
+        quotient = {}
+        for k in range(max(parts), 0, -1):
+            q_k = (parts.get(k, MPoly()) - t_poly * q_k) * (1 / c)
+            quotient[k - 1] = q_k
+        if not (parts.get(0, MPoly()) - t_poly * q_k).is_zero():
             return None
-        t_poly = t.to_mpoly(self.nvars)
-        zp = MPoly.variable(self.nvars, pivot)
-        q_k = MPoly.zero(self.nvars)
-        quotient = MPoly.zero(self.nvars)
-        for k in range(top, 0, -1):
-            p_k = MPoly(self.nvars, slices.get(k, {}))
-            q_km1 = (p_k - t_poly * q_k) * (Fraction(1) / c)
-            quotient = quotient + q_km1 * zp ** (k - 1)
-            q_k = q_km1
-        p_0 = MPoly(self.nvars, slices.get(0, {}))
-        if not (p_0 - t_poly * q_k).is_zero():
-            return None
-        return quotient
+        return _unsplit(quotient, pivot)
 
     def content(self) -> Fraction:
         """Positive rational content (gcd of numerators over lcm of denominators)."""
@@ -387,23 +349,21 @@ class MPoly:
         num = gcd(*(abs((c * den).numerator) for c in self.terms.values()))
         return Fraction(num, den)
 
-    def evaluate(self, values: list[Fraction]) -> Fraction:
-        """The value at ``values``, summed over the common denominator of the
-        coefficients (in integers when the values are integers)."""
+    def evaluate(self, values) -> Fraction:
+        """The value at ``values`` (indexed by variable), summed over the common
+        denominator of the coefficients (in integers when the values are integers)."""
         den = lcm(*(c.denominator for c in self.terms.values()))
         return Fraction(sum(c.numerator * (den // c.denominator)
-                            * prod(values[j] ** k for j, k in enumerate(e) if k)
+                            * prod(values[j] ** k for j, k in e)
                             for e, c in self.terms.items()), den)
 
     def render(self, names: str = "z") -> str:
         if not self.terms:
             return "0"
         parts = []
-        for e in sorted(self.terms, reverse=True):
+        for e in sorted(self.terms, key=_dense_order, reverse=True):
             c = self.terms[e]
-            mono = "*".join(
-                f"{names}{j}" if k == 1 else f"{names}{j}^{k}" for j, k in enumerate(e) if k
-            )
+            mono = "*".join(f"{names}{j}" if k == 1 else f"{names}{j}^{k}" for j, k in e)
             mag = abs(c)
             if not mono:
                 term = str(mag)
@@ -421,17 +381,53 @@ class MPoly:
         return f"MPoly({self.render()})"
 
 
-def _probe_point(form: LinForm, nvars: int) -> list[int]:
-    """The integer point of ``form = 0`` at which :meth:`MPoly.divide_linear`
-    tests a numerator: proportional to ``z_j = j*j + 1`` off the pivot (the
-    lowest variable of ``form``), with the pivot solved.  The values are not
-    an arithmetic progression, on which every wall form
-    ``2 z_i - z_{i-1} - z_{i+1}`` would vanish."""
-    values = [j * j + 1 for j in range(nvars)]
+def _degree(e: tuple[tuple[int, int], ...]) -> int:
+    return sum(k for _, k in e)
+
+
+def _dense_order(e: tuple[tuple[int, int], ...]) -> tuple:
+    """Sort key of a monomial: the lexicographic order of its exponent vector
+    ``(k_0, k_1, ...)``, in which ``render`` and the sign of ``FactoredRat`` are fixed."""
+    return tuple((-v, k) for v, k in e)
+
+
+def _monomial_product(a: tuple, b: tuple) -> tuple:
+    """``a * b``; monomials in disjoint ranges of variables are joined without a sort."""
+    if not a or not b:
+        return a or b
+    if a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
+    exps = dict(a)
+    for v, k in b:
+        exps[v] = exps.get(v, 0) + k
+    return tuple(sorted(exps.items()))
+
+
+def _unsplit(parts: dict[int, MPoly], var: int) -> MPoly:
+    """``sum_k P_k z_var^k``, the inverse of :meth:`MPoly.split`."""
+    terms = {}
+    for k, part in parts.items():
+        for e, c in part.terms.items():
+            if k:
+                i = bisect_left(e, (var,))
+                e = e[:i] + ((var, k),) + e[i:]
+            terms[e] = c
+    return MPoly(terms)
+
+
+def _probe_point(form: LinForm, variables: Iterable[int]) -> dict[int, int]:
+    """The integer point of ``form = 0``, on ``variables`` and the pivot (the
+    lowest variable of ``form``), at which :meth:`MPoly.divide_linear` tests a
+    numerator: proportional to ``z_j = j*j + 1`` off the pivot, with the pivot
+    solved.  The values are not an arithmetic progression, on which every wall
+    form ``2 z_i - z_{i-1} - z_{i+1}`` would vanish."""
     pivot = min(form.coeffs)
-    values[pivot] = 0
-    p = -form.evaluate(values) / form.coeffs[pivot]
-    return [p.numerator if j == pivot else v * p.denominator for j, v in enumerate(values)]
+    p = -sum(c * (v * v + 1) for v, c in form.coeffs.items() if v != pivot) / form.coeffs[pivot]
+    values = {j: (j * j + 1) * p.denominator for j in variables}
+    values[pivot] = p.numerator
+    return values
 
 
 @dataclass(frozen=True)
@@ -495,7 +491,7 @@ class FactoredRat:
                 entry[2] = entry[2] | frozenset(allowed)
         if num.is_zero() or scalar == 0:
             self.scalar = Fraction(0)
-            self.num = MPoly.zero(num.nvars)
+            self.num = MPoly.zero()
             self.den = ()
             self.factors = ()
             return
@@ -514,7 +510,7 @@ class FactoredRat:
             if mult:
                 kept.setdefault(key, [canon, 0])[1] += mult
         c = num.content()
-        if num.terms[max(num.terms)] < 0:
+        if num.terms[max(num.terms, key=_dense_order)] < 0:
             c = -c
         if c != 1:
             scalar *= c
@@ -530,10 +526,6 @@ class FactoredRat:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
-
     def den_degree(self) -> int:
         return sum(f.multiplicity for f in self.den)
 
@@ -543,7 +535,7 @@ class FactoredRat:
 
     def expand(self) -> FactoredRat:
         """The same function with every numerator factor multiplied into ``num``."""
-        return FactoredRat(self.scalar, self.num * MPoly.factored(self.nvars, self.factors), self.den)
+        return FactoredRat(self.scalar, self.num * MPoly.factored(self.factors), self.den)
 
     def derivative(self, var: int) -> FactoredRat:
         """Exact partial derivative.
@@ -559,10 +551,9 @@ class FactoredRat:
         n_prime = self.num.derivative(var)
         if not involved:
             return FactoredRat(self.scalar, n_prime, others)
-        nvars = self.num.nvars
-        total = n_prime * MPoly.product(nvars, (f.form for f in involved))
+        total = n_prime * MPoly.product(f.form for f in involved)
         for i, f in enumerate(involved):
-            rest = MPoly.product(nvars, (g.form for j, g in enumerate(involved) if j != i))
+            rest = MPoly.product(g.form for j, g in enumerate(involved) if j != i)
             total = total - (f.form.coeff(var) * f.multiplicity) * (self.num * rest)
         new_den = others + [TaggedFactor(f.form, f.multiplicity + 1, f.allowed) for f in involved]
         return FactoredRat(self.scalar, total, new_den)

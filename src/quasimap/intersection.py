@@ -91,18 +91,21 @@ class IntegrandSpec:
         num = [(form, 1) for i in range(1, d + 1) for form in e6_factors(i - 1, i)]
         num += [(form, 1) for form in self.extra_forms]
         num += [(LinForm.variable(v), e) for v, e in self.monomial if e > 0]
-        return FactoredRat(Fraction(1, 3 ** (d + 1)), MPoly.const(d + 1, 1), den, num)
+        return FactoredRat(Fraction(1, 3 ** (d + 1)), MPoly.const(1), den, num)
 
 
 def compute_w(d: int, a: int, b: int) -> Fraction:
     """The two-point number ``w(O_{z^a} O_{z^b})_{0,d}``, exactly.
 
     Negative exponents fold into the denominator as tagged ``z`` powers.
-    Degree selection makes the result 0 whenever ``a + b != 1``.
+    Degree selection makes the result 0 whenever ``a + b != 1``.  Integration
+    starts from the end with the larger exponent (``z_d`` when ``a < b``): from
+    ``z_0``, a negative ``a`` costs far more than the mirror pair ``(b, a)``.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return iterated_residue(IntegrandSpec.insertions(d, a, b).build(), ResiduePlan.ascending(d))
+    plan = ResiduePlan.descending(d) if a < b else ResiduePlan.ascending(d)
+    return iterated_residue(IntegrandSpec.insertions(d, a, b).build(), plan)
 
 
 def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
@@ -110,12 +113,12 @@ def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
     """Pair the class ``omega * prod(form ** mult for form, mult in factors)``
     in ``H_0..H_d`` against the degree-d moduli.
 
-    The variables are read positionally (``H_j`` is variable ``j``); the value
-    is the iterated residue of the class over ``R``.  A class given as a factor
-    list stays factored and cancels against ``R`` factor by factor.
+    ``H_j`` is variable ``j``, and the value is the iterated residue of the
+    class over ``R``.  A class given as a factor list stays factored and
+    cancels against ``R`` factor by factor.
     """
-    if omega.nvars != d + 1:
-        raise ValueError("omega must live in d+1 variables")
+    if max(omega.variables(), default=0) > d:
+        raise ValueError(f"omega must be a class in H_0..H_{d}")
     integrand = FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d), factors)
     return iterated_residue(integrand, plan or ResiduePlan.ascending(d))
 

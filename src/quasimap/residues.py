@@ -80,17 +80,16 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
         return g.subst(var, point).reduce()
     if g.factors:
         g = g.expand()
-    nvars = g.nvars
     # The product of the surviving factors' expansions in t; the numerator's
     # Taylor coefficients join only for the one coefficient that is kept.
-    series = [MPoly.const(nvars, 1)] + [MPoly.zero(nvars)] * (m - 1)
+    series = [MPoly.const(1)] + [MPoly.zero()] * (m - 1)
     den = []
     for fac in g.den:
         c = fac.form.coeff(var)
         a = fac.form.subst(var, point)
         mult = fac.multiplicity
         if c:
-            inverse = _inverse_power(a.to_mpoly(nvars), c, mult, m)
+            inverse = _inverse_power(a.to_mpoly(), c, mult, m)
             series = [_coefficient(series, inverse, n) for n in range(m)]
             mult += m - 1
         den.append((a, mult, (fac.allowed - {var}) & a.support))
@@ -100,14 +99,9 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
 
 def _taylor(poly: MPoly, var: int, point: LinForm, m: int) -> list[MPoly]:
     """The coefficients of ``t^0 .. t^(m-1)`` in ``poly`` at ``z_var = point + t``."""
-    nvars = poly.nvars
-    slices: dict[int, dict] = {}
-    for e, c in poly.terms.items():
-        slices.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1:]] = c
-    p = point.to_mpoly(nvars)
-    out = [MPoly.zero(nvars)] * m
-    for k, part in slices.items():
-        p_k = MPoly(nvars, part)
+    p = point.to_mpoly()
+    out = [MPoly.zero()] * m
+    for k, p_k in poly.split(var).items():
         for i in range(min(k + 1, m)):
             out[i] = out[i] + (p_k if i == k else p_k * p ** (k - i) * comb(k, i))
     return out
@@ -157,22 +151,24 @@ def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
     At the step for ``z_var`` only the factors that involve ``z_var`` join each
     branch; the rest stay shared and unexpanded.  Branches with identical
     tagged denominators are then merged.  Raises :class:`ResidueError` when a
-    surviving term still carries variables after the last integration.
+    surviving term still carries variables after the last integration, or
+    when the plan, which integrates ``z_0..z_d``, misses a variable of ``f``.
     """
-    nvars = f.nvars
-    if len(plan.order) != nvars:
+    involved = f.num.variables().union(*(form.support for form, _ in f.factors),
+                                       *(fac.form.support for fac in f.den))
+    if not involved <= set(plan.order):
         raise ResidueError("plan does not cover the integrand's variables")
-    f = homogeneity_filter(f, nvars - 1).reduce()
+    f = homogeneity_filter(f, len(plan.order) - 1).reduce()
     if f.is_zero():
         return Fraction(0)
     # Numerator factors with the variables they involve.  A constant ``num``
     # is 1 (its content lives in the scalar), so no step needs to claim it.
     shared = [(f.num, f.num.variables())]
-    shared += [(form.to_mpoly(nvars) ** mult, form.support) for form, mult in f.factors]
+    shared += [(form.to_mpoly() ** mult, form.support) for form, mult in f.factors]
     shared_den = list(f.den)
-    branches = {(): FactoredRat(f.scalar, MPoly.const(nvars, 1))}
+    branches = {(): FactoredRat(f.scalar, MPoly.const(1))}
     for var in plan.order:
-        local = MPoly.product(nvars, (poly for poly, used in shared if var in used))
+        local = MPoly.product(poly for poly, used in shared if var in used)
         shared = [(poly, used) for poly, used in shared if var not in used]
         local_den = tuple(fac for fac in shared_den if var in fac.form.support)
         shared_den = [fac for fac in shared_den if var not in fac.form.support]

@@ -198,7 +198,7 @@ def sr_ideal_factors(d: int) -> list[list[tuple[LinForm, int]]]:
 
 def sr_ideal(d: int) -> list[MPoly]:
     """Expanded generators of the intersection-ring ideal in H_0..H_d."""
-    return [MPoly.factored(d + 1, factors) for factors in sr_ideal_factors(d)]
+    return [MPoly.factored(factors) for factors in sr_ideal_factors(d)]
 
 
 def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import hashlib
+import importlib
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -110,6 +113,9 @@ def test_order_above_documented_maximum_is_usage_error():
         code, text = run_cli([command, "--order", str(ORDER_MAX + 1)])
         assert code == 2
         assert "usage_error" in text and f"order must be <= {ORDER_MAX}" in text
+        code, text = run_cli([command, "--order", "0"])
+        assert code == 2
+        assert "usage_error" in text and "order must be >= 1" in text
 
 
 def test_text_and_json_carry_the_same_values():
@@ -237,3 +243,18 @@ def test_golden_stdout(argv, digest):
     code, text = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_tracer_targets_exist():
+    # ``benchmarks/tracer.py`` wraps these methods by name; read its table
+    # without running the file, so a renamed method fails here, not in a
+    # traced benchmark run.
+    path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
+    tree = ast.parse(path.read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["METHODS"])
+    methods = ast.literal_eval(table)
+    assert methods
+    for module, cls, method, _ in methods:
+        owner = getattr(importlib.import_module(f"quasimap.{module}"), cls)
+        assert method in owner.__dict__, f"{cls}.{method}"

@@ -7,11 +7,12 @@ from fractions import Fraction
 
 from hypothesis import assume, given, settings, strategies as st
 
+from polys import dense
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor, _probe_point, linform
 
 
-def z(j, nvars=4):
-    return MPoly.variable(nvars, j)
+def z(j):
+    return MPoly.variable(j)
 
 
 def test_mpoly_difference_of_squares():
@@ -21,13 +22,13 @@ def test_mpoly_difference_of_squares():
 
 def test_mpoly_additive_identity():
     p = 3 * z(0) * z(1) + z(2) ** 2
-    assert p + MPoly.zero(4) == p
+    assert p + MPoly.zero() == p
 
 
 def test_mpoly_hand_expansion():
     # (2*z0 + z1) * (z0 + 2*z1) = 2*z0^2 + 5*z0*z1 + 2*z1^2
-    p = (2 * z(0, 2) + z(1, 2)) * (z(0, 2) + 2 * z(1, 2))
-    expected = MPoly(2, {(2, 0): Fraction(2), (1, 1): Fraction(5), (0, 2): Fraction(2)})
+    p = (2 * z(0) + z(1)) * (z(0) + 2 * z(1))
+    expected = dense({(2, 0): Fraction(2), (1, 1): Fraction(5), (0, 2): Fraction(2)})
     assert p == expected
 
 
@@ -45,7 +46,7 @@ def test_subst_linear_wall_form():
     # 2*z2 - z1 - z3 at z1 = z2/2 becomes (3/2)*z2 - z3
     p = 2 * z(2) - z(1) - z(3)
     got = p.subst_linear(1, linform((2, Fraction(1, 2))))
-    expected = MPoly(4, {(0, 0, 1, 0): Fraction(3, 2), (0, 0, 0, 1): Fraction(-1)})
+    expected = dense({(0, 0, 1, 0): Fraction(3, 2), (0, 0, 0, 1): Fraction(-1)})
     assert got == expected
 
 
@@ -66,7 +67,7 @@ def _random_poly(rng, nvars, nterms=4, maxdeg=3):
     for _ in range(nterms):
         e = tuple(rng.randint(0, maxdeg) for _ in range(nvars))
         terms[e] = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-    return MPoly(nvars, terms)
+    return dense(terms)
 
 
 def test_linform_canonicalization():
@@ -103,9 +104,9 @@ def fr(scalar, num, den):
 def test_fr_derivative_simple_pole():
     # d/dz0 [1/(2z1 - z0 - z2)] = 1/(2z1 - z0 - z2)^2
     wall = linform((0, -1), (1, 2), (2, -1))
-    f = fr(1, MPoly.const(4, 1), [(wall, 1, frozenset({1}))])
+    f = fr(1, MPoly.const(1), [(wall, 1, frozenset({1}))])
     g = f.derivative(0)
-    assert g.num == MPoly.const(4, 1)
+    assert g.num == MPoly.const(1)
     assert len(g.den) == 1 and g.den[0].multiplicity == 2
     # canonical form flips the sign of the wall; an even power leaves scalar +1
     assert g.scalar == 1
@@ -194,7 +195,7 @@ def test_fr_den_closed_under_derivative_and_subst():
 def test_fr_merges_proportional_factors():
     a = linform((0, 2), (1, -4))
     b = linform((0, -1), (1, 2))
-    f = fr(1, MPoly.const(2, 1), [(a, 1, frozenset({0})), (b, 2, frozenset({1}))])
+    f = fr(1, MPoly.const(1), [(a, 1, frozenset({0})), (b, 2, frozenset({1}))])
     assert len(f.den) == 1
     fac = f.den[0]
     assert fac.multiplicity == 3
@@ -204,13 +205,13 @@ def test_fr_merges_proportional_factors():
 
 
 def test_fr_zero_numerator_collapses():
-    f = fr(7, MPoly.zero(3), [(LinForm.variable(0), 1, frozenset({0}))])
+    f = fr(7, MPoly.zero(), [(LinForm.variable(0), 1, frozenset({0}))])
     assert f.is_zero()
     assert f.den == ()
 
 
 def test_divide_linear_failure_leaves_none():
-    p = z(0, 2) ** 2 + z(1, 2) ** 2
+    p = z(0) ** 2 + z(1) ** 2
     assert p.divide_linear(linform((0, 1), (1, 1))) is None
 
 
@@ -224,33 +225,33 @@ def test_homogeneous_degree_report():
 
 def test_fr_numerator_factor_cancels_fully():
     # (2 z0 + 2 z1)^2 / (z0 + z1)^2 = 4
-    f = FactoredRat(1, MPoly.const(2, 1), [(linform((0, 1), (1, 1)), 2, frozenset({0}))],
+    f = FactoredRat(1, MPoly.const(1), [(linform((0, 1), (1, 1)), 2, frozenset({0}))],
                     [(linform((0, 2), (1, 2)), 2)])
     assert f.scalar == 4 and f.den == () and f.factors == ()
 
 
 def test_fr_numerator_factor_cancels_partly_and_keeps_allowed_set():
     s = linform((0, 1), (1, 1))
-    f = FactoredRat(1, MPoly.const(2, 1), [(s, 3, frozenset({0, 1}))], [(s, 1)])
+    f = FactoredRat(1, MPoly.const(1), [(s, 3, frozenset({0, 1}))], [(s, 1)])
     assert f.den == (TaggedFactor(s, 2, frozenset({0, 1})),) and f.factors == ()
     # more numerator than denominator: the rest survives as a factor
-    g = FactoredRat(1, MPoly.const(2, 1), [(s, 1, frozenset({0}))], [(s, 3)])
+    g = FactoredRat(1, MPoly.const(1), [(s, 1, frozenset({0}))], [(s, 3)])
     assert g.den == () and g.factors == ((s, 2),)
 
 
 def test_fr_numerator_factor_negative_scale():
     # (-3 z0 + 6 z1) / (z0 - 2 z1) = -3
-    f = FactoredRat(1, MPoly.const(2, 1), [(linform((0, 1), (1, -2)), 1, frozenset({0}))],
+    f = FactoredRat(1, MPoly.const(1), [(linform((0, 1), (1, -2)), 1, frozenset({0}))],
                     [(linform((0, -3), (1, 6)), 1)])
     assert f.scalar == -3 and f.den == () and f.factors == ()
     # -(z0 + z1) against (z0 + z1)^2 leaves -1/(z0 + z1)
-    g = FactoredRat(1, MPoly.const(2, 1), [(linform((0, 1), (1, 1)), 2, frozenset({0}))],
+    g = FactoredRat(1, MPoly.const(1), [(linform((0, 1), (1, 1)), 2, frozenset({0}))],
                     [(linform((0, -1), (1, -1)), 1)])
     assert g.scalar == -1 and g.den[0].multiplicity == 1 and g.factors == ()
 
 
 def test_fr_numerator_survivors_merged_in_sorted_order():
-    f = FactoredRat(1, MPoly.const(3, 1), [(LinForm.variable(2), 1, frozenset({2}))], [
+    f = FactoredRat(1, MPoly.const(1), [(LinForm.variable(2), 1, frozenset({2}))], [
         (linform((1, 1), (2, 1)), 1),
         (linform((0, 2), (1, -4)), 1),
         (linform((2, 3)), 2),
@@ -285,7 +286,7 @@ _points = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7),
 def test_fr_factor_cancellation_preserves_value(num, den, scalar, point):
     num, den = _forms(num), _forms(den)
     assume(all(form.evaluate(point) for form, _ in den))
-    f = FactoredRat(scalar, MPoly.const(3, 1), [(g, m, frozenset({min(g.support)})) for g, m in den], num)
+    f = FactoredRat(scalar, MPoly.const(1), [(g, m, frozenset({min(g.support)})) for g, m in den], num)
     expected = scalar
     for g, m in num:
         expected *= g.evaluate(point) ** m
@@ -306,7 +307,36 @@ _polys = st.dictionaries(
     st.tuples(*[st.integers(0, 2)] * 3),
     st.fractions(min_value=-5, max_value=5, max_denominator=3),
     max_size=4,
-).map(lambda terms: MPoly(3, terms))
+).map(dense)
+
+
+def _exponent_vectors(p):
+    """``p`` as ``{(e_0, e_1, e_2): c}``, its exponents written out densely."""
+    out = {}
+    for mono, c in p.terms.items():
+        e = [0, 0, 0]
+        for v, k in mono:
+            e[v] = k
+        out[tuple(e)] = c
+    return out
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=_polys, q=_polys, var=st.integers(0, 2))
+def test_sparse_monomials_agree_with_exponent_vectors(p, q, var):
+    parts = p.split(var)
+    assert sum((part * z(var) ** k for k, part in parts.items()), MPoly.zero()) == p
+    assert all(var not in part.variables() for part in parts.values())
+    product = {}
+    for ea, ca in _exponent_vectors(p).items():
+        for eb, cb in _exponent_vectors(q).items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            product[e] = product.get(e, 0) + ca * cb
+    assert p * q == dense(product)
+    # render lists the monomials in descending order of their exponent vectors
+    terms = [dense({e: c}).render() for e, c in sorted(_exponent_vectors(p).items(), reverse=True)]
+    expected = " ".join(terms[:1] + [f"- {t[1:]}" if t[0] == "-" else f"+ {t}" for t in terms[1:]])
+    assert p.render() == (expected or "0")
 
 
 def _divisible(p, form):
@@ -319,23 +349,23 @@ def _check_division(p, form):
     q = p.divide_linear(form)
     assert (q is None) == (not _divisible(p, form))
     if q is not None:
-        assert q * form.to_mpoly(3) == p
+        assert q * form.to_mpoly() == p
 
 
 @settings(derandomize=True, deadline=None)
 @given(p=_polys, form=st.one_of(_single_forms, _general_forms))
 def test_divide_linear_exact_or_none(p, form):
     _check_division(p, form)
-    _check_division(p * form.to_mpoly(3), form)
+    _check_division(p * form.to_mpoly(), form)
 
 
 @settings(derandomize=True, deadline=None)
 @given(q=_polys, form=_general_forms, pair=st.permutations(range(3)))
 def test_divide_linear_past_a_vanishing_probe(q, form, pair):
     # ``g`` vanishes at the probe point, so ``q * g`` reaches the synthetic division.
-    values = _probe_point(form, 3)
+    values = _probe_point(form, range(3))
     i, j = pair[:2]
-    g = values[j] * z(i, 3) - values[i] * z(j, 3)
+    g = values[j] * z(i) - values[i] * z(j)
     assume(not g.is_zero())
     assert (q * g).evaluate(values) == 0
     _check_division(q * g, form)
@@ -343,11 +373,11 @@ def test_divide_linear_past_a_vanishing_probe(q, form, pair):
 
 def test_divide_linear_probe_zero_but_not_divisible():
     form = linform((0, 1), (1, 1))
-    values = _probe_point(form, 3)
-    p = z(0, 3) * (values[2] * z(1, 3) - values[1] * z(2, 3))
+    values = _probe_point(form, range(3))
+    p = z(0) * (values[2] * z(1) - values[1] * z(2))
     assert p.evaluate(values) == 0
     assert p.divide_linear(form) is None
-    assert (p * form.to_mpoly(3)).divide_linear(form) == p
+    assert (p * form.to_mpoly()).divide_linear(form) == p
 
 
 @settings(derandomize=True, deadline=None)

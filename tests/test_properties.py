@@ -6,13 +6,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from polys import dense
 from quasimap.checks import (
     RECESSION_SAMPLES,
     linearity_samples,
     recession_injective,
     recession_samples,
 )
-from quasimap.exact import FactoredRat, MPoly
+from quasimap.exact import FactoredRat
 from quasimap.intersection import IntegrandSpec
 from quasimap.residues import ResiduePlan, iterated_residue
 from quasimap.toric import eval_recession
@@ -98,7 +99,7 @@ def test_numerator_linearity_with_random_scalars():
             for _ in range(deg):
                 e[rng.randrange(3)] += 1
             terms_b[tuple(e)] = Fraction(rng.randint(-9, 9))
-        na, nb = MPoly(3, terms_a), MPoly(3, terms_b)
+        na, nb = dense(terms_a), dense(terms_b)
         alpha = Fraction(rng.randint(1, 9), rng.randint(1, 4))
         beta = Fraction(rng.randint(-9, -1), rng.randint(1, 4))
         lhs = iterated_residue(FactoredRat(base.scalar, alpha * na + beta * nb, base.den), plan)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from polys import dense
 from quasimap import checks, toric
 from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import r_denominator_factors
@@ -32,7 +33,7 @@ from quasimap.toric import (
 def volume_form(d):
     """The volume class ``3^{d+1} * prod H_i^3 * ...``, expanded."""
     scalar, factors = volume_form_factors(d)
-    return MPoly.factored(d + 1, factors) * scalar
+    return MPoly.factored(factors) * scalar
 
 
 def test_fan_counts_and_dimension():
@@ -133,14 +134,14 @@ def test_wrong_class_fails_relations_and_ideal_generators(monkeypatch):
 
 def test_sr_ideal_degree_one_verbatim():
     gens = sr_ideal(1)
-    assert gens[0] == MPoly(2, {(5, 0): Fraction(2), (4, 1): Fraction(1)})
-    assert gens[1] == MPoly(2, {(1, 4): Fraction(1), (0, 5): Fraction(2)})
+    assert gens[0] == dense({(5, 0): Fraction(2), (4, 1): Fraction(1)})
+    assert gens[1] == dense({(1, 4): Fraction(1), (0, 5): Fraction(2)})
 
 
 def test_sr_ideal_degree_two_middle_generator():
     # H1^4 (H0 + 2H1)(2H1 + H2)(-H0 + 2H1 - H2), expanded by hand
     gens = sr_ideal(2)
-    expected = MPoly(3, {
+    expected = dense({
         (2, 5, 0): Fraction(-2),
         (2, 4, 1): Fraction(-1),
         (1, 5, 1): Fraction(-2),
@@ -162,7 +163,7 @@ def test_sr_generators_match_primitive_collection_products():
     # product of the divisor classes over P_i is proportional to generator i;
     # expanded, it equals 3 * generator
     for d in range(1, 11):
-        one = MPoly.const(d + 1, 1)
+        one = MPoly.const(1)
         classes = divisor_classes(d)
         collections = build_fan(d).primitive_collections
         for collection, factors in zip(collections, sr_ideal_factors(d)):
@@ -170,11 +171,11 @@ def test_sr_generators_match_primitive_collection_products():
             assert prod.factors == FactoredRat(1, one, factors=factors).factors
         if d <= 3:
             for collection, gen in zip(collections, sr_ideal(d)):
-                assert MPoly.product(d + 1, (classes[label] for label in collection)) == 3 * gen
+                assert MPoly.product(classes[label] for label in collection) == 3 * gen
 
 
 def test_volume_form_degree_one_exact():
-    expected = MPoly(2, {(5, 3): Fraction(18), (4, 4): Fraction(45), (3, 5): Fraction(18)})
+    expected = dense({(5, 3): Fraction(18), (4, 4): Fraction(45), (3, 5): Fraction(18)})
     assert volume_form(1) == expected
 
 
