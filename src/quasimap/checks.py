@@ -58,6 +58,11 @@ DEGREE_SELECTION_SEED = 62
 # Seeded injectivity samples per degree in check_properties.
 RECESSION_SAMPLES = 10_000
 
+# check_toric's ranges: ray relations and orientations up to d, corner determinants up to k.
+RELATION_DMAX = 10
+DET_KMAX = 30
+ORIENTATION_DMAX = 4
+
 # lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
 RECESSION_SCALE = 420
 
@@ -78,7 +83,7 @@ def _cmp(name: str, expected, actual) -> CheckResult:
     return CheckResult(name, expected == actual, str(expected), str(actual))
 
 
-def check_w_coefficients(dmax: int = 4) -> list[CheckResult]:
+def check_w_coefficients(dmax: int) -> list[CheckResult]:
     """Half the two-point number w(O_z O_1)_{0,d} equals the d-th mirror coefficient."""
     out = []
     mirror = mirror_w(dmax) if dmax > len(W_KNOWN) else None
@@ -88,7 +93,7 @@ def check_w_coefficients(dmax: int = 4) -> list[CheckResult]:
     return out
 
 
-def check_period_coefficients(dmax: int = 5) -> list[CheckResult]:
+def check_period_coefficients(dmax: int) -> list[CheckResult]:
     """(d/2) * w(O_{z^2} O_{z^-1})_{0,d} equals the holomorphic period coefficient."""
     return [
         _cmp(
@@ -106,7 +111,7 @@ def _integrate_volume(d: int, plan: ResiduePlan | None = None) -> Fraction:
     return integrate_class(d, MPoly.const(scalar), plan, factors)
 
 
-def check_volume_normalization(dmax: int = 5) -> list[CheckResult]:
+def check_volume_normalization(dmax: int) -> list[CheckResult]:
     """The volume class integrates to exactly 1."""
     return [
         _cmp(f"volume normalization d={d}", Fraction(1), _integrate_volume(d))
@@ -125,7 +130,7 @@ def _random_monomial(d: int, degree: int, rng: random.Random) -> MPoly:
     return MPoly.monomial(Counter(rng.randrange(d + 1) for _ in range(degree)))
 
 
-def check_ideal_annihilation(dmax: int = 3) -> list[CheckResult]:
+def check_ideal_annihilation(dmax: int) -> list[CheckResult]:
     """Each ideal generator times complementary-degree monomials integrates to 0."""
     rng = random.Random(IDEAL_SEED)
     out = []
@@ -143,8 +148,9 @@ def check_ideal_annihilation(dmax: int = 3) -> list[CheckResult]:
     return out
 
 
-def check_degree_selection(dmax: int = 3) -> list[CheckResult]:
-    """Monomials of total degree != 6d+2 integrate to 0."""
+def check_degree_selection(dmax: int) -> list[CheckResult]:
+    """Monomials of total degree != 6d+2 integrate to 0.  ``homogeneity_filter`` drops
+    them before any residue, so it decides this check; unfiltered, the engine gives 0 too."""
     rng = random.Random(DEGREE_SELECTION_SEED)
     out = []
     for d in range(1, dmax + 1):
@@ -161,7 +167,7 @@ def check_degree_selection(dmax: int = 3) -> list[CheckResult]:
     return out
 
 
-def check_order_independence(dmax: int = 3) -> list[CheckResult]:
+def check_order_independence(dmax: int) -> list[CheckResult]:
     """Ascending and descending integration orders agree on the insertion
     integrands and the volume class, for every ``d <= dmax``."""
     out = []
@@ -177,7 +183,7 @@ def check_order_independence(dmax: int = 3) -> list[CheckResult]:
     return out
 
 
-def check_insertion_identities(dmax: int = 4) -> list[CheckResult]:
+def check_insertion_identities(dmax: int) -> list[CheckResult]:
     """Mixed insertion closed form, chain splitting, telescoped insertion."""
     out = []
     for d in range(1, dmax + 1):
@@ -208,24 +214,22 @@ def _canonical_factors(factors: list[tuple[LinForm, int]]) -> tuple[tuple[LinFor
     return FactoredRat(1, MPoly.const(1), factors=factors).factors
 
 
-def check_toric(
-    relation_dmax: int = 10, det_kmax: int = 30, orientation_dmax: int = 4
-) -> list[CheckResult]:
+def check_toric() -> list[CheckResult]:
     """Ray relations read off the divisor classes, corner determinants, orientation
     positivity, ideal generators proportional to the fan's collection products."""
     out = []
-    for d in range(1, relation_dmax + 1):
+    for d in range(1, RELATION_DMAX + 1):
         out.append(_cmp(f"ray relations d={d}", True, relation_check(build_fan(d))))
-    dets_ok = all(det_Bk(k) == 9 * k - 6 for k in range(1, det_kmax + 1))
+    dets_ok = all(det_Bk(k) == 9 * k - 6 for k in range(1, DET_KMAX + 1))
     out.append(
         CheckResult(
-            f"corner determinants k<={det_kmax}",
+            f"corner determinants k<={DET_KMAX}",
             dets_ok,
             "9k-6 for all k",
             "all match" if dets_ok else "mismatch",
         )
     )
-    for d in range(1, orientation_dmax + 1):
+    for d in range(1, ORIENTATION_DMAX + 1):
         rep = orientation_enumeration(d)
         out.append(
             CheckResult(
@@ -332,7 +336,8 @@ def recession_injective(d: int, rng: random.Random) -> bool:
 
 
 def check_properties() -> list[CheckResult]:
-    """Seeded property suite: degree zeros, linearity, closure, recession map."""
+    """Seeded property suite: degree zeros, linearity, closure, recession map.
+    ``homogeneity_filter`` decides the degree zeros; unfiltered, the engine gives 0 too."""
     out = []
     bad = [
         (d, a, b)

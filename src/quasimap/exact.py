@@ -295,15 +295,18 @@ class MPoly:
     def derivative(self, var: int) -> MPoly:
         return _unsplit({k - 1: p * k for k, p in self.split(var).items() if k}, var)
 
-    def subst_linear(self, var: int, point: LinForm) -> MPoly:
-        """Replace ``z_var`` by the linear form ``point`` (which must not involve it)."""
+    def taylor(self, var: int, point: LinForm, m: int) -> list[MPoly]:
+        """The coefficients of ``t^0 .. t^(m-1)`` in ``self`` at ``z_var = point + t``
+        (``point`` must not involve ``z_var``), by Horner's rule in ``point + t``
+        truncated after ``t^(m-1)``; ``taylor(var, point, 1)[0]`` is the substitution."""
         if var in point.support:
             raise ValueError("substitution point must not involve the substituted variable")
         parts = self.split(var)
         point_poly = point.to_mpoly()
-        out = MPoly()
+        out = [MPoly()] * m
         for k in range(max(parts, default=0), -1, -1):
-            out = out * point_poly + parts.get(k, MPoly())
+            low = parts.get(k, MPoly())
+            out = [out[i] * point_poly + (out[i - 1] if i else low) for i in range(m)]
         return out
 
     def divide_linear(self, form: LinForm) -> MPoly | None:
@@ -585,7 +588,7 @@ class FactoredRat:
         """Substitute ``z_var = point``; no denominator factor may vanish there."""
         if self.factors:
             return self.expand().subst(var, point)
-        num = self.num.subst_linear(var, point)
+        num = self.num.taylor(var, point, 1)[0]
         den = []
         for f in self.den:
             form = f.form.subst(var, point)

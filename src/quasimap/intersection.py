@@ -50,17 +50,14 @@ def r_denominator_factors(d: int) -> list[tuple[LinForm, int, frozenset[int]]]:
             for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
 
 
-def _monomial_key(exps: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((v, e) for v, e in exps.items() if e))
-
-
 @dataclass(frozen=True)
 class IntegrandSpec:
     """Recipe for one insertion-chain integrand over the degree-d moduli.
 
-    ``monomial`` holds net Laurent exponents of the plain ``z_j`` powers
-    (negative exponents become tagged denominator factors); ``extra_forms``
-    are additional numerator linear factors.
+    ``monomial`` lists ``(j, e)`` pairs, each the power ``z_j^e`` as given: a
+    positive ``e`` is a numerator factor, a negative one a denominator factor
+    tagged ``{j}``, and :class:`FactoredRat` cancels a ``z_j`` on both sides.
+    ``extra_forms`` are additional numerator linear factors.
     """
 
     d: int
@@ -69,14 +66,7 @@ class IntegrandSpec:
 
     @classmethod
     def insertions(cls, d: int, a: int, b: int) -> IntegrandSpec:
-        exps: dict[int, int] = {}
-        exps[0] = exps.get(0, 0) + a
-        exps[d] = exps.get(d, 0) + b
-        return cls(d, _monomial_key(exps))
-
-    @classmethod
-    def with_numerator(cls, d: int, exps: dict[int, int], forms: tuple[LinForm, ...] = ()) -> IntegrandSpec:
-        return cls(d, _monomial_key(exps), forms)
+        return cls(d, ((0, a), (d, b)))
 
     def build(self) -> FactoredRat:
         """The integrand ``z^monomial * prod e6 * prod extra_forms / (R * prod 6 z_i)``.
@@ -127,9 +117,7 @@ def mixed_insertion_residue(d: int) -> Fraction:
     """Residue of the insertion chain carrying ``z_0 z_1`` and ``1/z_d``."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    exps = {0: 1, 1: 1}
-    exps[d] = exps.get(d, 0) - 1
-    spec = IntegrandSpec.with_numerator(d, exps)
+    spec = IntegrandSpec(d, ((0, 1), (1, 1), (d, -1)))
     return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
 
 
@@ -149,7 +137,7 @@ def wall_insertion_residue(d: int, f: int) -> Fraction:
     """
     if not 1 <= f <= d - 1:
         raise ValueError("need 1 <= f <= d-1")
-    spec = IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (wall_form(d - f),))
+    spec = IntegrandSpec(d, ((0, 1), (d, -1)), (wall_form(d - f),))
     return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
 
 
@@ -175,5 +163,5 @@ def telescoped_insertion_residue(d: int) -> Fraction:
     if d < 1:
         raise ValueError("degree must be >= 1")
     form = LinForm({0: Fraction(1 - d), 1: Fraction(d)})
-    spec = IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (form,))
+    spec = IntegrandSpec(d, ((0, 1), (d, -1)), (form,))
     return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2

@@ -54,57 +54,41 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
     ``z_var = point``, each vanishing factor ``c*(z_var - point)`` contributes
     ``c**multiplicity`` to the extracted scalar, and the residue is the
     coefficient of ``t^(m-1)`` in the rest of ``f`` at ``z_var = point + t``.
-    A simple pole is a substitution.  Otherwise one truncated expansion in
-    ``t`` takes that coefficient: the numerator's Taylor coefficients at
-    ``point``, times each surviving factor ``(a + c t)^-k`` that involves
-    ``z_var``, expanded to order ``m-1`` over ``a^(k+m-1)``.  The result no
-    longer involves ``z_var``.
+    One truncated expansion in ``t`` takes that coefficient for every pole
+    order: the numerator's Taylor coefficients at ``point``
+    (:meth:`MPoly.taylor`), times each surviving factor ``(a + c t)^-k`` that
+    involves ``z_var``, expanded to order ``m-1`` over ``a^(k+m-1)``.  The
+    result no longer involves ``z_var``.
     """
     if point.coeff(var):
         raise ResidueError("ill-formed point: it involves the residue variable")
-    vanishing = []
+    m = 0
+    scalar = f.scalar
     surviving = []
     for fac in f.den:
-        if fac.form.subst(var, point).is_zero():
-            vanishing.append(fac)
+        a = fac.form.subst(var, point)
+        if a.is_zero():
+            m += fac.multiplicity
+            scalar /= fac.form.coeff(var) ** fac.multiplicity
         else:
-            surviving.append(fac)
-    if not vanishing:
+            surviving.append((fac, a))
+    if not m:
         raise ResidueError(f"not a pole: no denominator factor vanishes on z{var} = point")
-    m = sum(fac.multiplicity for fac in vanishing)
-    scalar = f.scalar
-    for fac in vanishing:
-        scalar /= fac.form.coeff(var) ** fac.multiplicity
-    g = FactoredRat(scalar, f.num, surviving, f.factors)
-    if m == 1:
-        return g.subst(var, point).reduce()
-    if g.factors:
-        g = g.expand()
     # The product of the surviving factors' expansions in t; the numerator's
     # Taylor coefficients join only for the one coefficient that is kept.
     series = [MPoly.const(1)] + [MPoly.zero()] * (m - 1)
     den = []
-    for fac in g.den:
+    for fac, a in surviving:
         c = fac.form.coeff(var)
-        a = fac.form.subst(var, point)
         mult = fac.multiplicity
         if c:
             inverse = _inverse_power(a.to_mpoly(), c, mult, m)
             series = [_coefficient(series, inverse, n) for n in range(m)]
             mult += m - 1
         den.append((a, mult, (fac.allowed - {var}) & a.support))
-    top = _coefficient(_taylor(g.num, var, point, m), series, m - 1)
-    return FactoredRat(g.scalar, top, den).reduce()
-
-
-def _taylor(poly: MPoly, var: int, point: LinForm, m: int) -> list[MPoly]:
-    """The coefficients of ``t^0 .. t^(m-1)`` in ``poly`` at ``z_var = point + t``."""
-    p = point.to_mpoly()
-    out = [MPoly.zero()] * m
-    for k, p_k in poly.split(var).items():
-        for i in range(min(k + 1, m)):
-            out[i] = out[i] + (p_k if i == k else p_k * p ** (k - i) * comb(k, i))
-    return out
+    num = f.num * MPoly.factored(f.factors)
+    top = _coefficient(num.taylor(var, point, m), series, m - 1)
+    return FactoredRat(scalar, top, den).reduce()
 
 
 def _inverse_power(a: MPoly, c: Fraction, k: int, m: int) -> list[MPoly]:

@@ -10,8 +10,11 @@ from __future__ import annotations
 from quasimap.checks import (
     DEGREE_SELECTION_SAMPLES,
     DEGREE_SELECTION_SEED,
+    DET_KMAX,
     IDEAL_SAMPLES,
     IDEAL_SEED,
+    ORIENTATION_DMAX,
+    RELATION_DMAX,
     check_degree_selection,
     check_ideal_annihilation,
     check_insertion_identities,
@@ -81,7 +84,15 @@ def test_criterion_7_insertion_identities():
 def test_criterion_8_toric_checks():
     _report("criterion 8: ray relations d<=10, corner determinants k<=30, "
             "orientation d<=4, ideal generators d<=2",
-            check_toric(relation_dmax=10, det_kmax=30, orientation_dmax=4))
+            check_toric())
+
+
+def test_toric_ranges_are_pinned():
+    # Criterion 8 states these ranges, and verify prints one line per degree.
+    assert (RELATION_DMAX, DET_KMAX, ORIENTATION_DMAX) == (10, 30, 4)
+    names = {r.name for r in check_toric()}
+    assert {"ray relations d=10", "corner determinants k<=30", "orientation d=4"} <= names
+    assert not {"ray relations d=11", "orientation d=5"} & names
 
 
 def test_criterion_9_series_suite():

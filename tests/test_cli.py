@@ -130,6 +130,45 @@ def test_text_and_json_carry_the_same_values():
         assert lines[-1] == f"status: {result.status}"
 
 
+@pytest.mark.parametrize("argv", [
+    ["fan", "--degree", "2"],
+    ["chow", "--degree", "2"],
+    ["intersect", "--degree", "3", "--a", "2", "--b", "-1"],
+])
+def test_text_lines_are_the_json_values(argv):
+    # Each text value line is the label padded to the widest label, two
+    # spaces, then the value, in the order of the JSON values.
+    _, text = run_cli(argv)
+    _, doc = run_cli([*argv, "--format", "json"])
+    result = CommandResult.from_json_text(doc)
+    assert result.status == "ok" and result.values
+    width = max(len(label) for label, _ in result.values)
+    expected = [f"command: {result.command}"]
+    expected += [f"{key} = {result.parameters[key]}" for key in sorted(result.parameters)]
+    expected += [label.ljust(width) + "  " + value for label, value in result.values]
+    expected.append(f"status: {result.status}")
+    assert text.splitlines() == expected
+
+
+def test_verify_text_lines_are_the_json_values():
+    # The text line "PASS name: expected E, actual A" is the JSON value
+    # "PASS expected=E actual=A" of the same check, in the same order.
+    code, text = run_cli(["verify", "--degree-max", "1"])
+    json_code, doc = run_cli(["verify", "--degree-max", "1", "--format", "json"])
+    assert code == json_code == 0
+    result = CommandResult.from_json_text(doc)
+    *checks, summary = result.values
+    lines = text.splitlines()
+    assert len(lines) == len(checks) + 2
+    for line, (name, value) in zip(lines, checks):
+        verdict, rest = value.split(" ", 1)
+        assert verdict in ("PASS", "FAIL") and rest.startswith("expected=")
+        expected, actual = rest.removeprefix("expected=").split(" actual=", 1)
+        assert line == f"{verdict} {name}: expected {expected}, actual {actual}"
+    assert summary[0] == "summary" and lines[-2] == f"summary: {summary[1]}"
+    assert lines[-1] == f"status: {result.status}"
+
+
 def test_json_round_trip():
     code, text = run_cli(["intersect", "--degree", "1", "--a", "1", "--b", "0", "--format", "json"])
     assert code == 0

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -34,18 +35,18 @@ def test_mpoly_hand_expansion():
 
 def test_subst_linear_pole_locus():
     p = 2 * z(1) - z(2)
-    assert p.subst_linear(1, linform((2, Fraction(1, 2)))).is_zero()
+    assert p.taylor(1, linform((2, Fraction(1, 2))), 1)[0].is_zero()
 
 
 def test_subst_linear_by_zero():
     p = z(0) + 5 * z(1)
-    assert p.subst_linear(0, LinForm.zero()) == 5 * z(1)
+    assert p.taylor(0, LinForm.zero(), 1)[0] == 5 * z(1)
 
 
 def test_subst_linear_wall_form():
     # 2*z2 - z1 - z3 at z1 = z2/2 becomes (3/2)*z2 - z3
     p = 2 * z(2) - z(1) - z(3)
-    got = p.subst_linear(1, linform((2, Fraction(1, 2))))
+    got = p.taylor(1, linform((2, Fraction(1, 2))), 1)[0]
     expected = dense({(0, 0, 1, 0): Fraction(3, 2), (0, 0, 0, 1): Fraction(-1)})
     assert got == expected
 
@@ -57,8 +58,8 @@ def test_subst_is_multiplicative():
         p = _random_poly(rng, nv)
         q = _random_poly(rng, nv)
         point = LinForm({1: Fraction(rng.randint(-3, 3)), 2: Fraction(rng.randint(-3, 3), 2)})
-        lhs = (p * q).subst_linear(0, point)
-        rhs = p.subst_linear(0, point) * q.subst_linear(0, point)
+        lhs = (p * q).taylor(0, point, 1)[0]
+        rhs = p.taylor(0, point, 1)[0] * q.taylor(0, point, 1)[0]
         assert lhs == rhs
 
 
@@ -342,7 +343,7 @@ def test_sparse_monomials_agree_with_exponent_vectors(p, q, var):
 def _divisible(p, form):
     """``form | p`` iff ``p`` vanishes identically on ``form = 0``."""
     pivot = min(form.support)
-    return p.subst_linear(pivot, form.solve_for(pivot)).is_zero()
+    return p.taylor(pivot, form.solve_for(pivot), 1)[0].is_zero()
 
 
 def _check_division(p, form):
@@ -388,3 +389,28 @@ def test_canonical_forms_left_alone(form, s):
     assert (form * s).canonicalized()[1] == canon
     again = canon.canonicalized()
     assert again == (1, canon) and again[1] is canon
+
+
+def _taylor_by_binomials(poly, var, point, m):
+    """The coefficients of ``t^0 .. t^(m-1)`` at ``z_var = point + t``, each
+    ``P_k z_var^k`` expanded by the binomial theorem."""
+    p = point.to_mpoly()
+    out = [MPoly.zero()] * m
+    for k, p_k in poly.split(var).items():
+        for i in range(min(k + 1, m)):
+            out[i] = out[i] + (p_k if i == k else p_k * p ** (k - i) * comb(k, i))
+    return out
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    p=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(-5, 5), max_size=5).map(dense),
+    var=st.integers(0, 2),
+    row=st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+    m=st.integers(1, 4),
+)
+def test_taylor_matches_binomial_expansion(p, var, row, m):
+    point = LinForm({v: c for v, c in enumerate(row) if v != var})
+    got = p.taylor(var, point, m)
+    assert len(got) == m and got == _taylor_by_binomials(p, var, point, m)
+    assert all(var not in c.variables() for c in got)

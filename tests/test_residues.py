@@ -10,9 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polys import dense
+from quasimap import residues
+from quasimap.checks import check_degree_selection
 from quasimap.exact import FactoredRat, LinForm, MPoly, linform
 from quasimap.intersection import (
     IntegrandSpec,
+    compute_w,
     mixed_insertion_residue,
     telescoped_insertion_residue,
     wall_form,
@@ -102,6 +105,27 @@ def test_homogeneity_filter_keeps_matching_component():
     assert kept.num == right
 
 
+def test_engine_annihilates_off_degree_numerators(monkeypatch):
+    # The filter alone decides verify's "degree selection" and "degree zeros"
+    # lines; with it made the identity, the residues themselves must vanish.
+    nonzero = []
+
+    def counted(f, var, point):
+        r = residue_at_point(f, var, point)
+        nonzero.append(not r.is_zero())
+        return r
+
+    monkeypatch.setattr(residues, "homogeneity_filter", lambda f, d: f)
+    monkeypatch.setattr(residues, "residue_at_point", counted)
+    assert all(r.ok for r in check_degree_selection(2))
+    for d in (1, 2):
+        for a in range(-1, 3):
+            for b in range(-1, 3):
+                if a + b != 1:
+                    assert compute_w(d, a, b) == 0, (d, a, b)
+    assert any(nonzero)
+
+
 def test_residue_linearity_same_denominator_family():
     rng = random.Random(11551)
     nvars = 3
@@ -154,18 +178,16 @@ def test_excluded_factors_are_never_visited():
 def _chain_integrands(d):
     """Every insertion integrand the two-point identities use at degree d, with
     the value its public function reports (halved ones doubled back)."""
-    mixed = {0: 1, 1: 1}
-    mixed[d] = mixed.get(d, 0) - 1
     telescoped = LinForm({0: Fraction(1 - d), 1: Fraction(d)})
     specs = [
         ("insertions(1,0)", IntegrandSpec.insertions(d, 1, 0), None),
         ("insertions(2,-1)", IntegrandSpec.insertions(d, 2, -1), None),
-        ("mixed", IntegrandSpec.with_numerator(d, mixed), 2 * mixed_insertion_residue(d)),
-        ("telescoped", IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (telescoped,)),
+        ("mixed", IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))), 2 * mixed_insertion_residue(d)),
+        ("telescoped", IntegrandSpec(d, ((0, 1), (d, -1)), (telescoped,)),
          2 * telescoped_insertion_residue(d)),
     ]
     for f in range(1, d):
-        spec = IntegrandSpec.with_numerator(d, {0: 1, d: -1}, (wall_form(d - f),))
+        spec = IntegrandSpec(d, ((0, 1), (d, -1)), (wall_form(d - f),))
         specs.append((f"wall f={f}", spec, 2 * wall_insertion_residue(d, f)))
     return specs
 

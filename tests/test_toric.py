@@ -126,7 +126,7 @@ def test_wrong_class_fails_relations_and_ideal_generators(monkeypatch):
     monkeypatch.setattr(checks, "divisor_classes", wrong_classes)
     assert relation_check(build_fan(1))
     assert not relation_check(build_fan(2))
-    lines = {r.name: r.ok for r in checks.check_toric(relation_dmax=2, det_kmax=1, orientation_dmax=1)}
+    lines = {r.name: r.ok for r in checks.check_toric()}
     assert lines["ideal generators d=1"]
     assert not lines["ideal generators d=2"]
     assert not lines["ray relations d=2"]
