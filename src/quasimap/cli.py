@@ -73,16 +73,6 @@ class CommandResult:
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json_text(cls, text: str) -> CommandResult:
-        doc = json.loads(text)
-        return cls(
-            command=doc["command"],
-            parameters=doc["parameters"],
-            values=[(label, value) for label, value in doc["values"]],
-            status=doc["status"],
-        )
-
     def emit(self, fmt: str, out) -> None:
         out.write(self.to_json_text() if fmt == "json" else self.to_text())
 
@@ -93,21 +83,16 @@ def _usage_error(command: str, parameters: dict, message: str, fmt: str, out) ->
     return EXIT_USAGE
 
 
-def _degree_problem(degree: int) -> str | None:
-    if degree < 1:
-        return "degree must be >= 1"
-    return f"degree must be <= {DEGREE_OPTION_MAX}" if degree > DEGREE_OPTION_MAX else None
-
-
-def _order_problem(order: int) -> str | None:
-    if order < 1:
-        return "order must be >= 1"
-    return f"order must be <= {ORDER_MAX}" if order > ORDER_MAX else None
+def _bound_problem(name: str, value: int, top: int) -> str | None:
+    """The usage error of an option that must lie in ``1..top``, or None."""
+    if value < 1:
+        return f"{name} must be >= 1"
+    return f"{name} must be <= {top}" if value > top else None
 
 
 def _cmd_fan(args, out) -> int:
     params = {"degree": args.degree}
-    if problem := _degree_problem(args.degree):
+    if problem := _bound_problem("degree", args.degree, DEGREE_OPTION_MAX):
         return _usage_error("fan", params, problem, args.format, out)
     fan = build_fan(args.degree)
     values = [
@@ -126,7 +111,7 @@ def _cmd_fan(args, out) -> int:
 
 def _cmd_chow(args, out) -> int:
     params = {"degree": args.degree}
-    if problem := _degree_problem(args.degree):
+    if problem := _bound_problem("degree", args.degree, DEGREE_OPTION_MAX):
         return _usage_error("chow", params, problem, args.format, out)
     d = args.degree
     values = []
@@ -147,7 +132,7 @@ def _cmd_chow(args, out) -> int:
 
 def _cmd_intersect(args, out) -> int:
     params = {"degree": args.degree, "a": args.a, "b": args.b}
-    if problem := _degree_problem(args.degree):
+    if problem := _bound_problem("degree", args.degree, DEGREE_OPTION_MAX):
         return _usage_error("intersect", params, problem, args.format, out)
     if max(abs(args.a), abs(args.b)) > INSERTION_EXPONENT_MAX:
         return _usage_error("intersect", params,
@@ -159,7 +144,7 @@ def _cmd_intersect(args, out) -> int:
 
 def _cmd_mirror(args, out) -> int:
     params = {"order": args.order}
-    if problem := _order_problem(args.order):
+    if problem := _bound_problem("order", args.order, ORDER_MAX):
         return _usage_error("mirror", params, problem, args.format, out)
     values = [(f"w_{d}", str(c)) for d, c in enumerate(mirror_w(args.order), start=1)]
     CommandResult("mirror", params, values).emit(args.format, out)
@@ -168,7 +153,7 @@ def _cmd_mirror(args, out) -> int:
 
 def _cmd_jinv(args, out) -> int:
     params = {"order": args.order}
-    if problem := _order_problem(args.order):
+    if problem := _bound_problem("order", args.order, ORDER_MAX):
         return _usage_error("jinv", params, problem, args.format, out)
     composed = j_from_w(args.order)
     agree = composed == lagrange_oracle(args.order) == j_modular(args.order)
@@ -180,10 +165,8 @@ def _cmd_jinv(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     params = {"degree_max": args.degree_max}
-    if args.degree_max < 1:
-        return _usage_error("verify", params, "degree-max must be >= 1", args.format, out)
-    if args.degree_max > DEGREE_MAX:
-        return _usage_error("verify", params, f"degree-max must be <= {DEGREE_MAX}", args.format, out)
+    if problem := _bound_problem("degree-max", args.degree_max, DEGREE_MAX):
+        return _usage_error("verify", params, problem, args.format, out)
     if args.format == "json":
         emit = None
     else:
@@ -259,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full exact verification ladder")
     p.add_argument(
         "--degree-max", type=int, required=True, metavar="N",
-        help=f"1 <= N <= {DEGREE_MAX}: the w-coefficient, period and volume normalization "
-             "checks run for every d <= N; the insertion identities for "
-             "d <= min(N, 4), ideal annihilation, degree selection and order independence "
+        help=f"1 <= N <= {DEGREE_MAX} (about 10 s at N = {DEGREE_MAX}): the w-coefficient and "
+             "period checks (one residue sweep each) and volume normalization run for every "
+             "d <= N; the insertion identities for d <= min(N, 4), ideal annihilation, degree selection and order independence "
              "for d <= min(N, 3); the toric, series and property checks do not depend on N",
     )
     _add_format(p)

@@ -273,11 +273,6 @@ class MPoly:
         """Total degree; -1 for the zero polynomial."""
         return max((_degree(e) for e in self.terms), default=-1)
 
-    def homogeneous_degree(self) -> int | None:
-        """The common total degree, or None when the terms mix degrees."""
-        degs = {_degree(e) for e in self.terms}
-        return degs.pop() if len(degs) == 1 else None
-
     def homogeneous_component(self, k: int) -> MPoly:
         return MPoly({e: c for e, c in self.terms.items() if _degree(e) == k})
 
@@ -633,7 +628,3 @@ class FactoredRat:
     def __repr__(self) -> str:
         return f"FactoredRat({self.render()})"
 
-
-def linform(*pairs: tuple[int, int | Fraction]) -> LinForm:
-    """Convenience builder: ``linform((0, 2), (1, -1))`` is ``2*z0 - z1``."""
-    return LinForm({v: _as_rat(c) for v, c in pairs})

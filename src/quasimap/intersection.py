@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable
 
 from .exact import FactoredRat, LinForm, MPoly
-from .residues import ResiduePlan, iterated_residue
+from .residues import ResiduePlan, iterated_residue, residue_sweep
 from .series import f0_coeff, harmonic_combo
 from .toric import sr_ideal_factors, wall_form
 
@@ -113,16 +113,19 @@ def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
     return iterated_residue(integrand, plan or ResiduePlan.ascending(d))
 
 
-def mixed_insertion_residue(d: int) -> Fraction:
-    """Residue of the insertion chain carrying ``z_0 z_1`` and ``1/z_d``."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    spec = IntegrandSpec(d, ((0, 1), (1, 1), (d, -1)))
-    return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
+def w_sweep(dmax: int, a: int, b: int) -> list[Fraction]:
+    """``compute_w(d, a, b)`` for ``d = 1..dmax`` from one residue sweep (ascending)."""
+    return residue_sweep([IntegrandSpec.insertions(d, a, b).build() for d in range(1, dmax + 1)])
+
+
+def mixed_insertion_residues(dmax: int) -> list[Fraction]:
+    """Residues of the chain carrying ``z_0 z_1`` and ``1/z_d``, ``d = 1..dmax``, from one sweep."""
+    specs = [IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))) for d in range(1, dmax + 1)]
+    return [value / 2 for value in residue_sweep([spec.build() for spec in specs])]
 
 
 def mixed_insertion_closed_form(d: int) -> Fraction:
-    """Exact closed form of :func:`mixed_insertion_residue`:
+    """Exact closed form of the degree-``d`` value of :func:`mixed_insertion_residues`:
     ``(A_d / d) * (1 - 1/d + sum_{j<=3d} 6/(2j-1) - sum_{j<=d} 3/j)``."""
     if d < 1:
         raise ValueError("degree must be >= 1")
@@ -133,23 +136,13 @@ def wall_insertion_residue(d: int, f: int) -> Fraction:
     """Residue of the chain with numerator ``z_0 * (2 z_{d-f} - z_{d-f-1} - z_{d-f+1})``.
 
     The inserted wall factor cancels the matching excluded denominator factor,
-    so the chain splits at position ``d - f`` into two independent halves.
+    so the chain splits at position ``d - f`` into two independent halves: the
+    value is ``(w(O_z O_1)_{0,d-f} / 2) * (w(O_{z^2} O_{z^-1})_{0,f} / 2)``.
     """
     if not 1 <= f <= d - 1:
         raise ValueError("need 1 <= f <= d-1")
     spec = IntegrandSpec(d, ((0, 1), (d, -1)), (wall_form(d - f),))
     return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
-
-
-def wall_split_sides(d: int, f: int) -> tuple[Fraction, Fraction]:
-    """Both sides of the splitting identity at ``(d, f)``.
-
-    The product side multiplies the half-normalized two-point numbers of the
-    two sub-chains; it must equal the wall-insertion residue exactly.
-    """
-    product_side = (compute_w(d - f, 1, 0) / 2) * (compute_w(f, 2, -1) / 2)
-    residue_side = wall_insertion_residue(d, f)
-    return product_side, residue_side
 
 
 def telescoped_insertion_residue(d: int) -> Fraction:

@@ -13,6 +13,10 @@ the first step whose variable it involves; until then it is shared by all of
 them and never expanded.  Branches whose tagged denominators agree after a
 step are merged by adding their numerators.  After the last step each
 survivor must be an exact rational constant.
+
+:func:`residue_step` is that one step; :func:`iterated_residue` applies it once
+per variable of a plan, and :func:`residue_sweep` runs a chain family ``f_1..f_D``
+on one ascending pass over ``f_D``.
 """
 
 from __future__ import annotations
@@ -129,49 +133,105 @@ def _prescribed_points(f: FactoredRat, var: int) -> list[LinForm]:
     return [points[k] for k in sorted(points)]
 
 
-def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
-    """Run the full residue prescription and return the exact rational value.
-
-    At the step for ``z_var`` only the factors that involve ``z_var`` join each
-    branch; the rest stay shared and unexpanded.  Branches with identical
-    tagged denominators are then merged.  Raises :class:`ResidueError` when a
-    surviving term still carries variables after the last integration, or
-    when the plan, which integrates ``z_0..z_d``, misses a variable of ``f``.
-    """
+def _prepared(f: FactoredRat, d: int) -> FactoredRat:
+    """``f`` filtered for ``d+1`` integrations and reduced; it must involve only ``z_0..z_d``."""
     involved = f.num.variables().union(*(form.support for form, _ in f.factors),
                                        *(fac.form.support for fac in f.den))
-    if not involved <= set(plan.order):
+    if not involved <= set(range(d + 1)):
         raise ResidueError("plan does not cover the integrand's variables")
-    f = homogeneity_filter(f, len(plan.order) - 1).reduce()
-    if f.is_zero():
-        return Fraction(0)
-    # Numerator factors with the variables they involve.  A constant ``num``
-    # is 1 (its content lives in the scalar), so no step needs to claim it.
+    return homogeneity_filter(f, d).reduce()
+
+
+def residue_start(f: FactoredRat) -> tuple[dict, list, list]:
+    """One branch carrying ``f.scalar``, and every factor of ``f`` shared: the numerator
+    ones with the variables they involve (a constant ``num`` is 1 and is never claimed)."""
     shared = [(f.num, f.num.variables())]
     shared += [(form.to_mpoly() ** mult, form.support) for form, mult in f.factors]
-    shared_den = list(f.den)
-    branches = {(): FactoredRat(f.scalar, MPoly.const(1))}
-    for var in plan.order:
-        local = MPoly.product(poly for poly, used in shared if var in used)
-        shared = [(poly, used) for poly, used in shared if var not in used]
-        local_den = tuple(fac for fac in shared_den if var in fac.form.support)
-        shared_den = [fac for fac in shared_den if var not in fac.form.support]
-        merged: dict[tuple, FactoredRat] = {}
-        for branch in branches.values():
-            g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den).reduce()
-            for p in _prescribed_points(g, var):
-                r = residue_at_point(g, var, p)
-                prev = merged.pop(r.den, None)
-                if prev is not None:
-                    r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)
-                if not r.is_zero():
-                    merged[r.den] = r
-        branches = merged
-    total = Fraction(0)
+    return {(): FactoredRat(f.scalar, MPoly.const(1))}, shared, list(f.den)
+
+
+def residue_step(branches: dict, var: int, shared: list, shared_den: list) -> tuple[dict, list, list]:
+    """Integrate ``z_var`` out of every branch; returns the branches and the shared lists
+    advanced by one step.  Only the shared factors that involve ``z_var`` join the
+    branches.  Each branch gives one residue per prescribed point, and residues with
+    identical tagged denominators are merged."""
+    local = MPoly.product(poly for poly, used in shared if var in used)
+    shared = [(poly, used) for poly, used in shared if var not in used]
+    local_den = tuple(fac for fac in shared_den if var in fac.form.support)
+    shared_den = [fac for fac in shared_den if var not in fac.form.support]
+    merged: dict[tuple, FactoredRat] = {}
+    for branch in branches.values():
+        g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den).reduce()
+        for p in _prescribed_points(g, var):
+            r = residue_at_point(g, var, p)
+            prev = merged.pop(r.den, None)
+            if prev is not None:
+                r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)
+            if not r.is_zero():
+                merged[r.den] = r
+    return merged, shared, shared_den
+
+
+def _value(branches: dict) -> Fraction:
+    """The sum of the branches after the last step, each an exact constant."""
     for b in branches.values():
         if b.den or not b.num.is_constant():
-            raise ResidueError(
-                "non-scalar remainder after the last variable: " + b.render()
-            )
-        total += b.scalar * b.num.constant_value()
-    return total
+            raise ResidueError("non-scalar remainder after the last variable: " + b.render())
+    return sum((b.scalar * b.num.constant_value() for b in branches.values()), Fraction(0))
+
+
+def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
+    """The exact value of ``f`` by one :func:`residue_step` per variable of the plan.
+    :class:`ResidueError` when a term still carries variables after the last step,
+    or when the plan, which integrates ``z_0..z_d``, misses a variable of ``f``."""
+    f = _prepared(f, len(plan.order) - 1)
+    if f.is_zero():
+        return Fraction(0)
+    branches, *shared = residue_start(f)
+    for var in plan.order:
+        branches, *shared = residue_step(branches, var, *shared)
+    return _value(branches)
+
+
+def _split_at(shared: list, shared_den: list, var: int) -> tuple[tuple, tuple]:
+    """The shared factors whose lowest variable is below ``var`` (those the ascending
+    steps before ``z_var`` join), and the rest, each as (numerators, denominators)."""
+    def early(support) -> bool:
+        return bool(support) and min(support) < var
+
+    head = [x for x in shared if early(x[1])], [fac for fac in shared_den if early(fac.form.support)]
+    rest = [x for x in shared if not early(x[1])], [fac for fac in shared_den if not early(fac.form.support)]
+    return head, rest
+
+
+def residue_sweep(integrands: list[FactoredRat]) -> list[Fraction]:
+    """``iterated_residue(f_d, ResiduePlan.ascending(d))`` for every ``f_d`` of
+    ``integrands = [f_1, ..., f_D]``, from one ascending pass over ``f_D``.
+
+    The steps ``z_0..z_{d-2}`` join only the factors whose lowest variable is below
+    ``d-1``.  When those of ``f_d`` and ``f_D`` are equal (else :class:`ResidueError`),
+    the branches of ``f_D`` after these steps, times ``f_d.scalar / f_D.scalar``, are
+    those of ``f_d``; the steps ``z_{d-1}, z_d`` with ``f_d``'s other factors close them.
+    """
+    fs = [_prepared(f, d) for d, f in enumerate(integrands, start=1)]
+    if not fs:
+        return []
+    top = fs[-1]
+    branches, *shared = residue_start(top)
+    top_shared = shared
+    values = []
+    for d, f in enumerate(fs, start=1):
+        head, rest = _split_at(*residue_start(f)[1:], d - 1)
+        if f.is_zero():
+            values.append(Fraction(0))
+        elif top.is_zero() or head != _split_at(*top_shared, d - 1)[0]:
+            raise ResidueError(f"integrand d={d} does not share its chain prefix with d={len(fs)}")
+        else:
+            ratio = f.scalar / top.scalar
+            closing = {k: FactoredRat(b.scalar * ratio, b.num, b.den) for k, b in branches.items()}
+            for var in (d - 1, d):
+                closing, *rest = residue_step(closing, var, *rest)
+            values.append(_value(closing))
+        if d < len(fs):
+            branches, *shared = residue_step(branches, d - 1, *shared)
+    return values

@@ -1,8 +1,10 @@
-"""Polynomials written out as dense exponent vectors, for test literals."""
+"""Test literals and reports: dense exponent vectors, linear forms, degrees."""
 
 from __future__ import annotations
 
-from quasimap.exact import MPoly
+from fractions import Fraction
+
+from quasimap.exact import LinForm, MPoly
 
 
 def dense(terms: dict[tuple[int, ...], object]) -> MPoly:
@@ -11,3 +13,14 @@ def dense(terms: dict[tuple[int, ...], object]) -> MPoly:
     for e, c in terms.items():
         out = out + MPoly.monomial(dict(enumerate(e)), c)
     return out
+
+
+def linform(*pairs: tuple[int, int | Fraction]) -> LinForm:
+    """``linform((0, 2), (1, -1))`` is ``2*z0 - z1``."""
+    return LinForm(dict(pairs))
+
+
+def homogeneous_degree(p: MPoly) -> int | None:
+    """The common total degree of the terms of ``p``, or None when they mix degrees."""
+    degs = {sum(k for _, k in e) for e in p.terms}
+    return degs.pop() if len(degs) == 1 else None

@@ -25,7 +25,7 @@ from quasimap.checks import (
     check_volume_normalization,
     check_w_coefficients,
 )
-from quasimap.intersection import compute_w
+from quasimap.intersection import w_sweep
 from quasimap.series import j_composition_sum, j_modular
 
 
@@ -105,10 +105,10 @@ def test_criterion_10_property_suite(property_results):
 
 
 def test_headline_chain_residue_w_to_modular_j():
-    # w(O_z O_1)_{0,d} / 2 from iterated residues, through the composition sum,
+    # w(O_z O_1)_{0,d} / 2 from one residue sweep, through the composition sum,
     # against j = E4^3 / Delta: the series-side w_d takes no part.
-    residue_w = [compute_w(d, 1, 0) / 2 for d in range(1, 11)]
-    ok = j_composition_sum(residue_w) == j_modular(10)
-    print(f"{'PASS' if ok else 'FAIL'} headline chain: residue w_d for d<=10 "
-          "-> composition sum -> modular j_1..j_10")
+    residue_w = [w / 2 for w in w_sweep(30, 1, 0)]
+    ok = j_composition_sum(residue_w) == j_modular(30)
+    print(f"{'PASS' if ok else 'FAIL'} headline chain: residue w_d for d<=30 "
+          "-> composition sum -> modular j_1..j_30")
     assert ok

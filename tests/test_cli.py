@@ -14,6 +14,13 @@ import pytest
 from quasimap.cli import CommandResult, main
 
 
+def from_json_text(text):
+    """The :class:`CommandResult` whose ``to_json_text()`` is ``text``."""
+    doc = json.loads(text)
+    values = [(label, value) for label, value in doc["values"]]
+    return CommandResult(doc["command"], doc["parameters"], values, doc["status"])
+
+
 def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
@@ -49,7 +56,7 @@ def test_intersect_degree_above_documented_maximum_is_usage_error():
     assert "usage_error" in text and "degree must be <= 100" in text
     code, doc = run_cli([*argv, "--format", "json"])
     assert code == 2
-    result = CommandResult.from_json_text(doc)
+    result = from_json_text(doc)
     assert result.status == "usage_error"
     assert result.values == [("error", "degree must be <= 100")]
 
@@ -62,7 +69,7 @@ def test_fan_and_chow_degree_above_documented_maximum_is_usage_error(command):
     assert "usage_error" in text and "degree must be <= 100" in text
     code, doc = run_cli([*argv, "--format", "json"])
     assert code == 2
-    result = CommandResult.from_json_text(doc)
+    result = from_json_text(doc)
     assert result.status == "usage_error"
     assert result.values == [("error", "degree must be <= 100")]
     assert run_cli([command, "--degree", "100"])[0] == 0
@@ -122,7 +129,7 @@ def test_text_and_json_carry_the_same_values():
     for argv in (["jinv", "--order", "6"], ["mirror", "--order", "6"]):
         _, text = run_cli(argv)
         _, doc = run_cli([*argv, "--format", "json"])
-        result = CommandResult.from_json_text(doc)
+        result = from_json_text(doc)
         lines = text.splitlines()
         assert lines[0] == f"command: {result.command}"
         assert lines[1] == f"order = {result.parameters['order']}"
@@ -140,7 +147,7 @@ def test_text_lines_are_the_json_values(argv):
     # spaces, then the value, in the order of the JSON values.
     _, text = run_cli(argv)
     _, doc = run_cli([*argv, "--format", "json"])
-    result = CommandResult.from_json_text(doc)
+    result = from_json_text(doc)
     assert result.status == "ok" and result.values
     width = max(len(label) for label, _ in result.values)
     expected = [f"command: {result.command}"]
@@ -156,7 +163,7 @@ def test_verify_text_lines_are_the_json_values():
     code, text = run_cli(["verify", "--degree-max", "1"])
     json_code, doc = run_cli(["verify", "--degree-max", "1", "--format", "json"])
     assert code == json_code == 0
-    result = CommandResult.from_json_text(doc)
+    result = from_json_text(doc)
     *checks, summary = result.values
     lines = text.splitlines()
     assert len(lines) == len(checks) + 2
@@ -172,7 +179,7 @@ def test_verify_text_lines_are_the_json_values():
 def test_json_round_trip():
     code, text = run_cli(["intersect", "--degree", "1", "--a", "1", "--b", "0", "--format", "json"])
     assert code == 0
-    parsed = CommandResult.from_json_text(text)
+    parsed = from_json_text(text)
     assert parsed.to_json_text() == text
     doc = json.loads(text)
     assert doc["status"] == "ok"
@@ -181,7 +188,7 @@ def test_json_round_trip():
 
 def test_command_result_round_trip_identity():
     result = CommandResult("mirror", {"order": 3}, [("w_1", "744"), ("w_2", "473652")], "ok")
-    assert CommandResult.from_json_text(result.to_json_text()) == result
+    assert from_json_text(result.to_json_text()) == result
 
 
 def test_byte_determinism():
@@ -218,9 +225,29 @@ def test_verify_usage_error():
     assert "usage_error" in text
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["fan", "--degree", "0"], "degree must be >= 1"),
+    (["chow", "--degree", "-3"], "degree must be >= 1"),
+    (["intersect", "--degree", "0", "--a", "1", "--b", "0"], "degree must be >= 1"),
+    (["mirror", "--order", "0"], "order must be >= 1"),
+    (["jinv", "--order", "-1"], "order must be >= 1"),
+    (["verify", "--degree-max", "0"], "degree-max must be >= 1"),
+    (["verify", "--degree-max", "-2"], "degree-max must be >= 1"),
+])
+def test_values_below_one_are_usage_errors(argv, message):
+    # The exact message in both formats, with exit code 2.
+    code, text = run_cli(argv)
+    assert code == 2
+    assert text.splitlines()[-2:] == [f"error  {message}", "status: usage_error"]
+    code, doc = run_cli([*argv, "--format", "json"])
+    assert code == 2
+    assert from_json_text(doc).values == [("error", message)]
+
+
 def test_verify_rejects_degree_above_documented_maximum():
     from quasimap.checks import DEGREE_MAX
 
+    assert DEGREE_MAX == 60
     code, text = run_cli(["verify", "--degree-max", str(DEGREE_MAX + 1)])
     assert code == 2
     assert "usage_error" in text and f"degree-max must be <= {DEGREE_MAX}" in text
@@ -266,7 +293,7 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
         assert "usage_error" in text and "|a| and |b| must be <= 3" in text
         code, doc = run_cli([*argv, "--format", "json"])
         assert code == 2
-        result = CommandResult.from_json_text(doc)
+        result = from_json_text(doc)
         assert result.status == "usage_error"
         assert result.values == [("error", "|a| and |b| must be <= 3")]
 

@@ -7,19 +7,19 @@ from fractions import Fraction
 
 import pytest
 
-from polys import dense
-from quasimap.exact import LinForm, MPoly, linform
+from polys import dense, homogeneous_degree, linform
+from quasimap.exact import LinForm, MPoly
 from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
     e6_factors,
     integrate_class,
     mixed_insertion_closed_form,
-    mixed_insertion_residue,
+    mixed_insertion_residues,
     telescoped_insertion_residue,
+    w_sweep,
     wall_form,
     wall_insertion_residue,
-    wall_split_sides,
 )
 from quasimap.residues import ResiduePlan, iterated_residue
 from quasimap.series import f0_coeff, f1_hat_coeff, mirror_w
@@ -46,7 +46,7 @@ def _etilde(x, y):
 
 def test_e6_factorization_identity():
     e6 = MPoly.product(e6_factors(0, 1))
-    assert e6.homogeneous_degree() == 7
+    assert homogeneous_degree(e6) == 7
     cofactors = MPoly.product([linform((0, 2), (1, 1)), linform((0, 1), (1, 2))])
     assert e6 == _etilde(0, 1) * cofactors
     # reduced form: e6 / ((2x+y)(x+2y)) = 432 x y (x+y) (5x+y) (x+5y)
@@ -75,7 +75,7 @@ def test_integrand_structure_degree_one():
     assert powers == {(0,): 2, (1,): 3}
     # the numerator stays factored: z-monomial times the surviving linear factors
     assert len(f.factors) == 3 and f.num_degree() == 3
-    assert f.expand().num.homogeneous_degree() == 3
+    assert homogeneous_degree(f.expand().num) == 3
 
 
 def test_compute_w_known_examples():
@@ -117,7 +117,7 @@ def test_ideal_annihilation_sampled():
     for d in (1, 2):
         nvars = d + 1
         for gen, factors in zip(sr_ideal(d), sr_ideal_factors(d)):
-            comp = 6 * d + 2 - gen.homogeneous_degree()
+            comp = 6 * d + 2 - homogeneous_degree(gen)
             for _ in range(10):
                 exps = [0] * nvars
                 for _ in range(comp):
@@ -158,17 +158,23 @@ def test_order_independence_on_standard_integrands():
 
 
 def test_mixed_insertion_values():
-    assert mixed_insertion_residue(1) == mixed_insertion_closed_form(1) == 744
-    assert mixed_insertion_residue(2) == mixed_insertion_closed_form(2) == 302256
-    assert mixed_insertion_residue(3) == mixed_insertion_closed_form(3)
+    mixed = mixed_insertion_residues(7)
+    assert mixed[:2] == [mixed_insertion_closed_form(1), mixed_insertion_closed_form(2)] == [744, 302256]
+    assert mixed == [mixed_insertion_closed_form(d) for d in range(1, 8)]
 
 
 def test_wall_split_identity():
-    lhs, rhs = wall_split_sides(2, 1)
-    assert lhs == rhs == 89280  # (1488/2) * (240/2)
-    for f in (1, 2):
-        lhs, rhs = wall_split_sides(3, f)
-        assert lhs == rhs
+    # Each wall insertion splits the chain: the product side is
+    # (w_{d-f}/2) * (w(2,-1)_f/2), read off two sweeps.  Weighted by f, the
+    # walls plus w_d/2 telescope to the non-log period coefficient B_d.
+    w, period = w_sweep(7, 1, 0), w_sweep(6, 2, -1)
+    assert wall_insertion_residue(2, 1) == (w[0] / 2) * (period[0] / 2) == 89280  # (1488/2) * (240/2)
+    for d in range(1, 8):
+        walls = {f: wall_insertion_residue(d, f) for f in range(1, d)}
+        for f, value in walls.items():
+            assert value == (w[d - f - 1] / 2) * (period[f - 1] / 2), (d, f)
+        telescoped = sum(f * value for f, value in walls.items()) + w[d - 1] / 2
+        assert telescoped == telescoped_insertion_residue(d) == f1_hat_coeff(d), d
 
 
 def test_wall_split_argument_validation():

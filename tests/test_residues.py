@@ -9,14 +9,14 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polys import dense
+from polys import dense, linform
 from quasimap import residues
-from quasimap.checks import check_degree_selection
-from quasimap.exact import FactoredRat, LinForm, MPoly, linform
+from quasimap.checks import check_degree_selection, check_properties
+from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
-    mixed_insertion_residue,
+    mixed_insertion_residues,
     telescoped_insertion_residue,
     wall_form,
     wall_insertion_residue,
@@ -27,6 +27,7 @@ from quasimap.residues import (
     homogeneity_filter,
     iterated_residue,
     residue_at_point,
+    residue_sweep,
 )
 
 
@@ -182,7 +183,7 @@ def _chain_integrands(d):
     specs = [
         ("insertions(1,0)", IntegrandSpec.insertions(d, 1, 0), None),
         ("insertions(2,-1)", IntegrandSpec.insertions(d, 2, -1), None),
-        ("mixed", IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))), 2 * mixed_insertion_residue(d)),
+        ("mixed", IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))), 2 * mixed_insertion_residues(d)[-1]),
         ("telescoped", IntegrandSpec(d, ((0, 1), (d, -1)), (telescoped,)),
          2 * telescoped_insertion_residue(d)),
     ]
@@ -257,3 +258,48 @@ def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, sca
     den += [(form, mult, form.support) for form, mult in off_pole(others)]
     f = FactoredRat(Fraction(3, 7), dense(num), den, off_pole(factors))
     assert residue_at_point(f, var, point) == _residue_by_derivatives(f, var, point)
+
+
+_SWEPT_FAMILIES = {
+    "insertions(1,0)": lambda d: IntegrandSpec.insertions(d, 1, 0),
+    "insertions(2,-1)": lambda d: IntegrandSpec.insertions(d, 2, -1),
+    "insertions(0,1)": lambda d: IntegrandSpec.insertions(d, 0, 1),
+    "insertions(-1,2)": lambda d: IntegrandSpec.insertions(d, -1, 2),
+    "mixed": lambda d: IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_SWEPT_FAMILIES))
+def test_sweep_matches_each_degree(family):
+    # One ascending pass over f_8 gives the value of every f_d, d <= 8.
+    integrands = [_SWEPT_FAMILIES[family](d).build() for d in range(1, 9)]
+    expected = [iterated_residue(f, ResiduePlan.ascending(d)) for d, f in enumerate(integrands, start=1)]
+    assert residue_sweep(integrands) == expected
+    assert any(expected)
+
+
+def test_sweep_rejects_a_family_without_a_common_prefix():
+    # The telescoped head form (1-d) z_0 + d z_1 changes with d.
+    integrands = [_chain_integrands(d)[3][1].build() for d in range(1, 4)]
+    with pytest.raises(ResidueError, match="prefix"):
+        residue_sweep(integrands)
+    assert residue_sweep(integrands[:1]) == [2 * telescoped_insertion_residue(1)]
+
+
+def test_closure_line_fails_when_a_residue_keeps_its_variable(monkeypatch):
+    # A residue that keeps z_var / z_var, z_var tagged {var}, has the right
+    # value (the next step's reduce cancels it; a last step's constant is left
+    # alone) but breaks the tag rule: an integrated contour is never visited again.
+    def keeps_variable(f, var, point):
+        r = residue_at_point(f, var, point)
+        if not r.den:
+            return r
+        kept = TaggedFactor(LinForm.variable(var), 1, frozenset({var}))
+        return FactoredRat(r.scalar, r.num * z(var), r.den + (kept,))
+
+    assert all(r.ok for r in check_properties())
+    monkeypatch.setattr(residues, "residue_at_point", keeps_variable)
+    results = check_properties()
+    line = next(r for r in results if r.name == "denominator closure")
+    assert [r.name for r in results if not r.ok] == ["denominator closure"]
+    assert line.line() == "FAIL denominator closure: expected linear tagged factors only, actual violation"
