@@ -34,12 +34,12 @@ EXIT_USAGE = 2
 ORDER_MAX = 100
 
 # Largest --degree of fan, chow and intersect.  At 100 fan and chow take about 0.3 s
-# and intersect --a 1 --b 0 about 7 s (2.7 s at 50; 2 CPUs).
+# and intersect --a 1 --b 0 about 5 s (1.4 s at 50; 2 CPUs).
 DEGREE_OPTION_MAX = 100
 
 # Largest |--a| and |--b| of intersect, enough for every pair the tests and checks
 # use.  compute_w integrates from the end with the larger exponent, so at --degree 100
-# the slowest accepted pairs are --a 1 --b 0 and --a 0 --b 1, about 7 s each, and a
+# the slowest accepted pairs are --a 1 --b 0 and --a 0 --b 1, about 5 s each, and a
 # negative exponent takes about 0.4 s (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
 INSERTION_EXPONENT_MAX = 3
 
@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", help="the two-point number w(O_{z^a} O_{z^b})_{0,d}")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help=f"1 <= D <= {DEGREE_OPTION_MAX}; at D = {DEGREE_OPTION_MAX} "
-                        "about 7 s for --a 1 --b 0 or --a 0 --b 1, the slowest accepted "
+                        "about 5 s for --a 1 --b 0 or --a 0 --b 1, the slowest accepted "
                         "pairs, and 0.4 s for --a -2 --b 3 (0.3 s at D = 5)")
     p.add_argument("--a", type=int, required=True, metavar="A",
                    help=f"exponent of z_0, |A| <= {INSERTION_EXPONENT_MAX}")

@@ -206,7 +206,7 @@ def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
     return Fraction(3 ** (d + 1)), [fac for gen in _block_factors(d, 3) for fac in gen]
 
 
-def _int_det(rows: list[list[int]]) -> int:
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact integer determinant (fraction-free Bareiss elimination)."""
     n = len(rows)
     m = [list(r) for r in rows]
@@ -237,7 +237,7 @@ def det_Bk(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _int_det([list(block[-1]) for block in _row_choices(k)])
+    return _int_det([block[-1] for block in _row_choices(k)])
 
 
 def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
@@ -251,38 +251,25 @@ def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
 class OrientationReport:
     """Outcome of enumerating every linearity region of the gluing map."""
 
-    d: int
     region_count: int
     min_det: int
-    violations: tuple[tuple[int, ...], ...]
 
     @property
     def all_positive(self) -> bool:
-        return not self.violations and self.min_det > 0
+        return self.min_det > 0
 
 
 def orientation_enumeration(d: int) -> OrientationReport:
     """Check ``det > 0`` on every linearity region of the piecewise map.
 
     Row 0 selects its gradient from two options, middle rows from four, row d
-    from two, giving ``4 * 4^(d-1)`` regions in total; any non-positive
-    determinant is reported together with its selection pattern.
+    from two, giving ``4 * 4^(d-1)`` regions in total; the report holds the
+    region count and the least determinant.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    choices = _row_choices(d)
-    count = 0
-    min_det = None
-    violations = []
-    for selection in product(*(range(len(c)) for c in choices)):
-        rows = [list(choices[r][s]) for r, s in enumerate(selection)]
-        det = _int_det(rows)
-        count += 1
-        if min_det is None or det < min_det:
-            min_det = det
-        if det <= 0:
-            violations.append(selection)
-    return OrientationReport(d, count, min_det, tuple(violations))
+    dets = [_int_det(rows) for rows in product(*_row_choices(d))]
+    return OrientationReport(len(dets), min(dets))
 
 
 def eval_recession(d: int, a: Sequence[int | Fraction]) -> list[int | Fraction]:
@@ -300,6 +287,8 @@ def eval_recession(d: int, a: Sequence[int | Fraction]) -> list[int | Fraction]:
     ``Fraction``s (each one exact either way).  Any other coordinate type
     (``float`` included) raises ``TypeError``.
     """
+    if d < 1:
+        raise ValueError("degree must be >= 1")
     if len(a) != d + 1:
         raise ValueError("a must have length d+1")
     for x in a:

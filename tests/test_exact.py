@@ -9,7 +9,7 @@ from math import comb
 from hypothesis import assume, given, settings, strategies as st
 
 from polys import dense, homogeneous_degree, linform
-from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor, _probe_point
+from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 
 
 def z(j):
@@ -161,10 +161,9 @@ def _non_pole_points(rng, funcs, nvars=4):
 
 
 def test_fr_reduce_difference_of_squares():
+    # z0 + z1 divides the numerator, but reduce cancels single variables only.
     f = fr(1, z(0) ** 2 - z(1) ** 2, [(LinForm.variable(0) + LinForm.variable(1), 1, frozenset())])
-    g = f.reduce()
-    assert g.den == ()
-    assert g.num == z(0) - z(1)
+    assert f.reduce() == f
 
 
 def test_fr_reduce_idempotent_and_value_preserving():
@@ -209,11 +208,6 @@ def test_fr_zero_numerator_collapses():
     f = fr(7, MPoly.zero(), [(LinForm.variable(0), 1, frozenset({0}))])
     assert f.is_zero()
     assert f.den == ()
-
-
-def test_divide_linear_failure_leaves_none():
-    p = z(0) ** 2 + z(1) ** 2
-    assert p.divide_linear(linform((0, 1), (1, 1))) is None
 
 
 def test_homogeneous_degree_report():
@@ -340,45 +334,27 @@ def test_sparse_monomials_agree_with_exponent_vectors(p, q, var):
     assert p.render() == (expected or "0")
 
 
-def _divisible(p, form):
-    """``form | p`` iff ``p`` vanishes identically on ``form = 0``."""
-    pivot = min(form.support)
-    return p.taylor(pivot, form.solve_for(pivot), 1)[0].is_zero()
-
-
-def _check_division(p, form):
-    q = p.divide_linear(form)
-    assert (q is None) == (not _divisible(p, form))
-    if q is not None:
-        assert q * form.to_mpoly() == p
+_mixed_forms = st.lists(st.tuples(st.one_of(_single_forms, _general_forms), st.integers(1, 3)), max_size=4)
 
 
 @settings(derandomize=True, deadline=None)
-@given(p=_polys, form=st.one_of(_single_forms, _general_forms))
-def test_divide_linear_exact_or_none(p, form):
-    _check_division(p, form)
-    _check_division(p * form.to_mpoly(), form)
-
-
-@settings(derandomize=True, deadline=None)
-@given(q=_polys, form=_general_forms, pair=st.permutations(range(3)))
-def test_divide_linear_past_a_vanishing_probe(q, form, pair):
-    # ``g`` vanishes at the probe point, so ``q * g`` reaches the synthetic division.
-    values = _probe_point(form, range(3))
-    i, j = pair[:2]
-    g = values[j] * z(i) - values[i] * z(j)
-    assume(not g.is_zero())
-    assert (q * g).evaluate(values) == 0
-    _check_division(q * g, form)
-
-
-def test_divide_linear_probe_zero_but_not_divisible():
-    form = linform((0, 1), (1, 1))
-    values = _probe_point(form, range(3))
-    p = z(0) * (values[2] * z(1) - values[1] * z(2))
-    assert p.evaluate(values) == 0
-    assert p.divide_linear(form) is None
-    assert (p * form.to_mpoly()).divide_linear(form) == p
+@given(p=_polys, num_forms=_mixed_forms, den=_mixed_forms, seed=st.integers(0, 2 ** 16))
+def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, seed):
+    assume(not p.is_zero())
+    num = p * MPoly.factored(num_forms)
+    f = fr(Fraction(2, 3), num, [(form, m, frozenset({min(form.support)})) for form, m in den])
+    g = f.reduce()
+    rng = random.Random(seed)
+    for _ in range(2):
+        pts = _non_pole_points(rng, [f], nvars=3)
+        assert g.evaluate(pts) == f.evaluate(pts)
+    assert g.reduce() == g
+    assert all(k > 0 for e in g.num.terms for _, k in e)
+    for fac in g.den:
+        if len(fac.form.support) == 1:
+            assert 0 in g.num.split(min(fac.form.support))
+    assert [fac for fac in g.den if len(fac.form.support) > 1] == \
+        [fac for fac in f.den if len(fac.form.support) > 1]
 
 
 @settings(derandomize=True, deadline=None)

@@ -90,6 +90,13 @@ def test_compute_w_matches_mirror_coefficients():
         assert compute_w(d, 1, 0) / 2 == w[d - 1]
 
 
+def test_compute_w_both_plans_match_mirror_at_degree_twenty():
+    # (1, 0) integrates from z_0 (ascending plan), (0, 1) from z_20 (descending).
+    w_20 = mirror_w(20)[-1]
+    assert compute_w(20, 1, 0) == 2 * w_20
+    assert compute_w(20, 0, 1) == 2 * w_20
+
+
 def test_compute_w_matches_period_coefficients():
     for d in (1, 2, 3):
         assert Fraction(d, 2) * compute_w(d, 2, -1) == f0_coeff(d)

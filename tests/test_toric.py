@@ -240,6 +240,8 @@ def test_recession_positive_homogeneity():
 def test_recession_length_validation():
     with pytest.raises(ValueError):
         eval_recession(2, [1, 2])
+    with pytest.raises(ValueError):
+        eval_recession(0, [1])
 
 
 def test_recession_stays_in_the_input_ring():
