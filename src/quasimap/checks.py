@@ -296,12 +296,23 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
 def recession_samples(d: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
     """``RECESSION_SAMPLES`` seeded points of ``(1/420) Z^{d+1}``, scaled by 420 to integers.
 
-    Each coordinate is ``420 * p/q`` for ``p`` in -50..50 and ``q`` in 1..7,
-    made from the two draws ``randint(-50, 50)``, ``randint(1, 7)`` in that order.
+    Each coordinate is ``420 * p/q`` for ``p`` in -50..50 and ``q`` in 1..7, drawn in
+    that order as ``randint(-50, 50)`` and ``randint(1, 7)`` draw them: ``getrandbits(7)``
+    until it is below 101, minus 50, then ``getrandbits(3)`` until it is below 7, plus 1.
+    So the points, and the state ``rng`` is left in, are those of the ``randint`` calls.
     """
+    bits = rng.getrandbits
     for _ in range(RECESSION_SAMPLES):
-        yield tuple(rng.randint(-50, 50) * (RECESSION_SCALE // rng.randint(1, 7))
-                    for _ in range(d + 1))
+        point = []
+        for _ in range(d + 1):
+            p = bits(7)
+            while p > 100:
+                p = bits(7)
+            q = bits(3)
+            while q > 6:
+                q = bits(3)
+            point.append((p - 50) * (RECESSION_SCALE // (q + 1)))
+        yield tuple(point)
 
 
 def recession_injective(d: int, rng: random.Random) -> bool:
@@ -387,7 +398,7 @@ def check_properties() -> list[CheckResult]:
 
 # Largest accepted ``verify --degree-max``: the w-coefficient, period and
 # volume checks run for every d up to it, the other residue checks keep fixed caps.
-# At 60, verify takes about 9-10 s wall on 2 CPUs, 5.7 s of it in the (1,0) sweep.
+# At 60, verify takes about 5 s wall on 2 CPUs, 2.7 s of it in the (1,0) sweep.
 DEGREE_MAX = 60
 
 

@@ -34,13 +34,13 @@ EXIT_USAGE = 2
 ORDER_MAX = 100
 
 # Largest --degree of fan, chow and intersect.  At 100 fan and chow take about 0.3 s
-# and intersect --a 1 --b 0 about 5 s (1.4 s at 50; 2 CPUs).
+# and intersect --a 1 --b 0 about 4 s (1.1 s at 50; 2 CPUs).
 DEGREE_OPTION_MAX = 100
 
 # Largest |--a| and |--b| of intersect, enough for every pair the tests and checks
 # use.  compute_w integrates from the end with the larger exponent, so at --degree 100
-# the slowest accepted pairs are --a 1 --b 0 and --a 0 --b 1, about 5 s each, and a
-# negative exponent takes about 0.4 s (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
+# the slowest accepted pairs are --a 1 --b 0 and --a 0 --b 1, about 4 s each, and a
+# negative exponent takes about 0.25 s (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
 INSERTION_EXPONENT_MAX = 3
 
 
@@ -218,8 +218,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intersect", help="the two-point number w(O_{z^a} O_{z^b})_{0,d}")
     p.add_argument("--degree", type=int, required=True, metavar="D",
                    help=f"1 <= D <= {DEGREE_OPTION_MAX}; at D = {DEGREE_OPTION_MAX} "
-                        "about 5 s for --a 1 --b 0 or --a 0 --b 1, the slowest accepted "
-                        "pairs, and 0.4 s for --a -2 --b 3 (0.3 s at D = 5)")
+                        "about 4 s for --a 1 --b 0 or --a 0 --b 1, the slowest accepted "
+                        "pairs, and 0.2 s for --a -2 --b 3 (0.15 s at D = 5)")
     p.add_argument("--a", type=int, required=True, metavar="A",
                    help=f"exponent of z_0, |A| <= {INSERTION_EXPONENT_MAX}")
     p.add_argument("--b", type=int, required=True, metavar="B",
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the full exact verification ladder")
     p.add_argument(
         "--degree-max", type=int, required=True, metavar="N",
-        help=f"1 <= N <= {DEGREE_MAX} (about 10 s at N = {DEGREE_MAX}): the w-coefficient and "
+        help=f"1 <= N <= {DEGREE_MAX} (about 5 s at N = {DEGREE_MAX}): the w-coefficient and "
              "period checks (one residue sweep each) and volume normalization run for every "
              "d <= N; the insertion identities for d <= min(N, 4), ideal annihilation, degree selection and order independence "
              "for d <= min(N, 3); the toric, series and property checks do not depend on N",

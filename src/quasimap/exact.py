@@ -1,7 +1,10 @@
 """Exact arithmetic: linear forms, sparse polynomials, factored rational functions.
 
-Every quantity is an exact ``fractions.Fraction``; nothing here ever touches
-floating point.  The three layers are
+Every quantity is exact, and nothing here ever touches floating point.  A
+coefficient of a ``LinForm`` or ``MPoly`` is an ``int`` when its value is an
+integer and a ``fractions.Fraction`` otherwise, so the residue engine does
+integer arithmetic wherever the values are integers.  A ``FactoredRat`` scalar
+and every ``evaluate`` result are ``Fraction``s.  The three layers are
 
 * ``LinForm``   -- homogeneous linear forms ``sum_j c_j z_j`` (no constant term),
 * ``MPoly``     -- sparse multivariate polynomials over the rationals,
@@ -17,10 +20,10 @@ function.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
-from typing import Iterable, Mapping
 
 
 def _as_rat(x) -> Fraction:
@@ -31,8 +34,19 @@ def _as_rat(x) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _as_coeff(x) -> int | Fraction:
+    """``x`` as a coefficient: an ``int`` when its value is an integer, else a ``Fraction``."""
+    if type(x) is int:
+        return x
+    if isinstance(x, Fraction):
+        return x.numerator if x.denominator == 1 else x
+    if isinstance(x, int):
+        return int(x)
+    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
 class LinForm:
-    """A homogeneous linear form ``sum_j c_j z_j`` with rational coefficients.
+    """A homogeneous linear form ``sum_j c_j z_j`` with exact rational coefficients.
 
     Constant terms are deliberately unrepresentable: the whole calculus is
     homogeneous, so a constant appearing in a pole locus would signal a bug.
@@ -40,18 +54,18 @@ class LinForm:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, Fraction] | Iterable[tuple[int, Fraction]] = ()):
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
         d = {}
         for v, c in items:
-            c = _as_rat(c)
+            c = _as_coeff(c)
             if c:
                 d[int(v)] = c
         self.coeffs = d
 
     @classmethod
     def variable(cls, j: int) -> LinForm:
-        return cls({j: Fraction(1)})
+        return cls({j: 1})
 
     @classmethod
     def zero(cls) -> LinForm:
@@ -64,13 +78,13 @@ class LinForm:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, j: int) -> Fraction:
-        return self.coeffs.get(j, Fraction(0))
+    def coeff(self, j: int) -> int | Fraction:
+        return self.coeffs.get(j, 0)
 
     def __add__(self, other: LinForm) -> LinForm:
         d = dict(self.coeffs)
         for v, c in other.coeffs.items():
-            d[v] = d.get(v, Fraction(0)) + c
+            d[v] = d.get(v, 0) + c
         return LinForm(d)
 
     def __sub__(self, other: LinForm) -> LinForm:
@@ -80,7 +94,7 @@ class LinForm:
         return LinForm({v: -c for v, c in self.coeffs.items()})
 
     def __mul__(self, s) -> LinForm:
-        s = _as_rat(s)
+        s = _as_coeff(s)
         return LinForm({v: c * s for v, c in self.coeffs.items()})
 
     __rmul__ = __mul__
@@ -113,9 +127,10 @@ class LinForm:
         c = self.coeffs.get(var)
         if not c:
             raise ValueError(f"form does not involve z_{var}")
+        c = _as_rat(c)  # an int divisor would make ``-w / c`` a float
         return LinForm({v: -w / c for v, w in self.coeffs.items() if v != var})
 
-    def canonicalized(self) -> tuple[Fraction, LinForm]:
+    def canonicalized(self) -> tuple[int | Fraction, LinForm]:
         """Write ``self = scale * canon`` with integer ``canon`` of content 1.
 
         The first (lowest-index) nonzero coefficient of ``canon`` is positive,
@@ -125,15 +140,14 @@ class LinForm:
         if not self.coeffs:
             raise ValueError("the zero form has no canonical representative")
         cs = self.coeffs.values()
-        if self.coeffs[min(self.coeffs)] > 0 and all(c.denominator == 1 for c in cs) \
-                and gcd(*(c.numerator for c in cs)) == 1:
-            return Fraction(1), self
+        if self.coeffs[min(self.coeffs)] > 0 and all(type(c) is int for c in cs) and gcd(*cs) == 1:
+            return 1, self
         den_lcm = lcm(*(c.denominator for c in cs))
-        num_gcd = gcd(*(abs((c * den_lcm).numerator) for c in cs))
-        scale = Fraction(num_gcd, den_lcm)
-        if self.coeffs[min(self.coeffs)] < 0:
-            scale = -scale
-        return scale, LinForm({v: c / scale for v, c in self.coeffs.items()})
+        ints = {v: c.numerator * (den_lcm // c.denominator) for v, c in self.coeffs.items()}
+        num_gcd = gcd(*ints.values())
+        if ints[min(ints)] < 0:
+            num_gcd = -num_gcd
+        return Fraction(num_gcd, den_lcm), LinForm({v: n // num_gcd for v, n in ints.items()})
 
     def evaluate(self, values: list[Fraction]) -> Fraction:
         return sum((c * values[v] for v, c in self.coeffs.items()), Fraction(0))
@@ -159,7 +173,7 @@ class LinForm:
 
 
 class MPoly:
-    """A sparse multivariate polynomial: monomial -> rational coefficient.
+    """A sparse multivariate polynomial: monomial -> exact rational coefficient.
 
     A monomial is the tuple of ``(variable, exponent)`` pairs of the variables
     it uses, sorted by variable, with positive exponents; ``()`` is the
@@ -169,11 +183,11 @@ class MPoly:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[tuple[tuple[int, int], ...], Fraction] | None = None):
+    def __init__(self, terms: Mapping[tuple[tuple[int, int], ...], int | Fraction] | None = None):
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _as_rat(c)
+                c = _as_coeff(c)
                 if c:
                     clean[e] = c
         self.terms = clean
@@ -184,17 +198,17 @@ class MPoly:
 
     @classmethod
     def const(cls, c) -> MPoly:
-        return cls({(): _as_rat(c)})
+        return cls({(): _as_coeff(c)})
 
     @classmethod
     def variable(cls, j: int) -> MPoly:
-        return cls({((j, 1),): Fraction(1)})
+        return cls({((j, 1),): 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[int, int], c=1) -> MPoly:
         if any(k < 0 for k in exps.values()):
             raise ValueError("monomial exponents must be nonnegative")
-        return cls({tuple(sorted((v, k) for v, k in exps.items() if k)): _as_rat(c)})
+        return cls({tuple(sorted((v, k) for v, k in exps.items() if k)): _as_coeff(c)})
 
     @classmethod
     def product(cls, factors: Iterable[LinForm | MPoly]) -> MPoly:
@@ -214,15 +228,15 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(not e for e in self.terms)
 
-    def constant_value(self) -> Fraction:
+    def constant_value(self) -> int | Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((), Fraction(0))
+        return self.terms.get((), 0)
 
     def __add__(self, other: MPoly) -> MPoly:
         d = dict(self.terms)
         for e, c in other.terms.items():
-            d[e] = d.get(e, Fraction(0)) + c
+            d[e] = d.get(e, 0) + c
         return MPoly(d)
 
     def __sub__(self, other: MPoly) -> MPoly:
@@ -233,12 +247,12 @@ class MPoly:
 
     def __mul__(self, other) -> MPoly:
         if not isinstance(other, MPoly):
-            s = _as_rat(other)
+            s = _as_coeff(other)
             return MPoly({e: c * s for e, c in self.terms.items()})
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        d: dict[tuple, Fraction] = {}
+        d: dict[tuple, int | Fraction] = {}
         for ea, ca in a.items():
             for eb, cb in b.items():
                 e = _monomial_product(ea, eb)
@@ -304,13 +318,16 @@ class MPoly:
             out = [out[i] * point_poly + (out[i - 1] if i else low) for i in range(m)]
         return out
 
-    def content(self) -> Fraction:
-        """Positive rational content (gcd of numerators over lcm of denominators)."""
+    def content(self) -> int | Fraction:
+        """Positive rational content (gcd of numerators over lcm of denominators),
+        an ``int`` when every coefficient is an ``int``."""
         if self.is_zero():
-            return Fraction(1)
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        num = gcd(*(abs((c * den).numerator) for c in self.terms.values()))
-        return Fraction(num, den)
+            return 1
+        cs = self.terms.values()
+        den = lcm(*(c.denominator for c in cs))
+        if den == 1:
+            return gcd(*cs)
+        return Fraction(gcd(*(c.numerator * (den // c.denominator) for c in cs)), den)
 
     def evaluate(self, values) -> Fraction:
         """The value at ``values`` (indexed by variable)."""
@@ -427,7 +444,8 @@ class FactoredRat:
             else:
                 form, mult, allowed = fac
             scale, canon = form.canonicalized()
-            scalar /= scale ** mult
+            if scale != 1:
+                scalar /= scale ** mult
             key = canon.key()
             entry = merged.get(key)
             if entry is None:
@@ -444,7 +462,8 @@ class FactoredRat:
         kept: dict[tuple, list] = {}
         for form, mult in factors:
             scale, canon = form.canonicalized()
-            scalar *= scale ** mult
+            if scale != 1:
+                scalar *= scale ** mult
             key = canon.key()
             entry = merged.get(key)
             if entry is not None:
@@ -460,7 +479,7 @@ class FactoredRat:
             c = -c
         if c != 1:
             scalar *= c
-            num = num * (Fraction(1) / c)
+            num = MPoly({e: v // c for e, v in num.terms.items()})  # exact: c is the content
         self.scalar = scalar
         self.num = num
         self.den = tuple(

@@ -95,7 +95,7 @@ def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
     return FactoredRat(scalar, top, den).reduce()
 
 
-def _inverse_power(a: MPoly, c: Fraction, k: int, m: int) -> list[MPoly]:
+def _inverse_power(a: MPoly, c: int | Fraction, k: int, m: int) -> list[MPoly]:
     """``(a + c t)^-k`` to order ``t^(m-1)``, times ``a^(k+m-1)``: the
     coefficient of ``t^n`` is ``binom(-k, n) c^n a^(m-1-n)``."""
     return [a ** (m - 1 - n) * ((-c) ** n * comb(k + n - 1, n)) for n in range(m)]

@@ -303,6 +303,12 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
      "ed4988dcdb34aad40ac16d562c8f731a16651fe3b49a02592935173339cb67ef"),
     (["intersect", "--degree", "5", "--a", "1", "--b", "0"],
      "93c54dd5dfa9f791c4b66349796ef8978023495e14c0a75977f8f8811ac868cd"),
+    (["chow", "--degree", "3"],
+     "70672623ea261a812c739388d5cc49643407c875f036742c2ed8166765f6cbe1"),
+    (["chow", "--degree", "3", "--format", "json"],
+     "7fba0a8454f591ada7349ca92f53bd485e03a1c5bc9522aa57c5246f6a5edd69"),
+    (["verify", "--degree-max", "10"],
+     "9530f02addb0c16fe6379540cc81a2e92877a7eb0c013069f1473fecb20dd31e"),
 ])
 def test_golden_stdout(argv, digest):
     # The sha256 of the exact stdout: any change of value, order or format shows.

@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from polys import dense, homogeneous_degree, linform
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
+from quasimap.residues import residue_at_point
 
 
 def z(j):
@@ -83,6 +84,9 @@ def test_linform_canonicalization():
 def test_linform_solve_for():
     wall = linform((0, -1), (1, 2), (2, -1))
     assert wall.solve_for(1) == linform((0, Fraction(1, 2)), (2, Fraction(1, 2)))
+    # integer coefficients divide exactly, never into a float
+    point = LinForm({0: 2, 1: 1}).solve_for(0)
+    assert point.coeffs == {1: Fraction(-1, 2)} and type(point.coeffs[1]) is Fraction
 
 
 def test_fraction_field_identities():
@@ -169,9 +173,12 @@ def test_fr_reduce_difference_of_squares():
 def test_fr_reduce_idempotent_and_value_preserving():
     rng = random.Random(4242)
     wall = linform((0, -1), (1, 2), (2, -1))
-    num = (z(0) + z(1)) * (2 * z(1) - z(0) - z(2)) * (z(2) + z(3))
+    num = (z(0) + z(1)) * (2 * z(1) - z(0) - z(2)) * (z(2) + z(3)) * z(3) ** 2
     f = fr(Fraction(5, 3), num, [(wall, 2, frozenset({1})), (LinForm.variable(3), 1, frozenset({3}))])
     g = f.reduce()
+    # every term carries z3^2, so the z3 factor cancels; the wall stays
+    assert [fac.form for fac in g.den] == [wall.canonicalized()[1]]
+    assert g != f
     assert g.reduce() == g
     # value equality at three random non-pole rational points
     for _ in range(3):
@@ -390,3 +397,76 @@ def test_taylor_matches_binomial_expansion(p, var, row, m):
     got = p.taylor(var, point, m)
     assert len(got) == m and got == _taylor_by_binomials(p, var, point, m)
     assert all(var not in c.variables() for c in got)
+
+
+def _exact(c) -> bool:
+    """An integral coefficient is an ``int``, any other a ``Fraction``; never a float or bool."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def _typed(x) -> bool:
+    if isinstance(x, MPoly):
+        return all(map(_exact, x.terms.values()))
+    if isinstance(x, LinForm):
+        return all(map(_exact, x.coeffs.values()))
+    return (type(x.scalar) is Fraction and _typed(x.num)
+            and all(_typed(fac.form) for fac in x.den) and all(_typed(g) for g, _ in x.factors))
+
+
+_coeffs = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 3))
+_rational_rows = st.tuples(_coeffs, _coeffs, _coeffs).map(list)
+_rational_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _coeffs, max_size=4).map(dense)
+_rational_forms = _rational_rows.filter(any).map(lambda row: LinForm(dict(enumerate(row))))
+
+
+@settings(derandomize=True, deadline=None)
+@given(p=_rational_polys, q=_rational_polys, form=_rational_forms, other=_rational_forms, s=_coeffs,
+       var=st.integers(0, 2), k=st.integers(0, 3), m=st.integers(1, 3), pt=_rational_rows)
+def test_coefficients_are_ints_where_integral(p, q, form, other, s, var, k, m, pt):
+    # Every result of the exact layer keeps integral coefficients as ``int`` and the
+    # others as ``Fraction``, with a ``Fraction`` scalar, and its value at ``pt`` is
+    # the same expression evaluated in ``Fraction`` arithmetic.
+    def at(j, value):
+        return pt[:j] + [value] + pt[j + 1:]
+
+    for got, value in [
+        (p + q, p.evaluate(pt) + q.evaluate(pt)),
+        (p * q, p.evaluate(pt) * q.evaluate(pt)),
+        (p * s, p.evaluate(pt) * s),
+        (p ** k, p.evaluate(pt) ** k),
+    ]:
+        assert _typed(got) and got.evaluate(pt) == value
+    assert p * s == s * p == p * (s.numerator if s.denominator == 1 else s)
+    parts = p.split(var)
+    assert all(map(_typed, parts.values()))
+    assert sum(part.evaluate(pt) * pt[var] ** e for e, part in parts.items()) == p.evaluate(pt)
+    point = LinForm({v: c for v, c in other.coeffs.items() if v != var})
+    series = p.taylor(var, point, m)
+    assert all(map(_typed, series)) and series[0].evaluate(pt) == p.evaluate(at(var, point.evaluate(pt)))
+    scale, canon = form.canonicalized()
+    assert _typed(canon) and all(type(c) is int for c in canon.coeffs.values())
+    assert scale * canon.evaluate(pt) == form.evaluate(pt)
+    moved = form.subst(var, point)
+    assert _typed(moved) and moved.evaluate(pt) == form.evaluate(at(var, point.evaluate(pt)))
+    v = min(form.support)
+    root = form.solve_for(v)
+    assert _typed(root)
+    v_pt = at(v, root.evaluate(pt))
+    assert form.evaluate(v_pt) == 0
+    # construction, reduce and one residue; the same scalar given as an int gives an equal object
+    assume(not p.is_zero() and not point.is_zero() and pt[var])
+    assume(form.evaluate(pt) and other.evaluate(pt) and other.evaluate(v_pt))
+    den = [(form, 1, frozenset({v})), (other, 1, frozenset()), (LinForm.variable(var), 2, frozenset({var}))]
+    f = FactoredRat(s, p * z(var) ** 2, den, [(point, 1)])
+    assume(not f.is_zero())
+    assert _typed(f)
+    assert f.evaluate(pt) == s * p.evaluate(pt) * point.evaluate(pt) / (form.evaluate(pt) * other.evaluate(pt))
+    if s.denominator == 1:
+        assert FactoredRat(s.numerator, p * z(var) ** 2, den, [(point, 1)]) == f
+    g = f.reduce()
+    assert _typed(g) and g.evaluate(pt) == f.evaluate(pt)
+    h = FactoredRat(s, p * MPoly.factored([(point, 1)]), den[:2])
+    r = residue_at_point(h, v, root)
+    assert _typed(r)
+    expected = s * p.evaluate(v_pt) * point.evaluate(v_pt) / (form.coeff(v) * other.evaluate(v_pt))
+    assert r.evaluate(pt) == expected

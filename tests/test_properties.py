@@ -52,27 +52,27 @@ def test_recession_injectivity_direct_sampling():
 
 def test_integer_recession_samples_are_scaled_fraction_samples():
     # Replays the seed-40961 stream of ``check_properties``, homogeneity draws
-    # included.  Each integer injectivity sample makes the same draws as the
-    # ``Fraction(randint(-50, 50), randint(1, 7))`` sample it replaced and is
-    # 420 times it, and so is its recession image; checked on the first 500
-    # samples of each degree.
-    rng = random.Random(40961)
+    # included, with ``randint`` on a second generator.  Every integer
+    # injectivity sample is 420 times the ``Fraction(randint(-50, 50),
+    # randint(1, 7))`` sample it replaced, and after each degree's samples both
+    # generators are in the same state, so the rest of the stream is unchanged.
+    # The recession images are compared on the first 500 samples of each degree.
+    rng, replay = random.Random(40961), random.Random(40961)
     for d in (1, 2, 3, 4):
-        for _ in range(50):  # the homogeneity draws: d + 1 coordinates, then t
-            for _ in range(d + 1):
-                rng.randint(-20, 20), rng.randint(1, 9)
-            rng.randint(1, 30), rng.randint(1, 9)
-        samples = recession_samples(d, rng)
-        for _ in range(500):
-            before = rng.getstate()
-            ints = next(samples)
-            after = rng.getstate()
-            rng.setstate(before)
-            fracs = tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 7)) for _ in range(d + 1))
-            assert rng.getstate() == after
+        for g in (rng, replay):
+            for _ in range(50):  # the homogeneity draws: d + 1 coordinates, then t
+                for _ in range(d + 1):
+                    g.randint(-20, 20), g.randint(1, 9)
+                g.randint(1, 30), g.randint(1, 9)
+        count = 0
+        for ints in recession_samples(d, rng):
+            fracs = tuple(Fraction(replay.randint(-50, 50), replay.randint(1, 7)) for _ in range(d + 1))
             assert ints == tuple(420 * x for x in fracs)
-            assert eval_recession(d, ints) == [420 * y for y in eval_recession(d, fracs)]
-        assert sum(1 for _ in samples) == RECESSION_SAMPLES - 500
+            if count < 500:
+                assert eval_recession(d, ints) == [420 * y for y in eval_recession(d, fracs)]
+            count += 1
+        assert count == RECESSION_SAMPLES
+        assert rng.getstate() == replay.getstate()
 
 
 def test_recession_injectivity_beyond_the_ladder():
