@@ -30,7 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-# Largest --order of mirror and jinv: jinv takes about 5 s at 100 (2 CPUs), cost ~ order^3.
+# Largest --order of mirror and jinv: jinv takes about 0.9 s at 100 (2 CPUs), cost ~ order^3.
 ORDER_MAX = 100
 
 # Largest --degree of fan, chow and intersect.  At 100 fan and chow take about 0.3 s
@@ -235,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("jinv", help="j-invariant coefficients; routes_agree compares the "
                                     "composition, inversion and modular routes")
     p.add_argument("--order", type=int, required=True, metavar="N",
-                   help=f"1 <= N <= {ORDER_MAX} (about 5 s at N = {ORDER_MAX})")
+                   help=f"1 <= N <= {ORDER_MAX} (about 1 s at N = {ORDER_MAX})")
     _add_format(p)
     p.set_defaults(handler=_cmd_jinv)
 

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from polys import dense, homogeneous_degree, linform
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
@@ -278,7 +278,6 @@ _rows = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
 _points = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7), min_size=3, max_size=3)
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     num=st.lists(st.tuples(_rows, st.integers(1, 3)), max_size=5),
     den=st.lists(st.tuples(_rows, st.integers(1, 3)), max_size=5),
@@ -323,7 +322,6 @@ def _exponent_vectors(p):
     return out
 
 
-@settings(derandomize=True, deadline=None)
 @given(p=_polys, q=_polys, var=st.integers(0, 2))
 def test_sparse_monomials_agree_with_exponent_vectors(p, q, var):
     parts = p.split(var)
@@ -344,7 +342,6 @@ def test_sparse_monomials_agree_with_exponent_vectors(p, q, var):
 _mixed_forms = st.lists(st.tuples(st.one_of(_single_forms, _general_forms), st.integers(1, 3)), max_size=4)
 
 
-@settings(derandomize=True, deadline=None)
 @given(p=_polys, num_forms=_mixed_forms, den=_mixed_forms, seed=st.integers(0, 2 ** 16))
 def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, seed):
     assume(not p.is_zero())
@@ -364,7 +361,6 @@ def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, seed)
         [fac for fac in f.den if len(fac.form.support) > 1]
 
 
-@settings(derandomize=True, deadline=None)
 @given(form=_small_forms, s=st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
 def test_canonical_forms_left_alone(form, s):
     scale, canon = form.canonicalized()
@@ -385,7 +381,6 @@ def _taylor_by_binomials(poly, var, point, m):
     return out
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     p=st.dictionaries(st.tuples(*[st.integers(0, 4)] * 3), st.integers(-5, 5), max_size=5).map(dense),
     var=st.integers(0, 2),
@@ -419,7 +414,6 @@ _rational_polys = st.dictionaries(st.tuples(*[st.integers(0, 2)] * 3), _coeffs, 
 _rational_forms = _rational_rows.filter(any).map(lambda row: LinForm(dict(enumerate(row))))
 
 
-@settings(derandomize=True, deadline=None)
 @given(p=_rational_polys, q=_rational_polys, form=_rational_forms, other=_rational_forms, s=_coeffs,
        var=st.integers(0, 2), k=st.integers(0, 3), m=st.integers(1, 3), pt=_rational_rows)
 def test_coefficients_are_ints_where_integral(p, q, form, other, s, var, k, m, pt):

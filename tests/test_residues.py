@@ -7,7 +7,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from polys import dense, linform
 from quasimap import residues
@@ -233,7 +233,6 @@ _num = st.dictionaries(
 )
 
 
-@settings(derandomize=True, deadline=None)
 @given(
     var=st.integers(0, 2),
     point_row=st.lists(st.integers(-2, 2), min_size=3, max_size=3),

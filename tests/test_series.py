@@ -7,11 +7,10 @@ from fractions import Fraction
 from math import factorial, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 import quasimap.series as series
 from quasimap.series import (
-    LogSeries,
-    SeriesQ,
     f0_coeff,
     f0_series,
     f1_hat_coeff,
@@ -21,8 +20,11 @@ from quasimap.series import (
     lagrange_oracle,
     mirror_w,
     pf_first_failure,
+    series_div,
     series_exp,
+    series_mul,
     series_reversion,
+    theta,
 )
 
 
@@ -42,20 +44,32 @@ def test_pf_recursion_check():
     assert pf_first_failure(20) is None
 
 
-def test_pf_negative_control(monkeypatch):
-    good = series.f0_coeff
+@pytest.mark.parametrize(
+    "name, index, delta, failure",
+    [
+        # caught by the coefficient recursion, before the operator runs
+        ("f0_coeff", 3, 1, 3),
+        # only the operator on the log solution sees the log-free part
+        ("f1_hat_coeff", 2, Fraction(1, 7), 2),
+    ],
+    ids=["f0", "f1_hat"],
+)
+def test_pf_negative_control(monkeypatch, name, index, delta, failure):
+    good = getattr(series, name)
 
     def corrupted(n):
-        return good(n) + 1 if n == 3 else good(n)
+        return good(n) + delta if n == index else good(n)
 
-    monkeypatch.setattr(series, "f0_coeff", corrupted)
-    assert pf_first_failure(5) == 3
+    monkeypatch.setattr(series, name, corrupted)
+    assert pf_first_failure(5) == failure
 
 
 def test_log_bookkeeping_order_zero():
     # theta(f0 * log z) contributes f0 itself to the log-free part
-    f = LogSeries(f0_series(3), SeriesQ.zero(3))
-    assert f.theta().g[0] == f0_coeff(0) == 1
+    p, g = theta((f0_series(3), [0] * 4))
+    assert p == [n * f0_coeff(n) for n in range(4)]
+    assert g == f0_series(3)
+    assert g[0] == f0_coeff(0) == 1
 
 
 def test_f1_hat_coefficients():
@@ -82,10 +96,7 @@ def test_mirror_w_hand_division_step():
 def test_mirror_w_division_consistency():
     n = 8
     w = mirror_w(n)
-    a = f0_series(n)
-    ws = SeriesQ([Fraction(0)] + list(w))
-    b = SeriesQ([f1_hat_coeff(k) for k in range(n + 1)])
-    assert (a * ws).coeffs == b.coeffs
+    assert series_mul(f0_series(n), [0, *w]) == [f1_hat_coeff(k) for k in range(n + 1)]
 
 
 def test_mirror_w_higher_coefficients_are_fractional():
@@ -156,37 +167,37 @@ def test_modular_route_values():
     assert j_modular(5) == [744, 196884, 21493760, 864299970, 20245856256]
 
 
-def test_three_routes_agree_through_order_thirty():
-    composed = j_from_w(30)
-    assert composed == lagrange_oracle(30) == j_modular(30)
+def test_three_routes_agree_through_order_hundred():
+    composed = j_from_w(100)
+    assert composed == lagrange_oracle(100) == j_modular(100)
     assert all(c.denominator == 1 for c in composed)
 
 
 def _compose(outer, inner):
     """``outer(inner)`` by Horner's rule, for ``inner`` with zero constant term."""
-    acc = SeriesQ.zero(inner.order)
-    for c in reversed(outer.coeffs):
-        acc = acc * inner + SeriesQ([c] + [0] * inner.order)
+    acc = [0] * len(inner)
+    for c in reversed(outer):
+        acc = series_mul(acc, inner)
+        acc[0] += c
     return acc
 
 
 def test_series_exp_and_reversion_sanity():
     n = 8
-    s = SeriesQ([Fraction(0), Fraction(1)] + [Fraction(0)] * (n - 1))
+    s = [0, 1] + [0] * (n - 1)
     e = series_exp(s)
     assert e[3] == Fraction(1, 6)
-    eneg = series_exp(SeriesQ([-c for c in s.coeffs]))
-    assert (e * eneg).coeffs == (Fraction(1),) + (Fraction(0),) * n
+    eneg = series_exp([-c for c in s])
+    assert series_mul(e, eneg) == [1] + [0] * n
 
-    q = SeriesQ([Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(0), Fraction(1)])
+    q = [0, 1, -1, 2, 0, 1]
     inv = series_reversion(q)
-    composed = _compose(q, inv)
-    assert composed.coeffs == (Fraction(0), Fraction(1)) + (Fraction(0),) * (q.order - 1)
+    assert _compose(q, inv) == [0, 1] + [0] * (len(q) - 2)
 
 
 def test_reversion_of_z_exp_z_is_lambert_w():
     n = 30
-    z_exp_z = SeriesQ([Fraction(0)] + [Fraction(1, factorial(k - 1)) for k in range(1, n + 1)])
+    z_exp_z = [0] + [Fraction(1, factorial(k - 1)) for k in range(1, n + 1)]
     inv = series_reversion(z_exp_z)
     assert inv[0] == 0
     assert [inv[m] for m in range(1, n + 1)] == [
@@ -196,7 +207,44 @@ def test_reversion_of_z_exp_z_is_lambert_w():
 
 def test_series_division_needs_unit():
     with pytest.raises(ZeroDivisionError):
-        SeriesQ([1, 2]) / SeriesQ([0, 1])
+        series_div([1, 2], [0, 1])
+
+
+_coeffs = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))
+_series = st.lists(_coeffs, min_size=1, max_size=8)
+
+
+def _convolve(a, b):
+    """Truncated product, one ``Fraction`` term at a time."""
+    n = min(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i in range(n):
+        for j in range(n - i):
+            out[i + j] += Fraction(a[i]) * Fraction(b[j])
+    return out
+
+
+def _divide(a, b):
+    """Truncated quotient: solve ``q * b = a`` for ``q_0, q_1, ...`` in turn."""
+    q = []
+    for k in range(min(len(a), len(b))):
+        known = sum((Fraction(b[k - i]) * q[i] for i in range(k)), Fraction(0))
+        q.append((Fraction(a[k]) - known) / Fraction(b[0]))
+    return q
+
+
+@given(a=_series, b=_series)
+def test_product_and_quotient_match_termwise_fractions(a, b):
+    product = series_mul(a, b)
+    assert product == _convolve(a, b)
+    assert len(product) == min(len(a), len(b))
+    if not b[0]:
+        with pytest.raises(ZeroDivisionError):
+            series_div(a, b)
+        return
+    quotient = series_div(a, b)
+    assert quotient == _divide(a, b)
+    assert _convolve(quotient, b) == a[: len(quotient)]
 
 
 def test_integrality_guard_trips_on_drift(monkeypatch):
