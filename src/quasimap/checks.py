@@ -252,13 +252,13 @@ def check_series() -> list[CheckResult]:
             "none" if failure is None else f"fails at order {failure}",
         )
     )
-    mirror = mirror_w(4)
+    w = mirror_w(20)
     for d in range(1, 5):
-        out.append(_cmp(f"mirror coefficient w_{d}", Fraction(W_KNOWN[d - 1]), mirror[d - 1]))
-    j = j_from_w(20)
+        out.append(_cmp(f"mirror coefficient w_{d}", Fraction(W_KNOWN[d - 1]), w[d - 1]))
+    j = j_from_w(w)
     for d in range(1, 6):
         out.append(_cmp(f"j coefficient j_{d}", Fraction(J_KNOWN[d - 1]), j[d - 1]))
-    agree = j == lagrange_oracle(20) == j_modular(20)
+    agree = j == lagrange_oracle(w) == j_modular(20)
     out.append(
         CheckResult(
             "j reconstruction routes N=20",

@@ -155,8 +155,9 @@ def _cmd_jinv(args, out) -> int:
     params = {"order": args.order}
     if problem := _bound_problem("order", args.order, ORDER_MAX):
         return _usage_error("jinv", params, problem, args.format, out)
-    composed = j_from_w(args.order)
-    agree = composed == lagrange_oracle(args.order) == j_modular(args.order)
+    w = mirror_w(args.order)
+    composed = j_from_w(w)
+    agree = composed == lagrange_oracle(w) == j_modular(args.order)
     values = [(f"j_{d}", str(c)) for d, c in enumerate(composed, start=1)]
     values.append(("routes_agree", "true" if agree else "false"))
     CommandResult("jinv", params, values).emit(args.format, out)

@@ -11,7 +11,7 @@ and every ``evaluate`` result are ``Fraction``s.  The three layers are
 * ``FactoredRat`` -- ``scalar * num * prod(g_k ** n_k) / prod(form_i ** m_i)``
   with the linear numerator factors ``g_k`` kept unexpanded and each
   denominator factor tagged by the set of variables whose integration contour
-  encloses its zero locus.
+  encloses its zero locus; the constructor checks every factor it is given.
 
 All values are immutable after construction; every operation is a pure
 function.
@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, prod
+from typing import NamedTuple
 
 
 def _as_rat(x) -> Fraction:
@@ -32,6 +32,15 @@ def _as_rat(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+
+
+def _content(cs) -> int | Fraction:
+    """Positive rational content of the nonzero coefficients ``cs`` (gcd of
+    numerators over lcm of denominators), an ``int`` when every ``c`` is."""
+    den = lcm(*(c.denominator for c in cs))
+    if den == 1:
+        return gcd(*cs)
+    return Fraction(gcd(*(c.numerator * (den // c.denominator) for c in cs)), den)
 
 
 def _as_coeff(x) -> int | Fraction:
@@ -54,13 +63,13 @@ class LinForm:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Mapping[int, int | Fraction] | Iterable[tuple[int, int | Fraction]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
+    def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
         d = {}
-        for v, c in items:
-            c = _as_coeff(c)
-            if c:
-                d[int(v)] = c
+        if coeffs:
+            for v, c in coeffs.items():
+                c = _as_coeff(c)
+                if c:
+                    d[int(v)] = c
         self.coeffs = d
 
     @classmethod
@@ -99,9 +108,6 @@ class LinForm:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, s) -> LinForm:
-        return self * (Fraction(1) / _as_rat(s))
-
     def __eq__(self, other) -> bool:
         return isinstance(other, LinForm) and self.coeffs == other.coeffs
 
@@ -139,15 +145,12 @@ class LinForm:
         """
         if not self.coeffs:
             raise ValueError("the zero form has no canonical representative")
-        cs = self.coeffs.values()
-        if self.coeffs[min(self.coeffs)] > 0 and all(type(c) is int for c in cs) and gcd(*cs) == 1:
+        c = _content(self.coeffs.values())
+        if self.coeffs[min(self.coeffs)] < 0:
+            c = -c
+        if c == 1:
             return 1, self
-        den_lcm = lcm(*(c.denominator for c in cs))
-        ints = {v: c.numerator * (den_lcm // c.denominator) for v, c in self.coeffs.items()}
-        num_gcd = gcd(*ints.values())
-        if ints[min(ints)] < 0:
-            num_gcd = -num_gcd
-        return Fraction(num_gcd, den_lcm), LinForm({v: n // num_gcd for v, n in ints.items()})
+        return c, LinForm({v: x // c for v, x in self.coeffs.items()})  # exact: c is the content
 
     def evaluate(self, values: list[Fraction]) -> Fraction:
         return sum((c * values[v] for v, c in self.coeffs.items()), Fraction(0))
@@ -156,17 +159,7 @@ class LinForm:
         return MPoly({((v, 1),): c for v, c in self.coeffs.items()})
 
     def render(self, names: str = "z") -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for v, c in sorted(self.coeffs.items()):
-            mag = abs(c)
-            term = f"{names}{v}" if mag == 1 else f"{mag}*{names}{v}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
+        return self.to_mpoly().render(names)
 
     def __repr__(self) -> str:
         return f"LinForm({self.render()})"
@@ -321,13 +314,7 @@ class MPoly:
     def content(self) -> int | Fraction:
         """Positive rational content (gcd of numerators over lcm of denominators),
         an ``int`` when every coefficient is an ``int``."""
-        if self.is_zero():
-            return 1
-        cs = self.terms.values()
-        den = lcm(*(c.denominator for c in cs))
-        if den == 1:
-            return gcd(*cs)
-        return Fraction(gcd(*(c.numerator * (den // c.denominator) for c in cs)), den)
+        return _content(self.terms.values()) if self.terms else 1
 
     def evaluate(self, values) -> Fraction:
         """The value at ``values`` (indexed by variable)."""
@@ -393,8 +380,7 @@ def _unsplit(parts: dict[int, MPoly], var: int) -> MPoly:
     return MPoly(terms)
 
 
-@dataclass(frozen=True)
-class TaggedFactor:
+class TaggedFactor(NamedTuple):
     """A denominator factor ``form ** multiplicity``.
 
     ``allowed`` is the set of variables whose contour encloses the zero locus
@@ -406,23 +392,17 @@ class TaggedFactor:
     multiplicity: int
     allowed: frozenset[int]
 
-    def __post_init__(self):
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        if self.form.is_zero():
-            raise ValueError("denominator factor must not be the zero form")
-        if not frozenset(self.allowed) <= self.form.support:
-            raise ValueError("allowed set must lie inside the support of the form")
-        object.__setattr__(self, "allowed", frozenset(self.allowed))
-
 
 class FactoredRat:
     """Rational function ``scalar * num * prod(g_k ** n_k) / prod(form_i ** m_i)``.
 
-    The constructor canonicalizes each denominator form (absorbing the
-    extracted rational scale into ``scalar``), merges proportional factors by
-    adding multiplicities and taking the union of their allowed sets, and
-    extracts the content of the numerator.  ``num = 0`` collapses the whole
+    The constructor checks each denominator factor ``(form, multiplicity,
+    allowed)`` -- a positive multiplicity, a nonzero form, ``allowed`` inside
+    the form's support -- and raises ``ValueError`` otherwise, whatever the
+    numerator.  It canonicalizes each form (absorbing the extracted rational
+    scale into ``scalar``), merges proportional factors by adding
+    multiplicities and taking the union of their allowed sets, and extracts
+    the content of the numerator.  ``num = 0`` collapses the whole
     object to the zero function.  ``factors`` holds linear numerator factors
     ``(g_k, n_k)`` that stay unexpanded: the residue engine multiplies each
     one in at the first step whose variable it involves.  The constructor
@@ -438,21 +418,22 @@ class FactoredRat:
     def __init__(self, scalar, num: MPoly, den: Iterable = (), factors: Iterable[tuple[LinForm, int]] = ()):
         scalar = _as_rat(scalar)
         merged: dict[tuple, list] = {}
-        for fac in den:
-            if isinstance(fac, TaggedFactor):
-                form, mult, allowed = fac.form, fac.multiplicity, fac.allowed
-            else:
-                form, mult, allowed = fac
-            scale, canon = form.canonicalized()
+        for form, mult, allowed in den:
+            if mult < 1:
+                raise ValueError("multiplicity must be positive")
+            scale, canon = form.canonicalized()  # raises on the zero form
+            allowed = frozenset(allowed)
+            if not allowed <= form.support:
+                raise ValueError("allowed set must lie inside the support of the form")
             if scale != 1:
                 scalar /= scale ** mult
             key = canon.key()
             entry = merged.get(key)
             if entry is None:
-                merged[key] = [canon, mult, frozenset(allowed)]
+                merged[key] = [canon, mult, allowed]
             else:
                 entry[1] += mult
-                entry[2] = entry[2] | frozenset(allowed)
+                entry[2] = entry[2] | allowed
         if num.is_zero() or scalar == 0:
             self.scalar = Fraction(0)
             self.num = MPoly.zero()

@@ -36,7 +36,7 @@ def e6_factors(x: int, y: int) -> list[LinForm]:
     ``etilde(x, y) = 2^4 * 3^2 * x y * prod_{i=0}^2 ((2i+1) x + (5-2i) y)``;
     the two cofactors cancel against the pairing denominator.
     """
-    return [LinForm({x: Fraction(6 - j), y: Fraction(j)}) for j in range(7)]
+    return [LinForm({x: 6 - j, y: j}) for j in range(7)]
 
 
 def r_denominator_factors(d: int) -> list[tuple[LinForm, int, frozenset[int]]]:
@@ -155,6 +155,6 @@ def telescoped_insertion_residue(d: int) -> Fraction:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    form = LinForm({0: Fraction(1 - d), 1: Fraction(d)})
+    form = LinForm({0: 1 - d, 1: d})
     spec = IntegrandSpec(d, ((0, 1), (d, -1)), (form,))
     return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2

@@ -145,7 +145,7 @@ def mirror_w(order: int) -> list[Fraction]:
     return w[1:]
 
 
-def j_composition_sum(w: Sequence[Fraction]) -> list[Fraction]:
+def j_from_w(w: Sequence[Fraction]) -> list[Fraction]:
     """``j_1..j_n`` from ``w_1..w_n`` by the composition sum grouped by length.
 
     The compositions of ``d`` with ``L`` parts contribute ``[u^d] W(u)^L``
@@ -163,11 +163,6 @@ def j_composition_sum(w: Sequence[Fraction]) -> list[Fraction]:
             out[d - 1] += (-(d - 1)) ** (length - 1) * weight * power[d]
         power = series_mul(power, gen)
     return out
-
-
-def j_from_w(order: int) -> list[Fraction]:
-    """j-coefficients ``j_1..j_order`` by the composition sum over the mirror ``w_d``."""
-    return j_composition_sum(mirror_w(order))
 
 
 def series_exp(s: Sequence) -> list[Fraction]:
@@ -201,18 +196,18 @@ def series_reversion(s: Sequence) -> list[Fraction]:
     return inv
 
 
-def lagrange_oracle(order: int) -> list[Fraction]:
-    """j-coefficients ``j_1..j_order`` by inverting ``q(u) = u * exp(sum w_d u^d)``.
+def lagrange_oracle(w: Sequence[Fraction]) -> list[Fraction]:
+    """``j_1..j_n`` from ``w_1..w_n`` by inverting ``q(u) = u * exp(sum w_d u^d)``.
 
     Independent of :func:`j_from_w`: it takes no powers of ``W``; it
     exponentiates, inverts by Lagrange inversion and takes one reciprocal.
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    # q(u) = u * exp(...), kept to order `order+1` so that u(q)/q reaches `order`
-    q = [0, *series_exp([0, *mirror_w(order)])]
+    if not w:
+        raise ValueError("lagrange_oracle needs at least one coefficient")
+    # q(u) = u * exp(...), kept to order n+1 so that u(q)/q reaches order n
+    q = [0, *series_exp([0, *w])]
     v = series_reversion(q)[1:]  # u(q)/q, constant term 1
-    return series_div([1] + [0] * order, v)[1:]
+    return series_div([1] + [0] * len(w), v)[1:]
 
 
 def j_modular(order: int) -> list[int]:

@@ -137,7 +137,7 @@ def max_cone_count(d: int) -> int:
 
 def wall_form(i: int) -> LinForm:
     """``2 z_i - z_{i-1} - z_{i+1}``, the excluded-side chamber wall at ``i``."""
-    return LinForm({i - 1: Fraction(-1), i: Fraction(2), i + 1: Fraction(-1)})
+    return LinForm({i - 1: -1, i: 2, i + 1: -1})
 
 
 def divisor_classes(d: int) -> dict[str, LinForm]:

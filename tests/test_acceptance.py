@@ -26,7 +26,7 @@ from quasimap.checks import (
     check_w_coefficients,
 )
 from quasimap.intersection import w_sweep
-from quasimap.series import j_composition_sum, j_modular
+from quasimap.series import j_from_w, j_modular
 
 
 def _report(criterion: str, results) -> None:
@@ -108,7 +108,7 @@ def test_headline_chain_residue_w_to_modular_j():
     # w(O_z O_1)_{0,d} / 2 from one residue sweep, through the composition sum,
     # against j = E4^3 / Delta: the series-side w_d takes no part.
     residue_w = [w / 2 for w in w_sweep(30, 1, 0)]
-    ok = j_composition_sum(residue_w) == j_modular(30)
+    ok = j_from_w(residue_w) == j_modular(30)
     print(f"{'PASS' if ok else 'FAIL'} headline chain: residue w_d for d<=30 "
           "-> composition sum -> modular j_1..j_30")
     assert ok

@@ -309,6 +309,12 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
      "7fba0a8454f591ada7349ca92f53bd485e03a1c5bc9522aa57c5246f6a5edd69"),
     (["verify", "--degree-max", "10"],
      "9530f02addb0c16fe6379540cc81a2e92877a7eb0c013069f1473fecb20dd31e"),
+    (["fan", "--degree", "3"],
+     "b359928ed18f6e40951d417638f46d2571781d7ce3963e4d65d606f587d6af64"),
+    (["mirror", "--order", "30"],
+     "9a1a1f9b506f432af4be7e3e2f2464e01706af76ebe120d9b5fef87b2b2c77d7"),
+    (["jinv", "--order", "30"],
+     "6cb873579010f25af356fa8299f45dd95a8d0fa384a13e3c3d3fe3609035b9b1"),
 ])
 def test_golden_stdout(argv, digest):
     # The sha256 of the exact stdout: any change of value, order or format shows.

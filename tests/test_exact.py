@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from math import comb
 
+import pytest
 from hypothesis import assume, given, strategies as st
 
 from polys import dense, homogeneous_degree, linform
@@ -89,6 +90,12 @@ def test_linform_solve_for():
     assert point.coeffs == {1: Fraction(-1, 2)} and type(point.coeffs[1]) is Fraction
 
 
+def test_linform_render_literals():
+    assert LinForm().render() == "0"
+    assert LinForm({0: -1, 3: Fraction(1, 2)}).render() == "-z0 + 1/2*z3"
+    assert LinForm({1: 3, 2: -1}).render("H") == "3*H1 - H2"
+
+
 def test_fraction_field_identities():
     rng = random.Random(977)
     for _ in range(200):
@@ -104,6 +111,18 @@ def test_fraction_field_identities():
 
 def fr(scalar, num, den):
     return FactoredRat(scalar, num, den)
+
+
+@pytest.mark.parametrize("num, bad", [
+    (MPoly.const(1), (LinForm.variable(1), 0, frozenset({1}))),
+    (MPoly.const(1), (LinForm.zero(), 1, frozenset())),
+    (MPoly.const(1), (linform((0, 1), (1, 2)), 1, frozenset({2}))),
+    # the checks run before a zero numerator collapses the function
+    (MPoly.zero(), (LinForm.variable(1), 0, frozenset({1}))),
+], ids=["multiplicity-0", "zero-form", "allowed-outside-support", "zero-numerator"])
+def test_fr_rejects_bad_denominator_factor(num, bad):
+    with pytest.raises(ValueError):
+        FactoredRat(1, num, [bad])
 
 
 def test_fr_derivative_simple_pole():

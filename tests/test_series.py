@@ -14,7 +14,6 @@ from quasimap.series import (
     f0_coeff,
     f0_series,
     f1_hat_coeff,
-    j_composition_sum,
     j_from_w,
     j_modular,
     lagrange_oracle,
@@ -141,12 +140,12 @@ def test_composition_enumeration():
     for seed in range(3):
         rng = random.Random(seed)
         w = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(12)]
-        assert j_composition_sum(w) == _composition_sum(w)
-    assert j_composition_sum(mirror_w(10)) == _composition_sum(mirror_w(10))
+        assert j_from_w(w) == _composition_sum(w)
+    assert j_from_w(mirror_w(10)) == _composition_sum(mirror_w(10))
 
 
 def test_j_from_w_values():
-    got = j_from_w(5)
+    got = j_from_w(mirror_w(5))
     assert got[0] == 744
     # hand arithmetic over the two compositions of 2
     assert got[1] == 473652 - Fraction(744 ** 2, 2) == 196884
@@ -154,12 +153,15 @@ def test_j_from_w_values():
 
 
 def test_lagrange_oracle_values():
-    assert lagrange_oracle(2) == [744, 196884]
-    assert lagrange_oracle(5) == [744, 196884, 21493760, 864299970, 20245856256]
+    assert lagrange_oracle(mirror_w(2)) == [744, 196884]
+    assert lagrange_oracle(mirror_w(5)) == [744, 196884, 21493760, 864299970, 20245856256]
+    with pytest.raises(ValueError):
+        lagrange_oracle([])
 
 
 def test_two_routes_agree_through_order_eight():
-    assert j_from_w(8) == lagrange_oracle(8)
+    w = mirror_w(8)
+    assert j_from_w(w) == lagrange_oracle(w)
 
 
 def test_modular_route_values():
@@ -168,8 +170,9 @@ def test_modular_route_values():
 
 
 def test_three_routes_agree_through_order_hundred():
-    composed = j_from_w(100)
-    assert composed == lagrange_oracle(100) == j_modular(100)
+    w = mirror_w(100)
+    composed = j_from_w(w)
+    assert composed == lagrange_oracle(w) == j_modular(100)
     assert all(c.denominator == 1 for c in composed)
 
 
