@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .checks import DEGREE_MAX, run_verification
 from .intersection import compute_w
@@ -44,13 +44,12 @@ DEGREE_OPTION_MAX = 100
 INSERTION_EXPONENT_MAX = 3
 
 
-@dataclass
-class CommandResult:
+class CommandResult(NamedTuple):
     """Deterministic, serializable outcome of one CLI invocation."""
 
     command: str
     parameters: dict[str, object]
-    values: list[tuple[str, str]] = field(default_factory=list)
+    values: list[tuple[str, str]]
     status: str = "ok"
 
     def to_text(self) -> str:

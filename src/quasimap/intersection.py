@@ -18,9 +18,8 @@ multiplies each one in at the step whose variable it first involves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .exact import FactoredRat, LinForm, MPoly
 from .residues import ResiduePlan, iterated_residue, residue_sweep
@@ -50,8 +49,7 @@ def r_denominator_factors(d: int) -> list[tuple[LinForm, int, frozenset[int]]]:
             for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
 
 
-@dataclass(frozen=True)
-class IntegrandSpec:
+class IntegrandSpec(NamedTuple):
     """Recipe for one insertion-chain integrand over the degree-d moduli.
 
     ``monomial`` lists ``(j, e)`` pairs, each the power ``z_j^e`` as given: a

@@ -14,6 +14,10 @@ them and never expanded.  Branches whose tagged denominators agree after a
 step are merged by adding their numerators.  After the last step each
 survivor must be an exact rational constant.
 
+No tag is ever gained (a residue tags each new factor ``(fac.allowed - {var}) & support``
+and merging unites tags), so :func:`iterated_residue` returns 0 before any step when a
+plan variable is in no allowed set: no branch would have a point to visit there.
+
 :func:`residue_step` is that one step; :func:`iterated_residue` applies it once
 per variable of a plan, and :func:`residue_sweep` runs a chain family ``f_1..f_D``
 on one ascending pass over ``f_D``.
@@ -21,9 +25,9 @@ on one ascending pass over ``f_D``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .exact import FactoredRat, LinForm, MPoly
 
@@ -32,15 +36,15 @@ class ResidueError(ValueError):
     """Raised for ill-posed residue requests or a non-scalar final remainder."""
 
 
-@dataclass(frozen=True)
-class ResiduePlan:
+class ResiduePlan(NamedTuple("ResiduePlan", [("order", tuple[int, ...])])):
     """Order in which variables are integrated out."""
 
-    order: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if sorted(self.order) != list(range(len(self.order))):
+    def __new__(cls, order: tuple[int, ...]):
+        if sorted(order) != list(range(len(order))):
             raise ValueError("order must be a permutation of 0..d")
+        return super().__new__(cls, order)
 
     @classmethod
     def ascending(cls, d: int) -> ResiduePlan:
@@ -121,7 +125,8 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
     if f.is_zero():
         return f
     target = f.den_degree() - (d + 1) - sum(mult for _, mult in f.factors)
-    return FactoredRat(f.scalar, f.num.homogeneous_component(target), f.den, f.factors)
+    num = f.num.homogeneous_component(target)
+    return f if len(num.terms) == len(f.num.terms) else FactoredRat(f.scalar, num, f.den, f.factors)
 
 
 def _prescribed_points(f: FactoredRat, var: int) -> list[LinForm]:
@@ -181,11 +186,12 @@ def _value(branches: dict) -> Fraction:
 
 
 def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
-    """The exact value of ``f`` by one :func:`residue_step` per variable of the plan.
+    """The exact value of ``f`` by one :func:`residue_step` per variable of the plan;
+    0 without a step when some plan variable is in no factor's allowed set.
     :class:`ResidueError` when a term still carries variables after the last step,
     or when the plan, which integrates ``z_0..z_d``, misses a variable of ``f``."""
     f = _prepared(f, len(plan.order) - 1)
-    if f.is_zero():
+    if f.is_zero() or not set().union(*(fac.allowed for fac in f.den)).issuperset(plan.order):
         return Fraction(0)
     branches, *shared = residue_start(f)
     for var in plan.order:

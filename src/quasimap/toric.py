@@ -20,9 +20,9 @@ positivity of every linearity-region determinant of the gluing map
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .exact import LinForm, MPoly
 
@@ -37,8 +37,7 @@ def _u_label(k: int) -> str:
     return f"u{k}"
 
 
-@dataclass(frozen=True)
-class FanData:
+class FanData(NamedTuple):
     """Ray matrix and primitive collections of the degree-d fan."""
 
     d: int
@@ -237,7 +236,7 @@ def det_Bk(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _int_det([block[-1] for block in _row_choices(k)])
+    return _int_det([[int(block[-1].coeffs.get(j, 0)) for j in range(k + 1)] for block in block_forms(k)])
 
 
 def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
@@ -247,8 +246,7 @@ def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
             for block in block_forms(d)]
 
 
-@dataclass(frozen=True)
-class OrientationReport:
+class OrientationReport(NamedTuple):
     """Outcome of enumerating every linearity region of the gluing map."""
 
     region_count: int

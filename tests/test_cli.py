@@ -7,7 +7,10 @@ import hashlib
 import importlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -336,3 +339,19 @@ def test_tracer_targets_exist():
     for module, cls, method, _ in methods:
         owner = getattr(importlib.import_module(f"quasimap.{module}"), cls)
         assert method in owner.__dict__, f"{cls}.{method}"
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # Start-up time: ``dataclasses`` pulls in ``inspect``, and the CLI's record
+    # types are ``NamedTuple``s, so importing it needs neither.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+
+    def modules(statement):
+        code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+        return set(done.stdout.split())
+
+    added = modules("import quasimap.cli") - modules("pass")
+    assert "quasimap.cli" in added
+    assert not added & {"dataclasses", "inspect"}

@@ -11,12 +11,20 @@ from hypothesis import given, strategies as st
 
 from polys import dense, linform
 from quasimap import residues
-from quasimap.checks import check_degree_selection, check_properties
+from quasimap.checks import (
+    IDEAL_SAMPLES,
+    IDEAL_SEED,
+    _random_monomial,
+    check_degree_selection,
+    check_ideal_annihilation,
+    check_properties,
+)
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
     mixed_insertion_residues,
+    r_denominator_factors,
     telescoped_insertion_residue,
     wall_form,
     wall_insertion_residue,
@@ -27,8 +35,11 @@ from quasimap.residues import (
     homogeneity_filter,
     iterated_residue,
     residue_at_point,
+    residue_start,
+    residue_step,
     residue_sweep,
 )
+from quasimap.toric import sr_ideal_factors, volume_form_factors
 
 
 def z(j):
@@ -164,16 +175,110 @@ def test_plan_validation():
         iterated_residue(f, ResiduePlan.ascending(1))
 
 
-def test_excluded_factors_are_never_visited():
-    # 1/(z0 (z0 + 2 z1)) with the second factor excluded for z1: after the z0
-    # residue nothing encloses a z1 pole, so the total is 0.
-    f = FactoredRat(
+def _excluded_for_z1():
+    """1/(z0 (z0 + 2 z1)), both factors tagged {0}; its degree -2 = -(d+1) passes the filter."""
+    return FactoredRat(
         1,
         MPoly.const(1),
         [(zvar(0), 1, frozenset({0})), (linform((0, 1), (1, 2)), 1, frozenset({0}))],
     )
-    # degree -2 = -(d+1), so the filter keeps it; z0 has two prescribed points.
-    assert iterated_residue(f, ResiduePlan.ascending(1)) == 0
+
+
+def _stepped(f, plan):
+    """The branches of ``f`` after each step of ``plan``, stepped by hand as
+    ``checks._denominators_closed`` does, without the untagged-variable rule."""
+    branches, *shared = residue_start(residues._prepared(f, len(plan.order) - 1))
+    for var in plan.order:
+        branches, *shared = residue_step(branches, var, *shared)
+        yield var, branches
+
+
+def test_excluded_factors_are_never_visited():
+    # The second factor is excluded for z1: z0 has two prescribed points, each
+    # residue leaves its z1 factor untagged, so nothing encloses a z1 pole.
+    f = residues._prepared(_excluded_for_z1(), 1)
+    points = residues._prescribed_points(f, 0)
+    dens = [fac for p in points for fac in residue_at_point(f, 0, p).den]
+    assert len(points) == 2 and dens and not any(fac.allowed for fac in dens)
+    assert dict(_stepped(_excluded_for_z1(), ResiduePlan.ascending(1)))[1] == {}
+    assert iterated_residue(_excluded_for_z1(), ResiduePlan.ascending(1)) == 0
+
+
+def _class_integrand(d, omega, factors):
+    """The integrand ``integrate_class(d, omega, factors=factors)`` integrates."""
+    return FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d), factors)
+
+
+def _untagged(f, d):
+    prepared = residues._prepared(f, d)
+    return set(range(d + 1)) - set().union(*(fac.allowed for fac in prepared.den))
+
+
+def test_ideal_generators_die_when_stepped():
+    # The check's seeded integrands, stepped without the rule: generator i cancels
+    # every factor tagged {i}, and the steps themselves leave no branch.
+    rng = random.Random(IDEAL_SEED)
+
+    def draws(d, gi, samples):
+        factors = sr_ideal_factors(d)[gi]
+        comp = 6 * d + 2 - sum(mult for _, mult in factors)
+        return [(d, gi, factors, _random_monomial(d, comp, rng)) for _ in range(samples)]
+
+    runs = [run for d in (1, 2, 3) for gi in range(d + 1) for run in draws(d, gi, IDEAL_SAMPLES)]
+    for d, gi, factors, mono in runs + draws(4, 2, 1):
+        f = _class_integrand(d, mono, factors)
+        assert _untagged(f, d) == {gi}, (d, gi)
+        *_, (_, branches) = _stepped(f, ResiduePlan.ascending(d))
+        assert branches == {}, (d, gi, mono.render())
+
+
+def _tag_families():
+    """Integrands with the variables they leave untagged: the chains and the
+    volume class leave none; generator ``i`` times a monomial leaves ``z_i``."""
+    for d in range(1, 7):
+        for a, b in ((1, 0), (2, -1), (-1, 2)):
+            yield f"insertions({a},{b}) d={d}", d, IntegrandSpec.insertions(d, a, b).build(), set()
+    for d in range(1, 5):
+        scalar, factors = volume_form_factors(d)
+        yield f"volume d={d}", d, _class_integrand(d, MPoly.const(scalar), factors), set()
+    for gi, factors in enumerate(sr_ideal_factors(2)):
+        omega = MPoly.monomial({0: 6 * 2 + 2 - sum(mult for _, mult in factors)})
+        yield f"generator {gi} d=2", 2, _class_integrand(2, omega, factors), {gi}
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_tags_are_never_gained(descending):
+    # After each step every tag lies inside the starting tags minus the
+    # integrated variables: the fact the untagged-variable rule rests on.
+    for name, d, f, untagged in _tag_families():
+        plan = ResiduePlan.descending(d) if descending else ResiduePlan.ascending(d)
+        assert _untagged(f, d) == untagged, name
+        left = set(range(d + 1)) - untagged
+        for var, branches in _stepped(f, plan):
+            left.discard(var)
+            assert all(fac.allowed <= left for b in branches.values() for fac in b.den), (name, var)
+
+
+def test_untagged_plan_variable_gives_zero_without_a_step(monkeypatch):
+    def no_step(*args):
+        raise AssertionError("residue_step called")
+
+    monkeypatch.setattr(residues, "residue_step", no_step)
+    assert iterated_residue(_excluded_for_z1(), ResiduePlan.ascending(1)) == Fraction(0)
+    assert all(r.ok for r in check_ideal_annihilation(2))
+    with pytest.raises(AssertionError, match="residue_step"):
+        iterated_residue(vol_integrand(1), ResiduePlan.ascending(1))
+
+
+def test_plan_cover_is_checked_before_the_tags():
+    # z1 is untagged, and the plan misses z2.
+    f = FactoredRat(
+        1,
+        MPoly.const(1),
+        [(zvar(0), 1, frozenset({0})), (linform((0, 1), (2, 2)), 1, frozenset({0}))],
+    )
+    with pytest.raises(ResidueError, match="cover"):
+        iterated_residue(f, ResiduePlan.ascending(1))
 
 
 def _chain_integrands(d):
