@@ -3,8 +3,9 @@
 Subcommands: ``fan``, ``chow``, ``intersect``, ``mirror``, ``jinv``,
 ``verify``.  All inputs are flags (no configuration files or environment
 variables), rationals are printed as exact ``p/q`` strings, and identical
-invocations produce byte-identical output.  Exit codes: 0 ok,
-1 verification failed, 2 usage error.
+invocations produce byte-identical output.  :func:`main` checks every option
+against its bound; each handler takes the options as keywords and only
+computes.  Exit codes: 0 ok, 1 verification failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -17,31 +18,18 @@ from typing import NamedTuple
 from .checks import DEGREE_MAX, run_verification
 from .intersection import compute_w
 from .series import j_from_w, j_modular, lagrange_oracle, mirror_w
-from .toric import (
-    build_fan,
-    divisor_classes,
-    max_cone_count,
-    relation_check,
-    sr_ideal,
-    sr_ideal_factors,
-)
+from .toric import build_fan, divisor_classes, max_cone_count, relation_check, sr_ideal, sr_ideal_factors
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 
-# Largest --order of mirror and jinv: jinv takes about 0.9 s at 100 (2 CPUs), cost ~ order^3.
-ORDER_MAX = 100
-
-# Largest --degree of fan, chow and intersect.  At 100 fan and chow take about 0.3 s
-# and intersect --a 1 --b 0 about 4 s (1.1 s at 50; 2 CPUs).
-DEGREE_OPTION_MAX = 100
-
-# Largest |--a| and |--b| of intersect, enough for every pair the tests and checks
-# use.  compute_w integrates from the end with the larger exponent, so at --degree 100
-# the slowest accepted pairs are --a 1 --b 0 and --a 0 --b 1, about 4 s each, and a
-# negative exponent takes about 0.25 s (2 CPUs).  Pairs with a + b != 1 give 0 in under 0.5 s.
+ORDER_MAX = 100  # largest --order of mirror and jinv
+DEGREE_OPTION_MAX = 100  # largest --degree of fan, chow and intersect
+# Largest |--a| and |--b| of intersect, enough for every pair the tests and checks use.
 INSERTION_EXPONENT_MAX = 3
+# Every integer option but --a and --b must lie in 1..BOUNDS[dest].
+BOUNDS = {"degree": DEGREE_OPTION_MAX, "order": ORDER_MAX, "degree_max": DEGREE_MAX}
 
 
 class CommandResult(NamedTuple):
@@ -64,199 +52,144 @@ class CommandResult(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
-        doc = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "values": [[label, value] for label, value in self.values],
-            "status": self.status,
-        }
+        doc = {"command": self.command, "parameters": self.parameters,
+               "values": [[label, value] for label, value in self.values], "status": self.status}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
     def emit(self, fmt: str, out) -> None:
         out.write(self.to_json_text() if fmt == "json" else self.to_text())
 
 
-def _usage_error(command: str, parameters: dict, message: str, fmt: str, out) -> int:
-    result = CommandResult(command, parameters, [("error", message)], "usage_error")
-    result.emit(fmt, out)
-    return EXIT_USAGE
+def _usage_problem(params: dict[str, int]) -> str | None:
+    """The usage error of ``params``, or None if every option is within its bound."""
+    for key, top in BOUNDS.items():
+        if key in params:
+            name = key.replace("_", "-")
+            if params[key] < 1:
+                return f"{name} must be >= 1"
+            if params[key] > top:
+                return f"{name} must be <= {top}"
+    if max(abs(params.get("a", 0)), abs(params.get("b", 0))) > INSERTION_EXPONENT_MAX:
+        return f"|a| and |b| must be <= {INSERTION_EXPONENT_MAX}"
+    return None
 
 
-def _bound_problem(name: str, value: int, top: int) -> str | None:
-    """The usage error of an option that must lie in ``1..top``, or None."""
-    if value < 1:
-        return f"{name} must be >= 1"
-    return f"{name} must be <= {top}" if value > top else None
-
-
-def _cmd_fan(args, out) -> int:
-    params = {"degree": args.degree}
-    if problem := _bound_problem("degree", args.degree, DEGREE_OPTION_MAX):
-        return _usage_error("fan", params, problem, args.format, out)
-    fan = build_fan(args.degree)
+def _cmd_fan(degree: int) -> list[tuple[str, str]]:
+    fan = build_fan(degree)
     values = [
         ("dimension", str(fan.dimension)),
         ("ray_count", str(fan.ray_count)),
-        ("max_cones", str(max_cone_count(args.degree))),
+        ("max_cones", str(max_cone_count(degree))),
         ("relation_check", "true" if relation_check(fan) else "false"),
     ]
     for label in fan.labels:
         values.append((f"ray {label}", "[" + ", ".join(map(str, fan.rays[label])) + "]"))
     for i, collection in enumerate(fan.primitive_collections):
         values.append((f"primitive_collection {i}", " ".join(collection)))
-    CommandResult("fan", params, values).emit(args.format, out)
-    return EXIT_OK
+    return values
 
 
-def _cmd_chow(args, out) -> int:
-    params = {"degree": args.degree}
-    if problem := _bound_problem("degree", args.degree, DEGREE_OPTION_MAX):
-        return _usage_error("chow", params, problem, args.format, out)
-    d = args.degree
+def _cmd_chow(degree: int) -> list[tuple[str, str]]:
     values = []
-    gens = sr_ideal(d)
-    for i, (poly, factors) in enumerate(zip(gens, sr_ideal_factors(d))):
+    for i, (poly, factors) in enumerate(zip(sr_ideal(degree), sr_ideal_factors(degree))):
         pretty = " * ".join(
             f"({form.render('H')})" if mult == 1 else f"({form.render('H')})^{mult}"
             for form, mult in factors
         )
         values.append((f"generator {i} factors", pretty))
         values.append((f"generator {i} expanded", poly.render("H")))
-    classes = divisor_classes(d)
-    for label in build_fan(d).labels:
+    classes = divisor_classes(degree)
+    for label in build_fan(degree).labels:
         values.append((f"class {label}", classes[label].render("H")))
-    CommandResult("chow", params, values).emit(args.format, out)
-    return EXIT_OK
+    return values
 
 
-def _cmd_intersect(args, out) -> int:
-    params = {"degree": args.degree, "a": args.a, "b": args.b}
-    if problem := _bound_problem("degree", args.degree, DEGREE_OPTION_MAX):
-        return _usage_error("intersect", params, problem, args.format, out)
-    if max(abs(args.a), abs(args.b)) > INSERTION_EXPONENT_MAX:
-        return _usage_error("intersect", params,
-                            f"|a| and |b| must be <= {INSERTION_EXPONENT_MAX}", args.format, out)
-    value = compute_w(args.degree, args.a, args.b)
-    CommandResult("intersect", params, [("w", str(value))]).emit(args.format, out)
-    return EXIT_OK
+def _cmd_intersect(degree: int, a: int, b: int) -> list[tuple[str, str]]:
+    return [("w", str(compute_w(degree, a, b)))]
 
 
-def _cmd_mirror(args, out) -> int:
-    params = {"order": args.order}
-    if problem := _bound_problem("order", args.order, ORDER_MAX):
-        return _usage_error("mirror", params, problem, args.format, out)
-    values = [(f"w_{d}", str(c)) for d, c in enumerate(mirror_w(args.order), start=1)]
-    CommandResult("mirror", params, values).emit(args.format, out)
-    return EXIT_OK
+def _cmd_mirror(order: int) -> list[tuple[str, str]]:
+    return [(f"w_{d}", str(c)) for d, c in enumerate(mirror_w(order), start=1)]
 
 
-def _cmd_jinv(args, out) -> int:
-    params = {"order": args.order}
-    if problem := _bound_problem("order", args.order, ORDER_MAX):
-        return _usage_error("jinv", params, problem, args.format, out)
-    w = mirror_w(args.order)
+def _cmd_jinv(order: int) -> list[tuple[str, str]]:
+    w = mirror_w(order)
     composed = j_from_w(w)
-    agree = composed == lagrange_oracle(w) == j_modular(args.order)
+    agree = composed == lagrange_oracle(w) == j_modular(order)
     values = [(f"j_{d}", str(c)) for d, c in enumerate(composed, start=1)]
     values.append(("routes_agree", "true" if agree else "false"))
-    CommandResult("jinv", params, values).emit(args.format, out)
-    return EXIT_OK
+    return values
 
 
-def _cmd_verify(args, out) -> int:
-    params = {"degree_max": args.degree_max}
-    if problem := _bound_problem("degree-max", args.degree_max, DEGREE_MAX):
-        return _usage_error("verify", params, problem, args.format, out)
-    if args.format == "json":
-        emit = None
+def _write_verification(params: dict[str, int], checks, fmt: str, out) -> int:
+    """Collect the yielded ``checks``; text mode writes each line as it arrives."""
+    results = []
+    for r in checks:
+        results.append(r)
+        if fmt == "text":
+            out.write(r.line() + "\n")
+    passed = sum(r.ok for r in results)
+    summary = f"{passed}/{len(results)} checks passed"
+    status = "ok" if passed == len(results) else "verification_failed"
+    if fmt == "json":
+        values = [(r.name, ("PASS" if r.ok else "FAIL") + f" expected={r.expected} actual={r.actual}")
+                  for r in results]
+        CommandResult("verify", params, [*values, ("summary", summary)], status).emit(fmt, out)
     else:
-        def emit(line: str) -> None:
-            out.write(line + "\n")
-    ok, results = run_verification(args.degree_max, emit=emit)
-    values = [
-        (r.name, ("PASS" if r.ok else "FAIL") + f" expected={r.expected} actual={r.actual}")
-        for r in results
-    ]
-    passed = sum(1 for r in results if r.ok)
-    values.append(("summary", f"{passed}/{len(results)} checks passed"))
-    status = "ok" if ok else "verification_failed"
-    result = CommandResult("verify", params, values, status)
-    if args.format == "json":
-        result.emit("json", out)
-    else:
-        out.write(f"summary: {passed}/{len(results)} checks passed\n")
-        out.write(f"status: {status}\n")
-    return EXIT_OK if ok else EXIT_VERIFICATION_FAILED
-
-
-def _add_format(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (default: text)")
+        out.write(f"summary: {summary}\nstatus: {status}\n")
+    return EXIT_OK if status == "ok" else EXIT_VERIFICATION_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quasimap",
-        description="Exact intersection numbers of the quasi-map moduli of P(1,1,1,3) "
-                    "and the coefficients of the j-invariant.",
-    )
+    parser = argparse.ArgumentParser(prog="quasimap", description="Exact intersection numbers of the quasi-map "
+                                     "moduli of P(1,1,1,3) and the coefficients of the j-invariant.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p = sub.add_parser("fan", help="rays and primitive collections of the degree-d fan")
-    p.add_argument("--degree", type=int, required=True, metavar="D",
-                   help=f"1 <= D <= {DEGREE_OPTION_MAX}; output grows as D^2, about 0.3 s "
-                        f"and 1.3 MB at D = {DEGREE_OPTION_MAX}")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_fan)
+    def add(name: str, handler, help: str, **options: tuple[str, str]) -> None:
+        """A subcommand with required integer ``--<dest>`` options, given as
+        ``dest=(metavar, help)``, and ``--format``; a bounded option's help starts with its bound."""
+        p = sub.add_parser(name, help=help)
+        for dest, (metavar, text) in options.items():
+            if dest in BOUNDS:
+                text = f"1 <= {metavar} <= {BOUNDS[dest]}" + text
+            p.add_argument("--" + dest.replace("_", "-"), type=int, required=True,
+                           metavar=metavar, help=text)
+        p.add_argument("--format", choices=("text", "json"), default="text",
+                       help="output format (default: text)")
+        p.set_defaults(handler=handler)
 
-    p = sub.add_parser("chow", help="intersection-ring ideal generators and divisor classes")
-    p.add_argument("--degree", type=int, required=True, metavar="D",
-                   help=f"1 <= D <= {DEGREE_OPTION_MAX}; about 0.3 s at D = {DEGREE_OPTION_MAX}")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_chow)
-
-    p = sub.add_parser("intersect", help="the two-point number w(O_{z^a} O_{z^b})_{0,d}")
-    p.add_argument("--degree", type=int, required=True, metavar="D",
-                   help=f"1 <= D <= {DEGREE_OPTION_MAX}; at D = {DEGREE_OPTION_MAX} "
-                        "about 4 s for --a 1 --b 0 or --a 0 --b 1, the slowest accepted "
-                        "pairs, and 0.2 s for --a -2 --b 3 (0.15 s at D = 5)")
-    p.add_argument("--a", type=int, required=True, metavar="A",
-                   help=f"exponent of z_0, |A| <= {INSERTION_EXPONENT_MAX}")
-    p.add_argument("--b", type=int, required=True, metavar="B",
-                   help=f"exponent of z_D, |B| <= {INSERTION_EXPONENT_MAX}")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_intersect)
-
-    p = sub.add_parser("mirror", help="mirror-map coefficients w_1..w_N")
-    p.add_argument("--order", type=int, required=True, metavar="N", help=f"1 <= N <= {ORDER_MAX}")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_mirror)
-
-    p = sub.add_parser("jinv", help="j-invariant coefficients; routes_agree compares the "
-                                    "composition, inversion and modular routes")
-    p.add_argument("--order", type=int, required=True, metavar="N",
-                   help=f"1 <= N <= {ORDER_MAX} (about 1 s at N = {ORDER_MAX})")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_jinv)
-
-    p = sub.add_parser("verify", help="run the full exact verification ladder")
-    p.add_argument(
-        "--degree-max", type=int, required=True, metavar="N",
-        help=f"1 <= N <= {DEGREE_MAX} (about 5 s at N = {DEGREE_MAX}): the w-coefficient and "
-             "period checks (one residue sweep each) and volume normalization run for every "
-             "d <= N; the insertion identities for d <= min(N, 4), ideal annihilation, degree selection and order independence "
-             "for d <= min(N, 3); the toric, series and property checks do not depend on N",
-    )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_verify)
-
+    timed = "; times in README.md, Measured times"
+    add("fan", _cmd_fan, "rays and primitive collections of the degree-d fan",
+        degree=("D", "; output grows as D^2" + timed))
+    add("chow", _cmd_chow, "intersection-ring ideal generators and divisor classes",
+        degree=("D", timed))
+    add("intersect", _cmd_intersect, "the two-point number w(O_{z^a} O_{z^b})_{0,d}",
+        degree=("D", timed),
+        a=("A", f"exponent of z_0, |A| <= {INSERTION_EXPONENT_MAX}"),
+        b=("B", f"exponent of z_D, |B| <= {INSERTION_EXPONENT_MAX}"))
+    add("mirror", _cmd_mirror, "mirror-map coefficients w_1..w_N", order=("N", timed))
+    add("jinv", _cmd_jinv, "j-invariant coefficients; routes_agree compares the "
+                           "composition, inversion and modular routes", order=("N", timed))
+    add("verify", run_verification, "run the full exact verification ladder",
+        degree_max=("N", ": the w-coefficient, period and volume checks run for every d <= N, "
+                         "the others over fixed ranges (README.md, Command line)" + timed))
     return parser
 
 
 def main(argv: list[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.handler(args, out or sys.stdout)
+    """Parse ``argv``, check every option against its bound, and write the result to ``out``."""
+    out = out or sys.stdout
+    args = build_parser().parse_args(argv)
+    command, fmt, handler = args.subcommand, args.format, args.handler
+    params = {k: v for k, v in vars(args).items() if k not in ("subcommand", "format", "handler")}
+    if problem := _usage_problem(params):
+        CommandResult(command, params, [("error", problem)], "usage_error").emit(fmt, out)
+        return EXIT_USAGE
+    values = handler(**params)
+    if command == "verify":  # values: the CheckResults, yielded as the ladder runs
+        return _write_verification(params, values, fmt, out)
+    CommandResult(command, params, values).emit(fmt, out)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -1,16 +1,15 @@
 """Exact power-series side: period coefficients, mirror coefficients, j-expansion.
 
-Three independent routes to the j-coefficients ``j_1..j_n`` must agree exactly
-(times at ``n = 100`` on a 2-CPU machine):
+Three independent routes to the j-coefficients ``j_1..j_n`` must agree exactly:
 
 * :func:`j_from_w` -- the composition sum
   ``j_d = sum over compositions of (-(d-1))^{len-1} / len! * prod w_parts``,
   grouped by length into the powers ``W^L`` of ``W = sum w_k u^k``:
-  O(n^3) rational operations, 0.35 s;
+  O(n^3) rational operations;
 * :func:`lagrange_oracle` -- ``q(u) = u * exp(sum w_d u^d)`` inverted by
-  Lagrange inversion, then ``j = 1/u(q)``: O(n^3), 0.4 s;
+  Lagrange inversion, then ``j = 1/u(q)``: O(n^3);
 * :func:`j_modular` -- ``j = E4^3 / Delta`` in integers, without the ``w_d``:
-  O(n^2), 0.01 s.
+  O(n^2).
 
 A series is a dense truncated list ``[c_0, ..., c_N]`` of exact coefficients
 (``int`` or ``Fraction``).  :func:`series_mul` and :func:`series_div` are its

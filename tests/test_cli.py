@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -324,6 +325,64 @@ def test_golden_stdout(argv, digest):
     code, text = run_cli(argv)
     assert code == 0
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["intersect", "--degree", "5", "--a", "-3", "--b", "4"],
+     "2894983578e12c32ac29a231e0d7008a59df9764a1da57221f0d44000669d35c"),
+    (["verify", "--degree-max", "61", "--format", "json"],
+     "797a21489d1d3f8e1bf229feb8dc1f5a20961097aaff292c1ee776da213d6835"),
+    (["mirror", "--order", "101"],
+     "43269dc1a2f73d1f6e363182cd1e15797f6cf6819fd9b496fde03c43afd19ac9"),
+])
+def test_golden_usage_errors(argv, digest):
+    # The whole usage-error output, parameters block included, byte for byte.
+    code, text = run_cli(argv)
+    assert code == 2
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_every_integer_option_is_bounded():
+    # Each integer option is checked by main: --a and --b by the exponent rule,
+    # every other one against its BOUNDS entry, which its --help states.
+    from quasimap.cli import BOUNDS, INSERTION_EXPONENT_MAX, build_parser
+
+    parser = build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    seen = set()
+    for name, sub in subparsers.choices.items():
+        for action in sub._actions:
+            if action.type is not int:
+                continue
+            seen.add(action.dest)
+            if action.dest in ("a", "b"):
+                assert f"<= {INSERTION_EXPONENT_MAX}" in action.help, (name, action.dest)
+            else:
+                assert action.dest in BOUNDS, (name, action.dest)
+                assert f"1 <= {action.metavar} <= {BOUNDS[action.dest]}" in action.help, (name, action.dest)
+    assert seen == set(BOUNDS) | {"a", "b"}
+
+
+def test_verify_text_streams_each_line(monkeypatch):
+    # Text-mode verify writes each check line as the ladder yields it: the
+    # w-coefficient lines are out before the last family starts.
+    from quasimap import checks
+
+    out = io.StringIO()
+    written = []
+    original = checks.check_properties
+
+    def recording():
+        written.append(out.getvalue())
+        return original()
+
+    monkeypatch.setattr(checks, "check_properties", recording)
+    assert main(["verify", "--degree-max", "2"], out=out) == 0
+    assert len(written) == 1
+    assert "PASS w-coefficient d=1: expected 744, actual 744\n" in written[0]
+    assert "PASS w-coefficient d=2: " in written[0]
+    assert "residue linearity" not in written[0]
+    assert out.getvalue().startswith(written[0])
 
 
 def test_tracer_targets_exist():

@@ -32,12 +32,13 @@ def test_property_suite_all_green(property_results):
     } <= names
 
 
-def test_linearity_samples_are_not_all_zero():
-    # Samples below the integrand's full numerator degree integrate to 0 and
-    # would make the linearity check pass vacuously.
+def test_linearity_samples_are_all_nonzero():
+    # A pair 0 = 0 holds for any map, so it would let the linearity check pass
+    # vacuously; every one of the six pairs must be nonzero.
     samples = linearity_samples()
+    assert len(samples) == 6
     assert all(lhs == rhs for lhs, rhs in samples)
-    assert any(lhs != 0 for lhs, _ in samples)
+    assert all(lhs != 0 for lhs, _ in samples)
 
 
 def test_recession_injectivity_direct_sampling():
