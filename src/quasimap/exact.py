@@ -384,8 +384,8 @@ class TaggedFactor(NamedTuple):
     """A denominator factor ``form ** multiplicity``.
 
     ``allowed`` is the set of variables whose contour encloses the zero locus
-    of ``form``; the residue engine only visits poles through allowed tags,
-    while local pole orders always count every vanishing factor.
+    of ``form``; the residue engine visits a pole only through an allowed tag,
+    and merging makes the factor the only one vanishing at that pole.
     """
 
     form: LinForm

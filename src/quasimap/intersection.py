@@ -86,14 +86,18 @@ def compute_w(d: int, a: int, b: int) -> Fraction:
     """The two-point number ``w(O_{z^a} O_{z^b})_{0,d}``, exactly.
 
     Negative exponents fold into the denominator as tagged ``z`` powers.
-    Degree selection makes the result 0 whenever ``a + b != 1``.  Integration
-    starts from the end with the larger exponent (``z_d`` when ``a < b``): from
-    ``z_0``, a negative ``a`` costs far more than the mirror pair ``(b, a)``.
+    Degree selection makes the result 0 whenever ``a + b != 1``.  Reversing the
+    chain, ``z_j -> z_{d-j}``, maps ``(a, b)`` onto ``(b, a)``; :func:`_chain` puts
+    the larger exponent at ``z_0``, where a negative one would cost far more.
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    plan = ResiduePlan.descending(d) if a < b else ResiduePlan.ascending(d)
-    return iterated_residue(IntegrandSpec.insertions(d, a, b).build(), plan)
+    return iterated_residue(_chain(d, a, b), ResiduePlan.ascending(d))
+
+
+def _chain(d: int, a: int, b: int) -> FactoredRat:
+    """The integrand of ``w(O_{z^a} O_{z^b})_{0,d}`` with the larger exponent at ``z_0``."""
+    return IntegrandSpec.insertions(d, max(a, b), min(a, b)).build()
 
 
 def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
@@ -112,8 +116,8 @@ def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
 
 
 def w_sweep(dmax: int, a: int, b: int) -> list[Fraction]:
-    """``compute_w(d, a, b)`` for ``d = 1..dmax`` from one residue sweep (ascending)."""
-    return residue_sweep([IntegrandSpec.insertions(d, a, b).build() for d in range(1, dmax + 1)])
+    """``compute_w(d, a, b)`` for ``d = 1..dmax`` from one ascending residue sweep."""
+    return residue_sweep([_chain(d, a, b) for d in range(1, dmax + 1)])
 
 
 def mixed_insertion_residues(dmax: int) -> list[Fraction]:

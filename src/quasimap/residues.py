@@ -2,10 +2,10 @@
 
 A ``FactoredRat`` integrand is integrated one variable at a time.  For the
 current variable ``z_j`` every live branch contributes one residue per
-*prescribed* pole, i.e. per distinct point ``z_j = p`` cut out by a
-denominator factor whose allowed-set contains ``j``.  The residue at a point
-uses the full local pole order (all factors vanishing there, allowed or not);
-tags only select which points are visited.
+*prescribed* pole, i.e. per denominator factor whose allowed set contains ``j``.
+``FactoredRat`` merges proportional factors, so no other factor of the branch
+vanishes at the zero ``z_j = p`` of that factor, and its own multiplicity is
+the local pole order.
 
 The engine follows the locality of the integrand: the numerator stays a list
 of factors, and a numerator or denominator factor joins the branches only at
@@ -16,7 +16,7 @@ survivor must be an exact rational constant.
 
 No tag is ever gained (a residue tags each new factor ``(fac.allowed - {var}) & support``
 and merging unites tags), so :func:`iterated_residue` returns 0 before any step when a
-plan variable is in no allowed set: no branch would have a point to visit there.
+plan variable is in no allowed set: no branch would have a pole to visit there.
 
 :func:`residue_step` is that one step; :func:`iterated_residue` applies it once
 per variable of a plan, and :func:`residue_sweep` runs a chain family ``f_1..f_D``
@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple
 
-from .exact import FactoredRat, LinForm, MPoly
+from .exact import FactoredRat, MPoly, TaggedFactor
 
 
 class ResidueError(ValueError):
@@ -55,48 +55,38 @@ class ResiduePlan(NamedTuple("ResiduePlan", [("order", tuple[int, ...])])):
         return cls(tuple(range(d, -1, -1)))
 
 
-def residue_at_point(f: FactoredRat, var: int, point: LinForm) -> FactoredRat:
-    """Residue of ``f`` at ``z_var = point``.
+def residue_at_point(f: FactoredRat, var: int, pole: TaggedFactor) -> FactoredRat:
+    """Residue of ``f`` at the zero ``z_var = point`` of its denominator factor ``pole``.
 
-    With ``m`` the total multiplicity of all denominator factors vanishing on
-    ``z_var = point``, each vanishing factor ``c*(z_var - point)`` contributes
-    ``c**multiplicity`` to the extracted scalar, and the residue is the
-    coefficient of ``t^(m-1)`` in the rest of ``f`` at ``z_var = point + t``.
-    One truncated expansion in ``t`` takes that coefficient for every pole
-    order: the numerator's Taylor coefficients at ``point``
-    (:meth:`MPoly.taylor`), times each surviving factor ``(a + c t)^-k`` that
-    involves ``z_var``, expanded to order ``m-1`` over ``a^(k+m-1)``.  The
-    result no longer involves ``z_var``.
+    With ``pole = (c*(z_var - point))^m``, the only factor of ``f`` that vanishes
+    there, the residue is ``c^-m`` times the coefficient of ``t^(m-1)`` in the
+    rest of ``f`` at ``z_var = point + t``.  One truncated expansion in ``t``
+    takes that coefficient for every pole order: the numerator's Taylor
+    coefficients at ``point`` (:meth:`MPoly.taylor`), times each other factor
+    ``(a + c t)^-k`` that involves ``z_var``, expanded to order ``m-1`` over
+    ``a^(k+m-1)``.  The result no longer involves ``z_var``.
     """
-    if point.coeff(var):
-        raise ResidueError("ill-formed point: it involves the residue variable")
-    m = 0
-    scalar = f.scalar
-    surviving = []
-    for fac in f.den:
-        a = fac.form.subst(var, point)
-        if a.is_zero():
-            m += fac.multiplicity
-            scalar /= fac.form.coeff(var) ** fac.multiplicity
-        else:
-            surviving.append((fac, a))
-    if not m:
-        raise ResidueError(f"not a pole: no denominator factor vanishes on z{var} = point")
-    # The product of the surviving factors' expansions in t; the numerator's
+    c = pole.form.coeff(var)
+    others = [fac for fac in f.den if fac != pole]
+    if not c or len(others) == len(f.den):
+        raise ResidueError(f"not a pole: not a denominator factor of f in z{var}")
+    point = pole.form.solve_for(var)
+    m = pole.multiplicity
+    # The product of the other factors' expansions in t; the numerator's
     # Taylor coefficients join only for the one coefficient that is kept.
     series = [MPoly.const(1)] + [MPoly.zero()] * (m - 1)
     den = []
-    for fac, a in surviving:
-        c = fac.form.coeff(var)
+    for fac in others:
+        a = fac.form.subst(var, point)
         mult = fac.multiplicity
-        if c:
-            inverse = _inverse_power(a.to_mpoly(), c, mult, m)
+        if fac.form.coeff(var):
+            inverse = _inverse_power(a.to_mpoly(), fac.form.coeff(var), mult, m)
             series = [_coefficient(series, inverse, n) for n in range(m)]
             mult += m - 1
         den.append((a, mult, (fac.allowed - {var}) & a.support))
     num = f.num * MPoly.factored(f.factors)
     top = _coefficient(num.taylor(var, point, m), series, m - 1)
-    return FactoredRat(scalar, top, den).reduce()
+    return FactoredRat(f.scalar / c ** m, top, den).reduce()
 
 
 def _inverse_power(a: MPoly, c: int | Fraction, k: int, m: int) -> list[MPoly]:
@@ -129,15 +119,6 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
     return f if len(num.terms) == len(f.num.terms) else FactoredRat(f.scalar, num, f.den, f.factors)
 
 
-def _prescribed_points(f: FactoredRat, var: int) -> list[LinForm]:
-    points = {}
-    for fac in f.den:
-        if var in fac.allowed and fac.form.coeff(var):
-            p = fac.form.solve_for(var)
-            points[p.key()] = p
-    return [points[k] for k in sorted(points)]
-
-
 def _prepared(f: FactoredRat, d: int) -> FactoredRat:
     """``f`` filtered for ``d+1`` integrations and reduced; it must involve only ``z_0..z_d``."""
     involved = f.num.variables().union(*(form.support for form, _ in f.factors),
@@ -158,8 +139,8 @@ def residue_start(f: FactoredRat) -> tuple[dict, list, list]:
 def residue_step(branches: dict, var: int, shared: list, shared_den: list) -> tuple[dict, list, list]:
     """Integrate ``z_var`` out of every branch; returns the branches and the shared lists
     advanced by one step.  Only the shared factors that involve ``z_var`` join the
-    branches.  Each branch gives one residue per prescribed point, and residues with
-    identical tagged denominators are merged."""
+    branches.  Each branch gives one residue per factor tagged with ``var``, and
+    residues with identical tagged denominators are merged."""
     local = MPoly.product(poly for poly, used in shared if var in used)
     shared = [(poly, used) for poly, used in shared if var not in used]
     local_den = tuple(fac for fac in shared_den if var in fac.form.support)
@@ -167,8 +148,8 @@ def residue_step(branches: dict, var: int, shared: list, shared_den: list) -> tu
     merged: dict[tuple, FactoredRat] = {}
     for branch in branches.values():
         g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den).reduce()
-        for p in _prescribed_points(g, var):
-            r = residue_at_point(g, var, p)
+        for pole in [fac for fac in g.den if var in fac.allowed]:
+            r = residue_at_point(g, var, pole)
             prev = merged.pop(r.den, None)
             if prev is not None:
                 r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)

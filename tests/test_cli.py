@@ -6,6 +6,7 @@ import argparse
 import ast
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import os
@@ -16,6 +17,7 @@ import sys
 import pytest
 
 from quasimap.cli import CommandResult, main
+from quasimap.residues import residue_at_point
 
 
 def from_json_text(text):
@@ -386,18 +388,31 @@ def test_verify_text_streams_each_line(monkeypatch):
 
 
 def test_tracer_targets_exist():
-    # ``benchmarks/tracer.py`` wraps these methods by name; read its table
-    # without running the file, so a renamed method fails here, not in a
-    # traced benchmark run.
+    # ``benchmarks/tracer.py`` wraps these methods by name and reads the
+    # arguments of the spans in its ``INFO`` table; read both tables without
+    # running the file, so a renamed method or a changed signature fails here,
+    # not in a traced benchmark run.
     path = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracer.py"
     tree = ast.parse(path.read_text())
-    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
-                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["METHODS"])
-    methods = ast.literal_eval(table)
+
+    def table(name):
+        return next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                    and [t.id for t in node.targets if isinstance(t, ast.Name)] == [name])
+
+    methods = ast.literal_eval(table("METHODS"))
     assert methods
     for module, cls, method, _ in methods:
         owner = getattr(importlib.import_module(f"quasimap.{module}"), cls)
         assert method in owner.__dict__, f"{cls}.{method}"
+    spans = {span for *_, span in methods}
+    keys = [ast.literal_eval(key) for key in table("INFO").keys]
+    assert "residues.residue_at_point" in keys
+    for key in keys:
+        module, _, name = key.partition(".")
+        target = getattr(importlib.import_module(f"quasimap.{module}"), name, None)
+        assert key in spans or inspect.isfunction(target), key
+    # Its span info reads ``args[1]`` of ``residue_at_point`` as the step variable.
+    assert list(inspect.signature(residue_at_point).parameters)[:2] == ["f", "var"]
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -91,10 +91,13 @@ def test_compute_w_matches_mirror_coefficients():
 
 
 def test_compute_w_both_plans_match_mirror_at_degree_twenty():
-    # (1, 0) integrates from z_0 (ascending plan), (0, 1) from z_20 (descending).
+    # compute_w integrates both pairs from z_0 with the exponent 1 there; the
+    # descending plan on the (0, 1) chain runs the same steps in reverse.
     w_20 = mirror_w(20)[-1]
     assert compute_w(20, 1, 0) == 2 * w_20
     assert compute_w(20, 0, 1) == 2 * w_20
+    descending = iterated_residue(IntegrandSpec.insertions(20, 0, 1).build(), ResiduePlan.descending(20))
+    assert descending == 2 * w_20
 
 
 def test_compute_w_matches_period_coefficients():
@@ -220,12 +223,26 @@ def test_insertion_symmetry_for_a_plus_b_one():
         assert compute_w(d, 1, 0) == compute_w(d, 0, 1)
     for d in (5, 10):
         assert compute_w(d, 2, -1) == compute_w(d, -1, 2)
-    # For a < b compute_w integrates from z_d; the ascending plan agrees.
+    # For a < b compute_w integrates the reversed chain; the ascending plan
+    # on the chain as given agrees.
     for d in (1, 2, 5):
         for a, b in ((0, 1), (-1, 2), (-2, 3)):
             ascending = iterated_residue(IntegrandSpec.insertions(d, a, b).build(),
                                          ResiduePlan.ascending(d))
             assert compute_w(d, a, b) == ascending
+
+
+def test_chain_reversal_swaps_the_insertions():
+    # z_j -> z_{d-j} maps insertions(d, a, b) onto insertions(d, b, a), so the
+    # descending plan on (a, b) is the ascending plan on (b, a): compute_w and
+    # w_sweep integrate the latter, with the larger exponent at z_0.
+    for a, b in [(a, 1 - a) for a in range(-2, 4)]:
+        values = [compute_w(d, a, b) for d in range(1, 9)]
+        for d, value in enumerate(values, start=1):
+            chain = IntegrandSpec.insertions(d, a, b).build()
+            assert value == iterated_residue(chain, ResiduePlan.descending(d)), (d, a, b)
+        assert w_sweep(8, a, b) == values, (a, b)
+        assert any(values) == (max(a, b) < 3), (a, b)
 
 
 def test_insertions_with_exponent_three_vanish():

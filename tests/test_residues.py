@@ -58,7 +58,7 @@ def vol_integrand(d):
 
 def test_residue_simple_pole_at_zero():
     f = FactoredRat(1, MPoly.const(1), [(zvar(0), 1, frozenset({0}))])
-    r = residue_at_point(f, 0, LinForm.zero())
+    r = residue_at_point(f, 0, f.den[0])
     assert r.scalar == 1 and r.num.is_constant() and r.den == ()
 
 
@@ -66,23 +66,26 @@ def test_residue_order_two_pole_extracts_linear_coefficient():
     # (z1^2 + 3 z0 z1) / z0^2 has residue 3 z1 at z0 = 0
     num = z(1) ** 2 + 3 * z(0) * z(1)
     f = FactoredRat(1, num, [(zvar(0), 2, frozenset({0}))])
-    r = residue_at_point(f, 0, LinForm.zero())
+    r = residue_at_point(f, 0, f.den[0])
     assert r.scalar * r.num == dense({(0, 1): 3})
 
 
 def test_residue_at_shifted_point_divides_leading_coefficient():
     # Res_{z1 = z2/2} 1/(2 z1 - z2) = 1/2
     f = FactoredRat(1, MPoly.const(1), [(linform((1, 2), (2, -1)), 1, frozenset({1}))])
-    r = residue_at_point(f, 1, linform((2, Fraction(1, 2))))
+    assert f.den[0].form.solve_for(1) == linform((2, Fraction(1, 2)))
+    r = residue_at_point(f, 1, f.den[0])
     assert r.scalar == Fraction(1, 2) and r.num.is_constant() and r.den == ()
 
 
 def test_residue_errors():
-    f = FactoredRat(1, MPoly.const(1), [(zvar(0), 1, frozenset({0}))])
+    # A pole is a denominator factor of f that involves the residue variable.
+    f = FactoredRat(1, MPoly.const(1), [(zvar(0), 1, frozenset({0})), (zvar(1), 1, frozenset({1}))])
+    outside = TaggedFactor(linform((0, 1), (1, -1)), 1, frozenset({0}))
     with pytest.raises(ResidueError, match="not a pole"):
-        residue_at_point(f, 0, linform((1, 1)))
-    with pytest.raises(ResidueError, match="ill-formed"):
-        residue_at_point(f, 0, linform((0, 1)))
+        residue_at_point(f, 0, outside)
+    with pytest.raises(ResidueError, match="not a pole"):
+        residue_at_point(f, 0, f.den[1])
 
 
 def test_vol_normalization_any_degree():
@@ -122,8 +125,8 @@ def test_engine_annihilates_off_degree_numerators(monkeypatch):
     # lines; with it made the identity, the residues themselves must vanish.
     nonzero = []
 
-    def counted(f, var, point):
-        r = residue_at_point(f, var, point)
+    def counted(f, var, pole):
+        r = residue_at_point(f, var, pole)
         nonzero.append(not r.is_zero())
         return r
 
@@ -194,12 +197,12 @@ def _stepped(f, plan):
 
 
 def test_excluded_factors_are_never_visited():
-    # The second factor is excluded for z1: z0 has two prescribed points, each
+    # The second factor is excluded for z1: z0 has two prescribed poles, each
     # residue leaves its z1 factor untagged, so nothing encloses a z1 pole.
     f = residues._prepared(_excluded_for_z1(), 1)
-    points = residues._prescribed_points(f, 0)
-    dens = [fac for p in points for fac in residue_at_point(f, 0, p).den]
-    assert len(points) == 2 and dens and not any(fac.allowed for fac in dens)
+    poles = [fac for fac in f.den if 0 in fac.allowed]
+    dens = [fac for pole in poles for fac in residue_at_point(f, 0, pole).den]
+    assert len(poles) == 2 and dens and not any(fac.allowed for fac in dens)
     assert dict(_stepped(_excluded_for_z1(), ResiduePlan.ascending(1)))[1] == {}
     assert iterated_residue(_excluded_for_z1(), ResiduePlan.ascending(1)) == 0
 
@@ -257,6 +260,33 @@ def test_tags_are_never_gained(descending):
         for var, branches in _stepped(f, plan):
             left.discard(var)
             assert all(fac.allowed <= left for b in branches.values() for fac in b.den), (name, var)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_a_tagged_factor_is_the_only_one_vanishing_at_its_zero(descending, monkeypatch):
+    # residue_at_point takes the pole order and leading coefficient off the
+    # tagged factor alone; merging proportional factors must make every other
+    # factor of the branch nonzero at its zero.  The generator classes are the
+    # ones where a constructor that kept differently tagged proportional
+    # factors apart would break this.
+    visited = []
+
+    def checked(f, var, pole):
+        point = pole.form.solve_for(var)
+        assert var in pole.allowed and pole in f.den
+        also = [fac for fac in f.den if fac != pole and fac.form.subst(var, point).is_zero()]
+        assert not also, (var, pole, also)
+        visited.append(var)
+        return residue_at_point(f, var, pole)
+
+    monkeypatch.setattr(residues, "residue_at_point", checked)
+    mixed = [(f"mixed d={d}", d, IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))).build(), set())
+             for d in range(1, 7)]
+    for name, d, f, untagged in [*_tag_families(), *mixed]:
+        plan = ResiduePlan.descending(d) if descending else ResiduePlan.ascending(d)
+        visited.clear()
+        for var, _ in _stepped(f, plan):
+            assert untagged or var in visited, (name, var)
 
 
 def test_untagged_plan_variable_gives_zero_without_a_step(monkeypatch):
@@ -361,7 +391,9 @@ def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, sca
 
     den += [(form, mult, form.support) for form, mult in off_pole(others)]
     f = FactoredRat(Fraction(3, 7), dense(num), den, off_pole(factors))
-    assert residue_at_point(f, var, point) == _residue_by_derivatives(f, var, point)
+    vanishing = [fac for fac in f.den if fac.form.subst(var, point).is_zero()]
+    assert len(vanishing) == 1 and vanishing[0].multiplicity == order
+    assert residue_at_point(f, var, vanishing[0]) == _residue_by_derivatives(f, var, point)
 
 
 _SWEPT_FAMILIES = {
@@ -394,8 +426,8 @@ def test_closure_line_fails_when_a_residue_keeps_its_variable(monkeypatch):
     # A residue that keeps z_var / z_var, z_var tagged {var}, has the right
     # value (the next step's reduce cancels it; a last step's constant is left
     # alone) but breaks the tag rule: an integrated contour is never visited again.
-    def keeps_variable(f, var, point):
-        r = residue_at_point(f, var, point)
+    def keeps_variable(f, var, pole):
+        r = residue_at_point(f, var, pole)
         if not r.den:
             return r
         kept = TaggedFactor(LinForm.variable(var), 1, frozenset({var}))
