@@ -9,6 +9,7 @@ subcommand and the acceptance test suite both run these.
 from __future__ import annotations
 
 import random
+import struct
 from collections import Counter
 from collections.abc import Iterator
 from fractions import Fraction
@@ -84,19 +85,26 @@ def _cmp(name: str, expected, actual) -> CheckResult:
     return CheckResult(name, expected == actual, str(expected), str(actual))
 
 
-def check_w_coefficients(dmax: int) -> list[CheckResult]:
-    """Half the two-point number w(O_z O_1)_{0,d} equals the d-th mirror coefficient."""
+def check_w_coefficients(w: list[Fraction]) -> list[CheckResult]:
+    """Half the two-point number w(O_z O_1)_{0,d} equals the d-th mirror coefficient.
+
+    ``w`` is the sweep ``w_sweep(dmax, 1, 0)``, one value per ``d = 1..dmax``.
+    """
+    dmax = len(w)
     beyond = mirror_w(dmax)[len(W_KNOWN):] if dmax > len(W_KNOWN) else []
-    expected = [Fraction(w) for w in W_KNOWN] + beyond
-    return [_cmp(f"w-coefficient d={d}", expected[d - 1], w / 2)
-            for d, w in enumerate(w_sweep(dmax, 1, 0), start=1)]
+    expected = [Fraction(known) for known in W_KNOWN] + beyond
+    return [_cmp(f"w-coefficient d={d}", expected[d - 1], value / 2)
+            for d, value in enumerate(w, start=1)]
 
 
-def check_period_coefficients(dmax: int) -> list[CheckResult]:
-    """(d/2) * w(O_{z^2} O_{z^-1})_{0,d} equals the holomorphic period coefficient."""
+def check_period_coefficients(period: list[Fraction]) -> list[CheckResult]:
+    """(d/2) * w(O_{z^2} O_{z^-1})_{0,d} equals the holomorphic period coefficient.
+
+    ``period`` is the sweep ``w_sweep(dmax, 2, -1)``, one value per ``d = 1..dmax``.
+    """
     return [
-        _cmp(f"period coefficient d={d}", f0_coeff(d), Fraction(d, 2) * w)
-        for d, w in enumerate(w_sweep(dmax, 2, -1), start=1)
+        _cmp(f"period coefficient d={d}", f0_coeff(d), Fraction(d, 2) * value)
+        for d, value in enumerate(period, start=1)
     ]
 
 
@@ -179,14 +187,16 @@ def check_order_independence(dmax: int) -> list[CheckResult]:
     return out
 
 
-def check_insertion_identities(dmax: int) -> list[CheckResult]:
+def check_insertion_identities(dmax: int, w: list[Fraction],
+                               period: list[Fraction]) -> list[CheckResult]:
     """Mixed insertion closed form, chain splitting, telescoped insertion; the mixed
-    values and the product side of each chain split come from residue sweeps."""
+    values come from a residue sweep, and the product side of each chain split
+    from the prefixes of the sweeps ``w`` (``(1, 0)``) and ``period`` (``(2, -1)``),
+    each of length at least ``dmax - 1``."""
     out = [
         _cmp(f"mixed insertion d={d}", mixed_insertion_closed_form(d), value)
         for d, value in enumerate(mixed_insertion_residues(dmax), start=1)
     ]
-    w, period = w_sweep(dmax, 1, 0), w_sweep(dmax, 2, -1)
     for d in range(2, dmax + 1):
         for f in range(1, d):
             product = (w[d - f - 1] / 2) * (period[f - 1] / 2)
@@ -328,12 +338,19 @@ def recession_injective(d: int, rng: random.Random) -> bool:
     ``eval_recession`` is a minimum of integer linear forms, so
     ``F(420 a) = 420 F(a)`` and the scaled samples collide exactly when the
     unscaled ones do; all arithmetic stays in ``int``.
+
+    Each image and each point is kept as its ``d + 1`` values packed as
+    little-endian ``int32`` bytes, not as a tuple of boxed ints.  The keys are
+    exact: packing is injective on tuples of that fixed length, and a value
+    outside ``int32`` raises ``struct.error`` instead of wrapping.  The
+    samples have ``|a_i| <= 50 * 420`` and ``|F_i| <= 4 * 50 * 420``.
     """
-    seen: dict[tuple, tuple] = {}
+    pack = struct.Struct(f"<{d + 1}i").pack
+    seen: dict[bytes, bytes] = {}
     ok = True
     for alpha in recession_samples(d, rng):
-        prev = seen.setdefault(tuple(eval_recession(d, alpha)), alpha)
-        if prev != alpha:
+        point = pack(*alpha)
+        if seen.setdefault(pack(*eval_recession(d, alpha)), point) != point:
             ok = False
     return ok
 
@@ -411,18 +428,22 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     """Yield every check of the ladder, each as soon as its family has run.
 
     The w-coefficient, period and volume normalization checks run for every
-    ``d <= degree_max``; the other residue families keep the fixed ranges below,
-    and the toric, series and property checks do not depend on ``degree_max``.
+    ``d <= degree_max``; each of the two sweeps runs once, and the insertion
+    identities read their prefixes.  The other residue families keep the fixed
+    ranges below, and the toric, series and property checks do not depend on
+    ``degree_max``.
     """
     if not 1 <= degree_max <= DEGREE_MAX:
         raise ValueError(f"degree_max must be in 1..{DEGREE_MAX}")
-    yield from check_w_coefficients(degree_max)
-    yield from check_period_coefficients(degree_max)
+    w = w_sweep(degree_max, 1, 0)
+    yield from check_w_coefficients(w)
+    period = w_sweep(degree_max, 2, -1)
+    yield from check_period_coefficients(period)
     yield from check_volume_normalization(degree_max)
     yield from check_ideal_annihilation(min(degree_max, 3))
     yield from check_degree_selection(min(degree_max, 3))
     yield from check_order_independence(min(degree_max, 3))
-    yield from check_insertion_identities(min(degree_max, 4))
+    yield from check_insertion_identities(min(degree_max, 4), w, period)
     yield from check_toric()
     yield from check_series()
     yield from check_properties()

@@ -84,6 +84,20 @@ def f0_series(order: int) -> list[Fraction]:
     return [f0_coeff(n) for n in range(order + 1)]
 
 
+def f1_hat_series(order: int) -> list[Fraction]:
+    """``[f1_hat_coeff(n) for n in 0..order]``, keeping ``harmonic_combo`` as a running sum.
+
+    ``harmonic_combo(n) - harmonic_combo(n-1) = 6/(6n-5) + 6/(6n-3) + 6/(6n-1) - 3/n``,
+    so the whole list costs O(order) additions where the coefficients one by one cost O(order^2).
+    """
+    out = [Fraction(0)]
+    h = Fraction(0)
+    for n in range(1, order + 1):
+        h += Fraction(6, 6 * n - 5) + Fraction(6, 6 * n - 3) + Fraction(6, 6 * n - 1) - Fraction(3, n)
+        out.append(f0_coeff(n) * h)
+    return out
+
+
 def theta(f: tuple[Sequence, Sequence]) -> tuple[list, list]:
     """``z d/dz`` on ``p log z + g``, given as the pair ``(p, g)``.
 
@@ -119,8 +133,7 @@ def pf_first_failure(order: int) -> int | None:
             return n
         prev = cur
     f0 = f0_series(order)
-    f1_hat = [f1_hat_coeff(n) for n in range(order + 1)]
-    for sol in (([0] * (order + 1), f0), (f0, f1_hat)):
+    for sol in (([0] * (order + 1), f0), (f0, f1_hat_series(order))):
         for n, coeffs in enumerate(zip(*picard_fuchs_apply(sol))):
             if any(coeffs):
                 return n
@@ -137,7 +150,7 @@ def mirror_w(order: int) -> list[Fraction]:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    w = series_div([f1_hat_coeff(n) for n in range(order + 1)], f0_series(order))
+    w = series_div(f1_hat_series(order), f0_series(order))
     for d in range(1, min(order, 4) + 1):
         if w[d].denominator != 1:
             raise ArithmeticError(f"mirror coefficient w_{d} = {w[d]} is not an integer")

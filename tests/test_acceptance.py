@@ -40,12 +40,12 @@ def test_criterion_1_w_coefficients_reproduce_inverse_j_expansion():
     # 744, 473652, 451734080, 510531007770 for d = 1..4; d = 5..10 against
     # the series route (the coefficients are genuinely fractional there).
     _report("criterion 1: w-coefficients d<=4 (+ d=5..10 against the series)",
-            check_w_coefficients(10))
+            check_w_coefficients(w_sweep(10, 1, 0)))
 
 
 def test_criterion_2_period_coefficients():
     _report("criterion 2: (d/2) w(2,-1) = 2^{3d}(6d-1)!!/(d!)^3 for d<=10",
-            check_period_coefficients(10))
+            check_period_coefficients(w_sweep(10, 2, -1)))
 
 
 def test_criterion_3_volume_normalization():
@@ -78,7 +78,7 @@ def test_criterion_6_order_independence():
 
 def test_criterion_7_insertion_identities():
     _report("criterion 7: mixed insertion, chain splitting, telescoped insertion, d<=7",
-            check_insertion_identities(7))
+            check_insertion_identities(7, w_sweep(7, 1, 0), w_sweep(7, 2, -1)))
 
 
 def test_criterion_8_toric_checks():

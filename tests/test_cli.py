@@ -282,7 +282,7 @@ def test_verify_fails_on_tampered_insertion_factors(monkeypatch):
         return [LinForm({x: 6 - j, y: 1}) for j in range(7)]
 
     monkeypatch.setattr(intersection, "e6_factors", tampered)
-    results = check_w_coefficients(1)
+    results = check_w_coefficients(intersection.w_sweep(1, 1, 0))
     assert not results[0].ok
 
 

@@ -4,8 +4,13 @@ recession-map homogeneity and sampled injectivity)."""
 from __future__ import annotations
 
 import random
+import struct
+import tracemalloc
 from fractions import Fraction
 
+import pytest
+
+import quasimap.checks as checks
 from polys import dense
 from quasimap.checks import (
     RECESSION_SAMPLES,
@@ -81,6 +86,59 @@ def test_recession_injectivity_beyond_the_ladder():
     assert RECESSION_SAMPLES == 10_000
     for d in (5, 6):
         assert recession_injective(d, random.Random(40961))
+
+
+def _tuple_dict_injective(d: int, rng: random.Random) -> bool:
+    """The tuple-keyed collision check ``recession_injective`` replaced, as a reference."""
+    seen: dict[tuple, tuple] = {}
+    ok = True
+    for alpha in recession_samples(d, rng):
+        if seen.setdefault(tuple(eval_recession(d, alpha)), alpha) != alpha:
+            ok = False
+    return ok
+
+
+def test_packed_keys_agree_with_tuple_keys():
+    # Same verdict and the same generator state after each degree, so the rest
+    # of the seed-40961 stream is unchanged.
+    for d in range(1, 7):
+        rng, ref = random.Random(40961 + d), random.Random(40961 + d)
+        assert recession_injective(d, rng) == _tuple_dict_injective(d, ref)
+        assert rng.getstate() == ref.getstate()
+
+
+def test_repeated_points_are_not_collisions():
+    points = list(recession_samples(1, random.Random(40961)))
+    assert len(points) - len(set(points)) == 572
+    assert recession_injective(1, random.Random(40961))
+
+
+def test_collision_is_found_under_a_non_injective_map(monkeypatch):
+    # Negative control: the map that keeps only the first coordinate.
+    def forgetful(d, a):
+        return [eval_recession(d, a)[0]] + [0] * d
+
+    monkeypatch.setattr(checks, "eval_recession", forgetful)
+    for d in (1, 4):
+        assert not recession_injective(d, random.Random(40961))
+
+
+def test_values_outside_int32_raise(monkeypatch):
+    monkeypatch.setattr(checks, "eval_recession", lambda d, a: [*a[:-1], 2 ** 31])
+    with pytest.raises(struct.error):
+        recession_injective(2, random.Random(40961))
+
+
+def test_recession_injective_peak_memory():
+    # 10^4 samples at d = 4 kept as packed int32 bytes: 1.3 MiB traced, where
+    # tuples of boxed ints took 4.35 MiB.
+    tracemalloc.start()
+    try:
+        assert recession_injective(4, random.Random(40961))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2 ** 20
 
 
 def test_numerator_linearity_with_random_scalars():

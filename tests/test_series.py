@@ -14,6 +14,7 @@ from quasimap.series import (
     f0_coeff,
     f0_series,
     f1_hat_coeff,
+    f1_hat_series,
     j_from_w,
     j_modular,
     lagrange_oracle,
@@ -43,23 +44,33 @@ def test_pf_recursion_check():
     assert pf_first_failure(20) is None
 
 
+def _drift_f1_hat(monkeypatch, index: int, delta: Fraction) -> None:
+    """Shift coefficient ``index`` of every ``f1_hat_series`` list by ``delta``."""
+    good = series.f1_hat_series
+    monkeypatch.setattr(series, "f1_hat_series", lambda order: [
+        c + delta if n == index else c for n, c in enumerate(good(order))])
+
+
 @pytest.mark.parametrize(
     "name, index, delta, failure",
     [
         # caught by the coefficient recursion, before the operator runs
         ("f0_coeff", 3, 1, 3),
         # only the operator on the log solution sees the log-free part
-        ("f1_hat_coeff", 2, Fraction(1, 7), 2),
+        ("f1_hat_series", 2, Fraction(1, 7), 2),
     ],
     ids=["f0", "f1_hat"],
 )
 def test_pf_negative_control(monkeypatch, name, index, delta, failure):
-    good = getattr(series, name)
+    if name == "f1_hat_series":
+        _drift_f1_hat(monkeypatch, index, delta)
+    else:
+        good = getattr(series, name)
 
-    def corrupted(n):
-        return good(n) + delta if n == index else good(n)
+        def corrupted(n):
+            return good(n) + delta if n == index else good(n)
 
-    monkeypatch.setattr(series, name, corrupted)
+        monkeypatch.setattr(series, name, corrupted)
     assert pf_first_failure(5) == failure
 
 
@@ -75,6 +86,12 @@ def test_f1_hat_coefficients():
     assert f1_hat_coeff(0) == 0
     assert f1_hat_coeff(1) == 744  # 120 * (46/5 - 3)
     assert f1_hat_coeff(2) == 562932
+
+
+def test_f1_hat_series_is_the_coefficients_one_by_one():
+    # The running sum of harmonic_combo against the closed form at every n.
+    assert f1_hat_series(200) == [f1_hat_coeff(n) for n in range(201)]
+    assert f1_hat_series(0) == [0]
 
 
 def test_f1_hat_denominator_structure():
@@ -251,11 +268,6 @@ def test_product_and_quotient_match_termwise_fractions(a, b):
 
 
 def test_integrality_guard_trips_on_drift(monkeypatch):
-    good = series.f1_hat_coeff
-
-    def drifted(n):
-        return good(n) + Fraction(1, 7) if n == 2 else good(n)
-
-    monkeypatch.setattr(series, "f1_hat_coeff", drifted)
+    _drift_f1_hat(monkeypatch, 2, Fraction(1, 7))
     with pytest.raises(ArithmeticError):
         mirror_w(4)
