@@ -6,19 +6,17 @@ variables), rationals are printed as exact ``p/q`` strings, and identical
 invocations produce byte-identical output.  :func:`main` checks every option
 against its bound; each handler takes the options as keywords and only
 computes.  Exit codes: 0 ok, 1 verification failed, 2 usage error.
+
+Importing this module loads no computational module: each handler imports
+the layers it runs when it is called, so ``jinv`` loads ``series`` alone and
+``--help`` loads no layer.  Every option bound is stated here.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import NamedTuple
-
-from .checks import DEGREE_MAX, run_verification
-from .intersection import compute_w
-from .series import j_from_w, j_modular, lagrange_oracle, mirror_w
-from .toric import build_fan, divisor_classes, max_cone_count, relation_check, sr_ideal, sr_ideal_factors
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -26,6 +24,7 @@ EXIT_USAGE = 2
 
 ORDER_MAX = 100  # largest --order of mirror and jinv
 DEGREE_OPTION_MAX = 100  # largest --degree of fan, chow and intersect
+DEGREE_MAX = 60  # largest --degree-max of verify
 # Largest |--a| and |--b| of intersect, enough for every pair the tests and checks use.
 INSERTION_EXPONENT_MAX = 3
 # Every integer option but --a and --b must lie in 1..BOUNDS[dest].
@@ -52,6 +51,8 @@ class CommandResult(NamedTuple):
         return "\n".join(lines) + "\n"
 
     def to_json_text(self) -> str:
+        import json
+
         doc = {"command": self.command, "parameters": self.parameters,
                "values": [[label, value] for label, value in self.values], "status": self.status}
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -75,6 +76,8 @@ def _usage_problem(params: dict[str, int]) -> str | None:
 
 
 def _cmd_fan(degree: int) -> list[tuple[str, str]]:
+    from .toric import build_fan, max_cone_count, relation_check
+
     fan = build_fan(degree)
     values = [
         ("dimension", str(fan.dimension)),
@@ -90,6 +93,8 @@ def _cmd_fan(degree: int) -> list[tuple[str, str]]:
 
 
 def _cmd_chow(degree: int) -> list[tuple[str, str]]:
+    from .toric import build_fan, divisor_classes, sr_ideal, sr_ideal_factors
+
     values = []
     for i, (poly, factors) in enumerate(zip(sr_ideal(degree), sr_ideal_factors(degree))):
         pretty = " * ".join(
@@ -105,20 +110,32 @@ def _cmd_chow(degree: int) -> list[tuple[str, str]]:
 
 
 def _cmd_intersect(degree: int, a: int, b: int) -> list[tuple[str, str]]:
+    from .intersection import compute_w
+
     return [("w", str(compute_w(degree, a, b)))]
 
 
 def _cmd_mirror(order: int) -> list[tuple[str, str]]:
+    from .series import mirror_w
+
     return [(f"w_{d}", str(c)) for d, c in enumerate(mirror_w(order), start=1)]
 
 
 def _cmd_jinv(order: int) -> list[tuple[str, str]]:
+    from .series import j_from_w, j_modular, lagrange_oracle, mirror_w
+
     w = mirror_w(order)
     composed = j_from_w(w)
     agree = composed == lagrange_oracle(w) == j_modular(order)
     values = [(f"j_{d}", str(c)) for d, c in enumerate(composed, start=1)]
     values.append(("routes_agree", "true" if agree else "false"))
     return values
+
+
+def _cmd_verify(degree_max: int):
+    from .checks import run_verification
+
+    return run_verification(degree_max)
 
 
 def _write_verification(params: dict[str, int], checks, fmt: str, out) -> int:
@@ -170,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("mirror", _cmd_mirror, "mirror-map coefficients w_1..w_N", order=("N", timed))
     add("jinv", _cmd_jinv, "j-invariant coefficients; routes_agree compares the "
                            "composition, inversion and modular routes", order=("N", timed))
-    add("verify", run_verification, "run the full exact verification ladder",
+    add("verify", _cmd_verify, "run the full exact verification ladder",
         degree_max=("N", ": the w-coefficient, period and volume checks run for every d <= N, "
                          "the others over fixed ranges (README.md, Command line)" + timed))
     return parser

@@ -4,7 +4,7 @@ Every quantity is exact, and nothing here ever touches floating point.  A
 coefficient of a ``LinForm`` or ``MPoly`` is an ``int`` when its value is an
 integer and a ``fractions.Fraction`` otherwise, so the residue engine does
 integer arithmetic wherever the values are integers.  A ``FactoredRat`` scalar
-and every ``evaluate`` result are ``Fraction``s.  The three layers are
+is a ``Fraction``.  The three layers are
 
 * ``LinForm``   -- homogeneous linear forms ``sum_j c_j z_j`` (no constant term),
 * ``MPoly``     -- sparse multivariate polynomials over the rationals,
@@ -22,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import NamedTuple
 
 
@@ -151,9 +151,6 @@ class LinForm:
         if c == 1:
             return 1, self
         return c, LinForm({v: x // c for v, x in self.coeffs.items()})  # exact: c is the content
-
-    def evaluate(self, values: list[Fraction]) -> Fraction:
-        return sum((c * values[v] for v, c in self.coeffs.items()), Fraction(0))
 
     def to_mpoly(self) -> MPoly:
         return MPoly({((v, 1),): c for v, c in self.coeffs.items()})
@@ -315,10 +312,6 @@ class MPoly:
         """Positive rational content (gcd of numerators over lcm of denominators),
         an ``int`` when every coefficient is an ``int``."""
         return _content(self.terms.values()) if self.terms else 1
-
-    def evaluate(self, values) -> Fraction:
-        """The value at ``values`` (indexed by variable)."""
-        return sum((c * prod(values[j] ** k for j, k in e) for e, c in self.terms.items()), Fraction(0))
 
     def render(self, names: str = "z") -> str:
         if not self.terms:
@@ -548,17 +541,6 @@ class FactoredRat:
             allowed = (f.allowed - {var}) & form.support
             den.append((form, f.multiplicity, allowed))
         return FactoredRat(self.scalar, num, den)
-
-    def evaluate(self, values: list[Fraction]) -> Fraction:
-        v = self.scalar * self.num.evaluate(values)
-        for form, mult in self.factors:
-            v *= form.evaluate(values) ** mult
-        for f in self.den:
-            fv = f.form.evaluate(values)
-            if fv == 0:
-                raise ZeroDivisionError("evaluation point lies on a pole")
-            v /= fv ** f.multiplicity
-        return v
 
     def __eq__(self, other) -> bool:
         return (

@@ -23,7 +23,6 @@ from typing import Iterable, NamedTuple
 
 from .exact import FactoredRat, LinForm, MPoly
 from .residues import ResiduePlan, iterated_residue, residue_sweep
-from .series import f0_coeff, harmonic_combo
 from .toric import sr_ideal_factors, wall_form
 
 
@@ -124,14 +123,6 @@ def mixed_insertion_residues(dmax: int) -> list[Fraction]:
     """Residues of the chain carrying ``z_0 z_1`` and ``1/z_d``, ``d = 1..dmax``, from one sweep."""
     specs = [IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))) for d in range(1, dmax + 1)]
     return [value / 2 for value in residue_sweep([spec.build() for spec in specs])]
-
-
-def mixed_insertion_closed_form(d: int) -> Fraction:
-    """Exact closed form of the degree-``d`` value of :func:`mixed_insertion_residues`:
-    ``(A_d / d) * (1 - 1/d + sum_{j<=3d} 6/(2j-1) - sum_{j<=d} 3/j)``."""
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    return f0_coeff(d) / d * (1 - Fraction(1, d) + harmonic_combo(d))
 
 
 def wall_insertion_residue(d: int, f: int) -> Fraction:

@@ -80,6 +80,15 @@ def f1_hat_coeff(n: int) -> Fraction:
     return f0_coeff(n) * harmonic_combo(n)
 
 
+def mixed_insertion_closed_form(d: int) -> Fraction:
+    """Exact closed form of the degree-``d`` value of
+    :func:`~quasimap.intersection.mixed_insertion_residues`:
+    ``(A_d / d) * (1 - 1/d + sum_{j<=3d} 6/(2j-1) - sum_{j<=d} 3/j)``."""
+    if d < 1:
+        raise ValueError("degree must be >= 1")
+    return f0_coeff(d) / d * (1 - Fraction(1, d) + harmonic_combo(d))
+
+
 def f0_series(order: int) -> list[Fraction]:
     return [f0_coeff(n) for n in range(order + 1)]
 

@@ -1,10 +1,11 @@
-"""Test literals and reports: dense exponent vectors, linear forms, degrees."""
+"""Test literals and reports: dense exponent vectors, linear forms, degrees, values."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
-from quasimap.exact import LinForm, MPoly
+from quasimap.exact import FactoredRat, LinForm, MPoly
 
 
 def dense(terms: dict[tuple[int, ...], object]) -> MPoly:
@@ -24,3 +25,14 @@ def homogeneous_degree(p: MPoly) -> int | None:
     """The common total degree of the terms of ``p``, or None when they mix degrees."""
     degs = {sum(k for _, k in e) for e in p.terms}
     return degs.pop() if len(degs) == 1 else None
+
+
+def evaluate(x: LinForm | MPoly | FactoredRat, values) -> Fraction:
+    """The value of ``x`` at ``values`` (indexed by variable), in ``Fraction`` arithmetic;
+    a point on a denominator factor raises ``ZeroDivisionError``."""
+    if isinstance(x, LinForm):
+        x = x.to_mpoly()
+    if isinstance(x, MPoly):
+        return sum((c * prod(values[j] ** k for j, k in e) for e, c in x.terms.items()), Fraction(0))
+    value = x.scalar * evaluate(x.num, values) * prod(evaluate(g, values) ** m for g, m in x.factors)
+    return value / prod(evaluate(f.form, values) ** f.multiplicity for f in x.den)

@@ -226,9 +226,14 @@ def test_verify_degree_one_passes():
 
 
 def test_verify_usage_error():
+    from quasimap.checks import run_verification
+
     code, text = run_cli(["verify", "--degree-max", "0"])
     assert code == 2
     assert "usage_error" in text
+    # The ladder itself rejects it too; its upper bound is the front end's.
+    with pytest.raises(ValueError, match="degree_max must be >= 1"):
+        next(run_verification(0))
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -251,7 +256,7 @@ def test_values_below_one_are_usage_errors(argv, message):
 
 
 def test_verify_rejects_degree_above_documented_maximum():
-    from quasimap.checks import DEGREE_MAX
+    from quasimap.cli import DEGREE_MAX
 
     assert DEGREE_MAX == 60
     code, text = run_cli(["verify", "--degree-max", str(DEGREE_MAX + 1)])
@@ -415,17 +420,68 @@ def test_tracer_targets_exist():
     assert list(inspect.signature(residue_at_point).parameters)[:2] == ["f", "var"]
 
 
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+
+
+def loaded_modules(statement):
+    """The modules a fresh interpreter has loaded after running ``statement``
+    (also when it exits, as ``--help`` does), less those of a bare interpreter."""
+    def modules(stmt):
+        code = f"import sys\ntry:\n    {stmt}\nfinally:\n    print(' '.join(sorted(sys.modules)), file=sys.stderr)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=SRC_ENV, check=True)
+        return set(done.stderr.split())
+
+    return modules(statement) - modules("pass")
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # Start-up time: ``dataclasses`` pulls in ``inspect``, and the CLI's record
     # types are ``NamedTuple``s, so importing it needs neither.
-    src = pathlib.Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
-
-    def modules(statement):
-        code = f"import sys; {statement}; print(' '.join(sorted(sys.modules)))"
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-        return set(done.stdout.split())
-
-    added = modules("import quasimap.cli") - modules("pass")
+    added = loaded_modules("import quasimap.cli")
     assert "quasimap.cli" in added
     assert not added & {"dataclasses", "inspect"}
+
+
+@pytest.mark.parametrize(
+    "argv, layers",
+    [
+        (["--help"], set()),
+        (["jinv", "--order", "3"], {"series"}),
+        (["mirror", "--order", "3"], {"series"}),
+        (["intersect", "--degree", "2", "--a", "1", "--b", "0"], {"exact", "residues", "toric", "intersection"}),
+        (["fan", "--degree", "1"], {"exact", "toric"}),
+        (["chow", "--degree", "1"], {"exact", "toric"}),
+        (["jinv", "--order", "3", "--format", "json"], {"series"}),
+    ],
+)
+def test_each_invocation_loads_only_the_layers_it_runs(argv, layers):
+    # Start-up time: importing the front end loads no computational module, and
+    # each handler imports only the layers it calls; only JSON output loads ``json``.
+    added = loaded_modules(f"from quasimap.cli import main; main({argv!r})")
+    assert {m for m in added if m.partition(".")[0] == "quasimap"} == {
+        "quasimap", "quasimap.cli", *(f"quasimap.{layer}" for layer in layers)
+    }
+    assert ("json" in added) == ("json" in argv)
+
+
+@pytest.mark.parametrize(
+    "argv, span",
+    [
+        (["jinv", "--order", "5"], "series.mirror_w"),
+        (["intersect", "--degree", "2", "--a", "1", "--b", "0"], "residues.iterated_residue"),
+    ],
+)
+def test_tracer_sees_calls_imported_by_the_handlers(tmp_path, argv, span):
+    # ``benchmarks/tracer.py`` wraps each layer's functions after importing the
+    # CLI; the handlers import them when called, so they must get the wrappers.
+    result = tmp_path / "trace.json"
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "tracer.py"), "--src", str(ROOT / "src"),
+         "--result", str(result), "--", *argv],
+        capture_output=True, text=True, env=SRC_ENV, cwd=tmp_path,
+    )
+    assert done.returncode == 0, done.stderr
+    doc = json.loads(result.read_text())
+    assert (doc["exit"], doc["stdout"]) == run_cli(argv)
+    assert span in {name for _, _, name, *_ in doc["spans"]}

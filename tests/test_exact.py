@@ -9,7 +9,7 @@ from math import comb
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from polys import dense, homogeneous_degree, linform
+from polys import dense, evaluate, homogeneous_degree, linform
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 from quasimap.residues import residue_at_point
 
@@ -167,8 +167,8 @@ def test_fr_product_rule():
         f1 = f.derivative(0)
         g1 = g.derivative(0)
         pts = _non_pole_points(rng, [lhs, f1, g1, f, g])
-        lv = lhs.evaluate(pts)
-        rv = f1.evaluate(pts) * g.evaluate(pts) + f.evaluate(pts) * g1.evaluate(pts)
+        lv = evaluate(lhs, pts)
+        rv = evaluate(f1, pts) * evaluate(g, pts) + evaluate(f, pts) * evaluate(g1, pts)
         assert lv == rv
 
 
@@ -177,7 +177,7 @@ def _non_pole_points(rng, funcs, nvars=4):
         pts = [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(nvars)]
         try:
             for fn in funcs:
-                fn.evaluate(pts)
+                evaluate(fn, pts)
         except ZeroDivisionError:
             continue
         return pts
@@ -202,7 +202,7 @@ def test_fr_reduce_idempotent_and_value_preserving():
     # value equality at three random non-pole rational points
     for _ in range(3):
         pts = _non_pole_points(rng, [f, g])
-        assert f.evaluate(pts) == g.evaluate(pts)
+        assert evaluate(f, pts) == evaluate(g, pts)
     # untouched input comes back unchanged
     h = fr(1, z(0) + z(1), [(LinForm.variable(2), 1, frozenset({2}))])
     assert h.reduce() == h
@@ -305,14 +305,14 @@ _points = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7),
 )
 def test_fr_factor_cancellation_preserves_value(num, den, scalar, point):
     num, den = _forms(num), _forms(den)
-    assume(all(form.evaluate(point) for form, _ in den))
+    assume(all(evaluate(form, point) for form, _ in den))
     f = FactoredRat(scalar, MPoly.const(1), [(g, m, frozenset({min(g.support)})) for g, m in den], num)
     expected = scalar
     for g, m in num:
-        expected *= g.evaluate(point) ** m
+        expected *= evaluate(g, point) ** m
     for g, m in den:
-        expected /= g.evaluate(point) ** m
-    assert f.evaluate(point) == expected
+        expected /= evaluate(g, point) ** m
+    assert evaluate(f, point) == expected
     keys = [g.key() for g, _ in f.factors]
     assert keys == sorted(set(keys))
     assert not set(keys) & {fac.form.key() for fac in f.den}
@@ -370,7 +370,7 @@ def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, seed)
     rng = random.Random(seed)
     for _ in range(2):
         pts = _non_pole_points(rng, [f], nvars=3)
-        assert g.evaluate(pts) == f.evaluate(pts)
+        assert evaluate(g, pts) == evaluate(f, pts)
     assert g.reduce() == g
     assert all(k > 0 for e in g.num.terms for _, k in e)
     for fac in g.den:
@@ -443,45 +443,45 @@ def test_coefficients_are_ints_where_integral(p, q, form, other, s, var, k, m, p
         return pt[:j] + [value] + pt[j + 1:]
 
     for got, value in [
-        (p + q, p.evaluate(pt) + q.evaluate(pt)),
-        (p * q, p.evaluate(pt) * q.evaluate(pt)),
-        (p * s, p.evaluate(pt) * s),
-        (p ** k, p.evaluate(pt) ** k),
+        (p + q, evaluate(p, pt) + evaluate(q, pt)),
+        (p * q, evaluate(p, pt) * evaluate(q, pt)),
+        (p * s, evaluate(p, pt) * s),
+        (p ** k, evaluate(p, pt) ** k),
     ]:
-        assert _typed(got) and got.evaluate(pt) == value
+        assert _typed(got) and evaluate(got, pt) == value
     assert p * s == s * p == p * (s.numerator if s.denominator == 1 else s)
     parts = p.split(var)
     assert all(map(_typed, parts.values()))
-    assert sum(part.evaluate(pt) * pt[var] ** e for e, part in parts.items()) == p.evaluate(pt)
+    assert sum(evaluate(part, pt) * pt[var] ** e for e, part in parts.items()) == evaluate(p, pt)
     point = LinForm({v: c for v, c in other.coeffs.items() if v != var})
     series = p.taylor(var, point, m)
-    assert all(map(_typed, series)) and series[0].evaluate(pt) == p.evaluate(at(var, point.evaluate(pt)))
+    assert all(map(_typed, series)) and evaluate(series[0], pt) == evaluate(p, at(var, evaluate(point, pt)))
     scale, canon = form.canonicalized()
     assert _typed(canon) and all(type(c) is int for c in canon.coeffs.values())
-    assert scale * canon.evaluate(pt) == form.evaluate(pt)
+    assert scale * evaluate(canon, pt) == evaluate(form, pt)
     moved = form.subst(var, point)
-    assert _typed(moved) and moved.evaluate(pt) == form.evaluate(at(var, point.evaluate(pt)))
+    assert _typed(moved) and evaluate(moved, pt) == evaluate(form, at(var, evaluate(point, pt)))
     v = min(form.support)
     root = form.solve_for(v)
     assert _typed(root)
-    v_pt = at(v, root.evaluate(pt))
-    assert form.evaluate(v_pt) == 0
+    v_pt = at(v, evaluate(root, pt))
+    assert evaluate(form, v_pt) == 0
     # construction, reduce and one residue; the same scalar given as an int gives an equal object
     assume(not p.is_zero() and not point.is_zero() and pt[var])
-    assume(form.evaluate(pt) and other.evaluate(pt) and other.evaluate(v_pt))
+    assume(evaluate(form, pt) and evaluate(other, pt) and evaluate(other, v_pt))
     den = [(form, 1, frozenset({v})), (other, 1, frozenset()), (LinForm.variable(var), 2, frozenset({var}))]
     f = FactoredRat(s, p * z(var) ** 2, den, [(point, 1)])
     assume(not f.is_zero())
     assert _typed(f)
-    assert f.evaluate(pt) == s * p.evaluate(pt) * point.evaluate(pt) / (form.evaluate(pt) * other.evaluate(pt))
+    assert evaluate(f, pt) == s * evaluate(p, pt) * evaluate(point, pt) / (evaluate(form, pt) * evaluate(other, pt))
     if s.denominator == 1:
         assert FactoredRat(s.numerator, p * z(var) ** 2, den, [(point, 1)]) == f
     g = f.reduce()
-    assert _typed(g) and g.evaluate(pt) == f.evaluate(pt)
+    assert _typed(g) and evaluate(g, pt) == evaluate(f, pt)
     h = FactoredRat(s, p * MPoly.factored([(point, 1)]), den[:2])
     pole = next(fac for fac in h.den if v in fac.allowed)
     assert pole.form.solve_for(v) == root
     r = residue_at_point(h, v, pole)
     assert _typed(r)
-    expected = s * p.evaluate(v_pt) * point.evaluate(v_pt) / (form.coeff(v) * other.evaluate(v_pt))
-    assert r.evaluate(pt) == expected
+    expected = s * evaluate(p, v_pt) * evaluate(point, v_pt) / (form.coeff(v) * evaluate(other, v_pt))
+    assert evaluate(r, pt) == expected

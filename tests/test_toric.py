@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polys import dense, homogeneous_degree
+from polys import dense, evaluate, homogeneous_degree
 from quasimap import checks, toric
 from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import r_denominator_factors
@@ -326,7 +326,7 @@ def test_eval_recession_is_the_block_minimum():
         blocks = block_forms(d)
         for _ in range(200):
             alpha = [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d + 1)]
-            assert eval_recession(d, alpha) == [min(f.evaluate(alpha) for f in block) for block in blocks]
+            assert eval_recession(d, alpha) == [min(evaluate(f, alpha) for f in block) for block in blocks]
 
 
 def test_block_forms_reject_bad_degree():
