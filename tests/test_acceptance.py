@@ -7,6 +7,11 @@ The same checks back the ``quasimap verify`` subcommand.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
+import pytest
+
+from quasimap import checks, toric
 from quasimap.checks import (
     DEGREE_SELECTION_SAMPLES,
     DEGREE_SELECTION_SEED,
@@ -20,13 +25,16 @@ from quasimap.checks import (
     check_insertion_identities,
     check_order_independence,
     check_period_coefficients,
+    check_properties,
     check_series,
     check_toric,
     check_volume_normalization,
     check_w_coefficients,
 )
+from quasimap.exact import LinForm
 from quasimap.intersection import w_sweep
 from quasimap.series import j_from_w, j_modular
+from quasimap.toric import OrientationReport
 
 
 def _report(criterion: str, results) -> None:
@@ -112,3 +120,47 @@ def test_headline_chain_residue_w_to_modular_j():
     print(f"{'PASS' if ok else 'FAIL'} headline chain: residue w_d for d<=30 "
           "-> composition sum -> modular j_1..j_30")
     assert ok
+
+
+def _one_class(d):
+    return {label: LinForm.variable(0) for label in toric.divisor_classes(d)}
+
+
+@pytest.mark.parametrize("check, predicate, replacement, failures, first", [
+    (check_toric, "det_Bk", lambda k: 0, 1,
+     "FAIL corner determinants k<=30: expected 9k-6 for all k, actual mismatch"),
+    (check_toric, "orientation_enumeration", lambda d: OrientationReport(4 ** d, -3), 4,
+     "FAIL orientation d=1: expected 4 regions, all determinants positive, "
+     "actual 4 regions, min determinant -3"),
+    (check_toric, "divisor_classes", _one_class, 2,
+     "FAIL ideal generators d=1: expected stated factor lists, actual mismatch"),
+    (check_series, "pf_first_failure", lambda n: 7, 1,
+     "FAIL differential-equation check N=20: expected no failing order through 20, "
+     "actual fails at order 7"),
+    (check_series, "lagrange_oracle", lambda w: [], 1,
+     "FAIL j reconstruction routes N=20: expected composition, inversion and modular "
+     "routes agree, actual diverge"),
+    (lambda: check_ideal_annihilation(1), "integrate_class", lambda *args, **kwargs: Fraction(5), 2,
+     "FAIL ideal annihilation d=1 generator=0: expected 0 on 10 samples, "
+     "actual nonzero at ('z0^3', '5')"),
+    (lambda: check_degree_selection(1), "integrate_class", lambda *args, **kwargs: Fraction(5), 1,
+     "FAIL degree selection d=1: expected 0 on 20 samples, actual nonzero at ('z0^6*z1^3', '5')"),
+    (check_properties, "compute_w", lambda d, a, b: Fraction(1), 1,
+     "FAIL degree zeros a+b != 1: expected w = 0 for all off-degree insertions, "
+     "actual nonzero at (1, -1, -1)"),
+    (check_properties, "linearity_samples", lambda: [(Fraction(1), Fraction(2))], 1,
+     "FAIL residue linearity: expected linear in the numerator, actual violation"),
+    (check_properties, "recession_injective", lambda d, rng: False, 1,
+     "FAIL recession sampled injectivity: expected no collisions on 10^4 samples per degree, "
+     "actual collision found"),
+    (check_properties, "eval_recession", lambda d, a: [x + 1 for x in a], 1,
+     "FAIL recession homogeneity: expected F(t a) = t F(a), actual violation"),
+])
+def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, replacement,
+                                                 failures, first):
+    # The golden digests see only PASS lines: pin every FAIL text, with the
+    # predicate behind it forced to fail, and that no other line fails.
+    monkeypatch.setattr(checks, predicate, replacement)
+    failed = [r.line() for r in check() if not r.ok]
+    assert len(failed) == failures
+    assert failed[0] == first

@@ -392,6 +392,28 @@ def test_verify_text_streams_each_line(monkeypatch):
     assert out.getvalue().startswith(written[0])
 
 
+def test_verify_reports_a_failing_check(monkeypatch):
+    # One check forced to fail: exit 1, and text and JSON carry the same status
+    # and summary.  The lines are read by name, so every name is unique.
+    from quasimap import checks
+
+    names = [r.name for r in checks.run_verification(6)]
+    assert len(set(names)) == len(names) == 86
+    total = len(list(checks.run_verification(2)))
+    summary = f"{total - 1}/{total} checks passed"
+    monkeypatch.setattr(checks, "det_Bk", lambda k: 0)
+    code, text = run_cli(["verify", "--degree-max", "2"])
+    assert code == 1
+    assert "FAIL corner determinants k<=30: expected 9k-6 for all k, actual mismatch\n" in text
+    assert text.endswith(f"summary: {summary}\nstatus: verification_failed\n")
+    code, doc = run_cli(["verify", "--degree-max", "2", "--format", "json"])
+    assert code == 1
+    result = from_json_text(doc)
+    assert result.status == "verification_failed"
+    assert result.values[-1] == ("summary", summary)
+    assert ("corner determinants k<=30", "FAIL expected=9k-6 for all k actual=mismatch") in result.values
+
+
 def test_tracer_targets_exist():
     # ``benchmarks/tracer.py`` wraps these methods by name and reads the
     # arguments of the spans in its ``INFO`` table; read both tables without
