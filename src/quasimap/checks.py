@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import struct
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -76,13 +76,26 @@ class CheckResult(NamedTuple):
     expected: str
     actual: str
 
-    def line(self) -> str:
+    def line(self, fmt: str = "text") -> str:
+        """The ``verify`` text line, or with ``fmt="json"`` the value under ``name``."""
         label = "PASS" if self.ok else "FAIL"
+        if fmt == "json":
+            return f"{label} expected={self.expected} actual={self.actual}"
         return f"{label} {self.name}: expected {self.expected}, actual {self.actual}"
 
 
 def _cmp(name: str, expected, actual) -> CheckResult:
     return CheckResult(name, expected == actual, str(expected), str(actual))
+
+
+def _verdict(name: str, ok: bool, expected: str, good: str, bad: str) -> CheckResult:
+    """A yes/no check: its actual text is ``good`` when it holds, else ``bad``."""
+    return CheckResult(name, ok, expected, good if ok else bad)
+
+
+def _all_zero(name: str, expected: str, misses: list) -> CheckResult:
+    """A vanishing check; ``misses`` lists where it fails, and the first is shown."""
+    return CheckResult(name, not misses, expected, f"nonzero at {misses[0]}" if misses else "all zero")
 
 
 def check_w_coefficients(w: list[Fraction]) -> list[CheckResult]:
@@ -122,15 +135,17 @@ def check_volume_normalization(dmax: int) -> list[CheckResult]:
     ]
 
 
-def _zero_on_samples(name: str, samples: int, bad: list) -> CheckResult:
-    """A sampled vanishing check; ``bad`` lists the (monomial, value) misses."""
-    return CheckResult(name, not bad, f"0 on {samples} samples",
-                       "all zero" if not bad else f"nonzero at {bad[0]}")
-
-
 def _random_monomial(d: int, degree: int, rng: random.Random) -> MPoly:
     """A monomial of the given degree in ``H_0..H_d``, one seeded draw per factor."""
     return MPoly.monomial(Counter(rng.randrange(d + 1) for _ in range(degree)))
+
+
+def _sampled_zeros(name: str, d: int, monomials: list[MPoly],
+                   factors: Iterable[tuple[LinForm, int]] = ()) -> CheckResult:
+    """Each class ``mono * prod factors`` integrates to 0; a miss is ``(monomial, value)``."""
+    misses = [(mono.render(), str(value)) for mono in monomials
+              if (value := integrate_class(d, mono, factors=factors))]
+    return _all_zero(name, f"0 on {len(monomials)} samples", misses)
 
 
 def check_ideal_annihilation(dmax: int) -> list[CheckResult]:
@@ -141,14 +156,8 @@ def check_ideal_annihilation(dmax: int) -> list[CheckResult]:
     for d in range(1, dmax + 1):
         for gi, factors in enumerate(sr_ideal_factors(d)):
             comp = 6 * d + 2 - sum(mult for _, mult in factors)
-            bad = []
-            for _ in range(IDEAL_SAMPLES):
-                mono = _random_monomial(d, comp, rng)
-                value = integrate_class(d, mono, factors=factors)
-                if value:
-                    bad.append((mono.render(), str(value)))
-            out.append(_zero_on_samples(f"ideal annihilation d={d} generator={gi}",
-                                        IDEAL_SAMPLES, bad))
+            monomials = [_random_monomial(d, comp, rng) for _ in range(IDEAL_SAMPLES)]
+            out.append(_sampled_zeros(f"ideal annihilation d={d} generator={gi}", d, monomials, factors))
     return out
 
 
@@ -158,16 +167,13 @@ def check_degree_selection(dmax: int) -> list[CheckResult]:
     rng = random.Random(DEGREE_SELECTION_SEED)
     out = []
     for d in range(1, dmax + 1):
-        bad = []
+        monomials = []
         for _ in range(DEGREE_SELECTION_SAMPLES):
             degree = rng.randrange(0, 8 * d + 4)
             if degree == 6 * d + 2:
                 degree += 1
-            mono = _random_monomial(d, degree, rng)
-            value = integrate_class(d, mono)
-            if value:
-                bad.append((mono.render(), str(value)))
-        out.append(_zero_on_samples(f"degree selection d={d}", DEGREE_SELECTION_SAMPLES, bad))
+            monomials.append(_random_monomial(d, degree, rng))
+        out.append(_sampled_zeros(f"degree selection d={d}", d, monomials))
     return out
 
 
@@ -218,52 +224,27 @@ def check_toric() -> list[CheckResult]:
     for d in range(1, RELATION_DMAX + 1):
         out.append(_cmp(f"ray relations d={d}", True, relation_check(build_fan(d))))
     dets_ok = all(det_Bk(k) == 9 * k - 6 for k in range(1, DET_KMAX + 1))
-    out.append(
-        CheckResult(
-            f"corner determinants k<={DET_KMAX}",
-            dets_ok,
-            "9k-6 for all k",
-            "all match" if dets_ok else "mismatch",
-        )
-    )
+    out.append(_verdict(f"corner determinants k<={DET_KMAX}", dets_ok, "9k-6 for all k",
+                        "all match", "mismatch"))
     for d in range(1, ORIENTATION_DMAX + 1):
         rep = orientation_enumeration(d)
-        out.append(
-            CheckResult(
-                f"orientation d={d}",
-                rep.all_positive and rep.region_count == 4 ** d,
-                f"{4 ** d} regions, all determinants positive",
-                f"{rep.region_count} regions, min determinant {rep.min_det}",
-            )
-        )
+        out.append(CheckResult(f"orientation d={d}", rep.all_positive and rep.region_count == 4 ** d,
+                               f"{4 ** d} regions, all determinants positive",
+                               f"{rep.region_count} regions, min determinant {rep.min_det}"))
     for d in (1, 2):
         classes = divisor_classes(d)
         products = [_canonical_factors([(classes[label], 1) for label in collection])
                     for collection in build_fan(d).primitive_collections]
         ok = products == [_canonical_factors(gen) for gen in sr_ideal_factors(d)]
-        out.append(
-            CheckResult(
-                f"ideal generators d={d}",
-                ok,
-                "stated factor lists",
-                "match" if ok else "mismatch",
-            )
-        )
+        out.append(_verdict(f"ideal generators d={d}", ok, "stated factor lists", "match", "mismatch"))
     return out
 
 
 def check_series() -> list[CheckResult]:
     """Differential-equation recursion, mirror coefficients, j-coefficients, three routes."""
-    out = []
     failure = pf_first_failure(20)
-    out.append(
-        CheckResult(
-            "differential-equation check N=20",
-            failure is None,
-            "no failing order through 20",
-            "none" if failure is None else f"fails at order {failure}",
-        )
-    )
+    out = [_verdict("differential-equation check N=20", failure is None,
+                    "no failing order through 20", "none", f"fails at order {failure}")]
     w = mirror_w(20)
     for d in range(1, 5):
         out.append(_cmp(f"mirror coefficient w_{d}", Fraction(W_KNOWN[d - 1]), w[d - 1]))
@@ -271,14 +252,8 @@ def check_series() -> list[CheckResult]:
     for d in range(1, 6):
         out.append(_cmp(f"j coefficient j_{d}", Fraction(J_KNOWN[d - 1]), j[d - 1]))
     agree = j == lagrange_oracle(w) == j_modular(20)
-    out.append(
-        CheckResult(
-            "j reconstruction routes N=20",
-            agree,
-            "composition, inversion and modular routes agree",
-            "agree" if agree else "diverge",
-        )
-    )
+    out.append(_verdict("j reconstruction routes N=20", agree,
+                        "composition, inversion and modular routes agree", "agree", "diverge"))
     return out
 
 
@@ -372,30 +347,17 @@ def _denominators_closed(f: FactoredRat, plan: ResiduePlan) -> bool:
 def check_properties() -> list[CheckResult]:
     """Seeded property suite: degree zeros, linearity, closure, recession map.
     ``homogeneity_filter`` decides the degree zeros; unfiltered, the engine gives 0 too."""
-    out = []
-    bad = [
-        (d, a, b)
-        for d in (1, 2, 3)
-        for a in (-1, 0, 1, 2)
-        for b in (-1, 0, 1, 2)
-        if a + b != 1 and compute_w(d, a, b) != 0
-    ]
-    out.append(
-        CheckResult(
-            "degree zeros a+b != 1",
-            not bad,
-            "w = 0 for all off-degree insertions",
-            "all zero" if not bad else f"nonzero at {bad[0]}",
-        )
-    )
+    misses = [(d, a, b) for d in (1, 2, 3) for a in (-1, 0, 1, 2) for b in (-1, 0, 1, 2)
+              if a + b != 1 and compute_w(d, a, b) != 0]
+    out = [_all_zero("degree zeros a+b != 1", "w = 0 for all off-degree insertions", misses)]
 
     samples = linearity_samples()
     lin_ok = all(lhs == rhs and lhs for lhs, rhs in samples)
-    out.append(CheckResult("residue linearity", lin_ok, "linear in the numerator", "linear" if lin_ok else "violation"))
+    out.append(_verdict("residue linearity", lin_ok, "linear in the numerator", "linear", "violation"))
 
     closure_ok = _denominators_closed(IntegrandSpec.insertions(2, 1, 0).build(), ResiduePlan.ascending(2))
-    out.append(CheckResult("denominator closure", closure_ok, "linear tagged factors only",
-                           "closed" if closure_ok else "violation"))
+    out.append(_verdict("denominator closure", closure_ok, "linear tagged factors only",
+                        "closed", "violation"))
 
     rng = random.Random(40961)
     hom_ok = True
@@ -408,15 +370,9 @@ def check_properties() -> list[CheckResult]:
             right = [t * y for y in eval_recession(d, alpha)]
             hom_ok = hom_ok and left == right
         inj_ok = recession_injective(d, rng) and inj_ok
-    out.append(CheckResult("recession homogeneity", hom_ok, "F(t a) = t F(a)", "holds" if hom_ok else "violation"))
-    out.append(
-        CheckResult(
-            "recession sampled injectivity",
-            inj_ok,
-            "no collisions on 10^4 samples per degree",
-            "injective" if inj_ok else "collision found",
-        )
-    )
+    out.append(_verdict("recession homogeneity", hom_ok, "F(t a) = t F(a)", "holds", "violation"))
+    out.append(_verdict("recession sampled injectivity", inj_ok,
+                        "no collisions on 10^4 samples per degree", "injective", "collision found"))
     return out
 
 

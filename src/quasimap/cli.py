@@ -149,8 +149,7 @@ def _write_verification(params: dict[str, int], checks, fmt: str, out) -> int:
     summary = f"{passed}/{len(results)} checks passed"
     status = "ok" if passed == len(results) else "verification_failed"
     if fmt == "json":
-        values = [(r.name, ("PASS" if r.ok else "FAIL") + f" expected={r.expected} actual={r.actual}")
-                  for r in results]
+        values = [(r.name, r.line("json")) for r in results]
         CommandResult("verify", params, [*values, ("summary", summary)], status).emit(fmt, out)
     else:
         out.write(f"summary: {summary}\nstatus: {status}\n")

@@ -134,8 +134,7 @@ def wall_insertion_residue(d: int, f: int) -> Fraction:
     """
     if not 1 <= f <= d - 1:
         raise ValueError("need 1 <= f <= d-1")
-    spec = IntegrandSpec(d, ((0, 1), (d, -1)), (wall_form(d - f),))
-    return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
+    return _z0_form_over_zd(d, wall_form(d - f))
 
 
 def telescoped_insertion_residue(d: int) -> Fraction:
@@ -148,6 +147,10 @@ def telescoped_insertion_residue(d: int) -> Fraction:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    form = LinForm({0: 1 - d, 1: d})
+    return _z0_form_over_zd(d, LinForm({0: 1 - d, 1: d}))
+
+
+def _z0_form_over_zd(d: int, form: LinForm) -> Fraction:
+    """Half the ascending residue of the chain with numerator ``z_0 * form`` and ``1/z_d``."""
     spec = IntegrandSpec(d, ((0, 1), (d, -1)), (form,))
     return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2

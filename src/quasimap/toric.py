@@ -236,13 +236,13 @@ def det_Bk(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _int_det([[int(block[-1].coeffs.get(j, 0)) for j in range(k + 1)] for block in block_forms(k)])
+    return _int_det([choices[-1] for choices in _row_choices(k)])
 
 
 def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
     """The gradients each row of the gluing map chooses from: block ``i`` of
     :func:`block_forms` as integer coefficient rows."""
-    return [[tuple(int(form.coeffs.get(j, 0)) for j in range(d + 1)) for form in block]
+    return [[tuple(form.coeffs.get(j, 0) for j in range(d + 1)) for form in block]
             for block in block_forms(d)]
 
 
