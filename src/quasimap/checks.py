@@ -13,6 +13,7 @@ import struct
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .exact import FactoredRat, LinForm, MPoly
@@ -40,8 +41,8 @@ from .toric import (
     build_fan,
     det_Bk,
     divisor_classes,
-    eval_recession,
     orientation_enumeration,
+    recession_map,
     relation_check,
     sr_ideal_factors,
     volume_form_factors,
@@ -58,8 +59,9 @@ IDEAL_SEED = 1113
 DEGREE_SELECTION_SAMPLES = 20
 DEGREE_SELECTION_SEED = 62
 
-# Seeded injectivity samples per degree in check_properties.
+# Seeded injectivity samples per degree in check_properties, and how many are mapped at once.
 RECESSION_SAMPLES = 10_000
+RECESSION_BLOCK = 200
 
 # check_toric's ranges: ray relations and orientations up to d, corner determinants up to k.
 RELATION_DMAX = 10
@@ -68,6 +70,8 @@ ORIENTATION_DMAX = 4
 
 # lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
 RECESSION_SCALE = 420
+# The scaled coordinate RECESSION_SCALE * p/q of each draw, at [p + 50][q - 1].
+RECESSION_SCALED = tuple(tuple(p * (RECESSION_SCALE // q) for q in range(1, 8)) for p in range(-50, 51))
 
 
 class CheckResult(NamedTuple):
@@ -285,8 +289,8 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def recession_samples(d: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
-    """``RECESSION_SAMPLES`` seeded points of ``(1/420) Z^{d+1}``, scaled by 420 to integers.
+def recession_samples(count: int, d: int, rng: random.Random) -> list[int]:
+    """``count`` seeded points of ``(1/420) Z^{d+1}`` times 420, as one point-major list of ints.
 
     Each coordinate is ``420 * p/q`` for ``p`` in -50..50 and ``q`` in 1..7, drawn in
     that order as ``randint(-50, 50)`` and ``randint(1, 7)`` draw them: ``getrandbits(7)``
@@ -294,39 +298,39 @@ def recession_samples(d: int, rng: random.Random) -> Iterator[tuple[int, ...]]:
     So the points, and the state ``rng`` is left in, are those of the ``randint`` calls.
     """
     bits = rng.getrandbits
-    for _ in range(RECESSION_SAMPLES):
-        point = []
-        for _ in range(d + 1):
+    flat = []
+    for _ in range(count * (d + 1)):
+        p = bits(7)
+        while p > 100:
             p = bits(7)
-            while p > 100:
-                p = bits(7)
+        q = bits(3)
+        while q > 6:
             q = bits(3)
-            while q > 6:
-                q = bits(3)
-            point.append((p - 50) * (RECESSION_SCALE // (q + 1)))
-        yield tuple(point)
+        flat.append(RECESSION_SCALED[p][q])
+    return flat
 
 
 def recession_injective(d: int, rng: random.Random) -> bool:
-    """No two distinct points of :func:`recession_samples` share a recession image.
+    """No two distinct points of ``RECESSION_SAMPLES`` :func:`recession_samples` share an
+    image under :func:`recession_map`, which maps them ``RECESSION_BLOCK`` at a time.
 
-    ``eval_recession`` is a minimum of integer linear forms, so
-    ``F(420 a) = 420 F(a)`` and the scaled samples collide exactly when the
-    unscaled ones do; all arithmetic stays in ``int``.
+    ``F`` is a minimum of integer linear forms, so ``F(420 a) = 420 F(a)``: the scaled
+    samples collide exactly when the unscaled ones do, in ``int`` arithmetic.
 
-    Each image and each point is kept as its ``d + 1`` values packed as
-    little-endian ``int32`` bytes, not as a tuple of boxed ints.  The keys are
-    exact: packing is injective on tuples of that fixed length, and a value
-    outside ``int32`` raises ``struct.error`` instead of wrapping.  The
-    samples have ``|a_i| <= 50 * 420`` and ``|F_i| <= 4 * 50 * 420``.
+    Each image and each point is kept as its ``d + 1`` values packed as little-endian
+    ``int32`` bytes, not as a tuple of boxed ints.  The keys are exact: packing is
+    injective on tuples of that fixed length, and a value outside ``int32`` raises
+    ``struct.error`` instead of wrapping.  The samples have ``|a_i| <= 50 * 420``
+    and ``|F_i| <= 4 * 50 * 420``.
     """
     pack = struct.Struct(f"<{d + 1}i").pack
     seen: dict[bytes, bytes] = {}
     ok = True
-    for alpha in recession_samples(d, rng):
-        point = pack(*alpha)
-        if seen.setdefault(pack(*eval_recession(d, alpha)), point) != point:
-            ok = False
+    for start in range(0, RECESSION_SAMPLES, RECESSION_BLOCK):
+        flat = recession_samples(min(RECESSION_BLOCK, RECESSION_SAMPLES - start), d, rng)
+        cols = [flat[j::d + 1] for j in range(d + 1)]
+        points = list(map(pack, *cols))
+        ok = list(map(seen.setdefault, map(pack, *recession_map(d, cols)), points)) == points and ok
     return ok
 
 
@@ -360,15 +364,13 @@ def check_properties() -> list[CheckResult]:
                         "closed", "violation"))
 
     rng = random.Random(40961)
-    hom_ok = True
-    inj_ok = True
+    hom_ok = inj_ok = True
     for d in (1, 2, 3, 4):
-        for _ in range(50):
-            alpha = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d + 1)]
-            t = Fraction(rng.randint(1, 30), rng.randint(1, 9))
-            left = eval_recession(d, [t * x for x in alpha])
-            right = [t * y for y in eval_recession(d, alpha)]
-            hom_ok = hom_ok and left == right
+        alphas, ts = zip(*[([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d + 1)],
+                            Fraction(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(50)])
+        left = recession_map(d, [list(map(mul, ts, col)) for col in zip(*alphas)])
+        right = [list(map(mul, ts, row)) for row in recession_map(d, list(zip(*alphas)))]
+        hom_ok = hom_ok and left == right
         inj_ok = recession_injective(d, rng) and inj_ok
     out.append(_verdict("recession homogeneity", hom_ok, "F(t a) = t F(a)", "holds", "violation"))
     out.append(_verdict("recession sampled injectivity", inj_ok,

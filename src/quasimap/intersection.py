@@ -120,13 +120,13 @@ def w_sweep(dmax: int, a: int, b: int) -> list[Fraction]:
 
 
 def mixed_insertion_residues(dmax: int) -> list[Fraction]:
-    """Residues of the chain carrying ``z_0 z_1`` and ``1/z_d``, ``d = 1..dmax``, from one sweep."""
+    """Half the residues of the chain carrying ``z_0 z_1`` and ``1/z_d``, ``d = 1..dmax``, from one sweep."""
     specs = [IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))) for d in range(1, dmax + 1)]
     return [value / 2 for value in residue_sweep([spec.build() for spec in specs])]
 
 
 def wall_insertion_residue(d: int, f: int) -> Fraction:
-    """Residue of the chain with numerator ``z_0 * (2 z_{d-f} - z_{d-f-1} - z_{d-f+1})``.
+    """Half the residue of the ``1/z_d`` chain with numerator ``z_0 * (2 z_{d-f} - z_{d-f-1} - z_{d-f+1})``.
 
     The inserted wall factor cancels the matching excluded denominator factor,
     so the chain splits at position ``d - f`` into two independent halves: the
@@ -138,7 +138,7 @@ def wall_insertion_residue(d: int, f: int) -> Fraction:
 
 
 def telescoped_insertion_residue(d: int) -> Fraction:
-    """Residue of the chain with numerator ``z_0 * (d (z_1 - z_0) + z_0)``.
+    """Half the residue of the ``1/z_d`` chain with numerator ``z_0 * (d (z_1 - z_0) + z_0)``.
 
     Equals ``sum_f f * wall_insertion_residue(d, f) + (1/2) w(O_z O_1)_{0,d}``
     by the telescoping identity

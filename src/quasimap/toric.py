@@ -14,14 +14,16 @@ Completeness and simpliciality reduce to finite linear algebra: the
 positivity of every linearity-region determinant of the gluing map
 (:func:`orientation_enumeration`, with the corner determinants
 :func:`det_Bk`), and the sampled injectivity of its recession function
-(:func:`eval_recession`).
+(:func:`recession_map`).
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
-from itertools import product
+from functools import partial, reduce
+from itertools import product, repeat
+from operator import add, mul
 from typing import NamedTuple
 
 from .exact import LinForm, MPoly
@@ -270,31 +272,27 @@ def orientation_enumeration(d: int) -> OrientationReport:
     return OrientationReport(len(dets), min(dets))
 
 
-def eval_recession(d: int, a: Sequence[int | Fraction]) -> list[int | Fraction]:
-    """Componentwise min-expressions of the recession map on R^{d+1}.
+def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list[int | Fraction]]:
+    """The recession map ``F`` at many points of R^{d+1}, ``cols[j]`` holding coordinate
+    ``j`` of each: row ``i`` is the minimum of the forms of block ``i`` of
+    :func:`block_forms`, each evaluated over the columns.
 
-    Component ``i`` is the minimum of the forms of block ``i`` of
-    :func:`block_forms`, written out here because this is the inner loop of
-    the sampled injectivity check.  Positively homogeneous:
-    ``F(t*a) = t*F(a)`` for ``t >= 0``; its injectivity (sampled
-    elsewhere) is what makes the fan complete.
-
-    The forms have integer coefficients, so the components lie in the ring
-    of the coordinates: all-``int`` coordinates give ``int`` components, and
-    where some coordinate is a ``Fraction`` the components may be
-    ``Fraction``s (each one exact either way).  Any other coordinate type
-    (``float`` included) raises ``TypeError``.
+    ``F(t*a) = t*F(a)`` for ``t >= 0``; its injectivity (sampled elsewhere) makes the
+    fan complete.  The forms have ``int`` coefficients, so ``int`` columns give
+    ``int`` rows and ``Fraction`` entries give exact values.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    if len(a) != d + 1:
-        raise ValueError("a must have length d+1")
-    for x in a:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError("coordinates of a must be int or Fraction")
-    out = [min(a[0], 2 * a[0] + a[1])]
-    for i in range(1, d):
-        out.append(min(a[i], a[i - 1] + 2 * a[i], 2 * a[i] + a[i + 1],
-                       -a[i - 1] + 2 * a[i] - a[i + 1]))
-    out.append(min(a[d], a[d - 1] + 2 * a[d]))
-    return out
+    if len(cols) != d + 1:
+        raise ValueError("need d+1 coordinates")
+    columns = [[reduce(partial(map, add), [cols[j] if c == 1 else map(mul, repeat(c), cols[j])
+                                           for j, c in form.coeffs.items()]) for form in block]
+               for block in block_forms(d)]
+    return [list(map(min, *forms)) for forms in columns]
+
+
+def eval_recession(d: int, a: Sequence[int | Fraction]) -> list[int | Fraction]:
+    """:func:`recession_map` at the one point ``a``, whose coordinates must be
+    ``int`` or ``Fraction``: any other type (``float`` included) raises
+    ``TypeError``."""
+    if not all(isinstance(x, (int, Fraction)) for x in a):
+        raise TypeError("coordinates of a must be int or Fraction")
+    return [row[0] for row in recession_map(d, [[x] for x in a])]

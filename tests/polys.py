@@ -36,3 +36,13 @@ def evaluate(x: LinForm | MPoly | FactoredRat, values) -> Fraction:
         return sum((c * prod(values[j] ** k for j, k in e) for e, c in x.terms.items()), Fraction(0))
     value = x.scalar * evaluate(x.num, values) * prod(evaluate(g, values) ** m for g, m in x.factors)
     return value / prod(evaluate(f.form, values) ** f.multiplicity for f in x.den)
+
+
+def recession_reference(d: int, a) -> list:
+    """The recession map at the one point ``a``, each component's block minimum written
+    out by hand: an independent reference for ``toric.recession_map``."""
+    out = [min(a[0], 2 * a[0] + a[1])]
+    for i in range(1, d):
+        out.append(min(a[i], a[i - 1] + 2 * a[i], 2 * a[i] + a[i + 1], -a[i - 1] + 2 * a[i] - a[i + 1]))
+    out.append(min(a[d], a[d - 1] + 2 * a[d]))
+    return out

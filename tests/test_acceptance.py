@@ -153,7 +153,7 @@ def _one_class(d):
     (check_properties, "recession_injective", lambda d, rng: False, 1,
      "FAIL recession sampled injectivity: expected no collisions on 10^4 samples per degree, "
      "actual collision found"),
-    (check_properties, "eval_recession", lambda d, a: [x + 1 for x in a], 1,
+    (check_properties, "recession_map", lambda d, cols: [[x + 1 for x in col] for col in cols], 1,
      "FAIL recession homogeneity: expected F(t a) = t F(a), actual violation"),
 ])
 def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, replacement,

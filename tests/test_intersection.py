@@ -186,6 +186,18 @@ def test_wall_split_identity():
         assert telescoped == telescoped_insertion_residue(d) == f1_hat_coeff(d), d
 
 
+def test_insertion_residues_are_half_the_chain_residue():
+    # The three insertion helpers return half the ascending residue of their chain.
+    up = ResiduePlan.ascending(2)
+    wall = IntegrandSpec(2, ((0, 1), (2, -1)), (wall_form(1),)).build()
+    assert iterated_residue(wall, up) == 178560
+    assert wall_insertion_residue(2, 1) == 89280
+    telescoped = IntegrandSpec(2, ((0, 1), (2, -1)), (linform((0, -1), (1, 2)),)).build()
+    assert iterated_residue(telescoped, up) == 2 * telescoped_insertion_residue(2) == 1125864
+    mixed = IntegrandSpec(2, ((0, 1), (1, 1), (2, -1))).build()
+    assert iterated_residue(mixed, up) == 2 * mixed_insertion_residues(2)[-1] == 604512
+
+
 def test_wall_split_argument_validation():
     with pytest.raises(ValueError):
         wall_insertion_residue(2, 2)

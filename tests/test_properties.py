@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import quasimap.checks as checks
-from polys import dense
+from polys import dense, recession_reference
 from quasimap.checks import (
     RECESSION_SAMPLES,
     linearity_samples,
@@ -21,7 +21,7 @@ from quasimap.checks import (
 from quasimap.exact import FactoredRat
 from quasimap.intersection import IntegrandSpec
 from quasimap.residues import ResiduePlan, iterated_residue
-from quasimap.toric import eval_recession
+from quasimap.toric import recession_map
 
 
 def test_property_suite_all_green(property_results):
@@ -46,14 +46,26 @@ def test_linearity_samples_are_all_nonzero():
     assert all(lhs != 0 for lhs, _ in samples)
 
 
+def _points(flat: list[int], d: int) -> list[tuple[int, ...]]:
+    """The point-major list of :func:`recession_samples` as ``(d + 1)``-tuples."""
+    return list(zip(*[iter(flat)] * (d + 1)))
+
+
+def _columns(points) -> list[list]:
+    return [list(col) for col in zip(*points)]
+
+
 def test_recession_injectivity_direct_sampling():
     rng = random.Random(246810)
     for d in (1, 2):
-        for _ in range(500):
-            a = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(d + 1))
-            b = tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(d + 1))
+        pairs = [(tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(d + 1)),
+                  tuple(Fraction(rng.randint(-40, 40), rng.randint(1, 5)) for _ in range(d + 1)))
+                 for _ in range(500)]
+        images_a = list(zip(*recession_map(d, _columns(a for a, _ in pairs))))
+        images_b = list(zip(*recession_map(d, _columns(b for _, b in pairs))))
+        for (a, b), fa, fb in zip(pairs, images_a, images_b):
             if a != b:
-                assert eval_recession(d, list(a)) != eval_recession(d, list(b))
+                assert fa != fb
 
 
 def test_integer_recession_samples_are_scaled_fraction_samples():
@@ -62,7 +74,8 @@ def test_integer_recession_samples_are_scaled_fraction_samples():
     # injectivity sample is 420 times the ``Fraction(randint(-50, 50),
     # randint(1, 7))`` sample it replaced, and after each degree's samples both
     # generators are in the same state, so the rest of the stream is unchanged.
-    # The recession images are compared on the first 500 samples of each degree.
+    # The first 500 samples of each degree are mapped as integer columns and
+    # compared with 420 times the reference image of the Fraction sample.
     rng, replay = random.Random(40961), random.Random(40961)
     for d in (1, 2, 3, 4):
         for g in (rng, replay):
@@ -70,14 +83,13 @@ def test_integer_recession_samples_are_scaled_fraction_samples():
                 for _ in range(d + 1):
                     g.randint(-20, 20), g.randint(1, 9)
                 g.randint(1, 30), g.randint(1, 9)
-        count = 0
-        for ints in recession_samples(d, rng):
-            fracs = tuple(Fraction(replay.randint(-50, 50), replay.randint(1, 7)) for _ in range(d + 1))
-            assert ints == tuple(420 * x for x in fracs)
-            if count < 500:
-                assert eval_recession(d, ints) == [420 * y for y in eval_recession(d, fracs)]
-            count += 1
-        assert count == RECESSION_SAMPLES
+        points = _points(recession_samples(RECESSION_SAMPLES, d, rng), d)
+        assert len(points) == RECESSION_SAMPLES
+        fracs = [tuple(Fraction(replay.randint(-50, 50), replay.randint(1, 7)) for _ in range(d + 1))
+                 for _ in range(RECESSION_SAMPLES)]
+        assert points == [tuple(420 * x for x in a) for a in fracs]
+        images = [list(image) for image in zip(*recession_map(d, _columns(points[:500])))]
+        assert images == [[420 * y for y in recession_reference(d, a)] for a in fracs[:500]]
         assert rng.getstate() == replay.getstate()
 
 
@@ -88,43 +100,52 @@ def test_recession_injectivity_beyond_the_ladder():
         assert recession_injective(d, random.Random(40961))
 
 
-def _tuple_dict_injective(d: int, rng: random.Random) -> bool:
-    """The tuple-keyed collision check ``recession_injective`` replaced, as a reference."""
+def _tuple_dict_injective(d: int, rng: random.Random, count: int = RECESSION_SAMPLES) -> bool:
+    """The per-point, tuple-keyed collision check that ``recession_injective`` replaced,
+    on the reference map, as a reference."""
     seen: dict[tuple, tuple] = {}
     ok = True
-    for alpha in recession_samples(d, rng):
-        if seen.setdefault(tuple(eval_recession(d, alpha)), alpha) != alpha:
+    for alpha in _points(recession_samples(count, d, rng), d):
+        if seen.setdefault(tuple(recession_reference(d, alpha)), alpha) != alpha:
             ok = False
     return ok
 
 
-def test_packed_keys_agree_with_tuple_keys():
+def test_packed_keys_agree_with_tuple_keys(monkeypatch):
     # Same verdict and the same generator state after each degree, so the rest
-    # of the seed-40961 stream is unchanged.
+    # of the seed-40961 stream is unchanged: the blocked column path draws the
+    # points the per-point reference draws in one go.  Two more seeds run
+    # 2,050 samples, which ends in a partial block.
     for d in range(1, 7):
         rng, ref = random.Random(40961 + d), random.Random(40961 + d)
         assert recession_injective(d, rng) == _tuple_dict_injective(d, ref)
         assert rng.getstate() == ref.getstate()
+    monkeypatch.setattr(checks, "RECESSION_SAMPLES", 2_050)
+    for seed in (1, 2):
+        for d in range(1, 7):
+            rng, ref = random.Random(seed + d), random.Random(seed + d)
+            assert recession_injective(d, rng) == _tuple_dict_injective(d, ref, 2_050)
+            assert rng.getstate() == ref.getstate()
 
 
 def test_repeated_points_are_not_collisions():
-    points = list(recession_samples(1, random.Random(40961)))
+    points = _points(recession_samples(RECESSION_SAMPLES, 1, random.Random(40961)), 1)
     assert len(points) - len(set(points)) == 572
     assert recession_injective(1, random.Random(40961))
 
 
 def test_collision_is_found_under_a_non_injective_map(monkeypatch):
     # Negative control: the map that keeps only the first coordinate.
-    def forgetful(d, a):
-        return [eval_recession(d, a)[0]] + [0] * d
+    def forgetful(d, cols):
+        return [recession_map(d, cols)[0]] + [[0] * len(cols[0])] * d
 
-    monkeypatch.setattr(checks, "eval_recession", forgetful)
+    monkeypatch.setattr(checks, "recession_map", forgetful)
     for d in (1, 4):
         assert not recession_injective(d, random.Random(40961))
 
 
 def test_values_outside_int32_raise(monkeypatch):
-    monkeypatch.setattr(checks, "eval_recession", lambda d, a: [*a[:-1], 2 ** 31])
+    monkeypatch.setattr(checks, "recession_map", lambda d, cols: [*cols[:-1], [2 ** 31] * len(cols[-1])])
     with pytest.raises(struct.error):
         recession_injective(2, random.Random(40961))
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from polys import dense, evaluate, homogeneous_degree
+from polys import dense, evaluate, homogeneous_degree, recession_reference
 from quasimap import checks, toric
 from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import r_denominator_factors
@@ -20,6 +20,7 @@ from quasimap.toric import (
     eval_recession,
     max_cone_count,
     orientation_enumeration,
+    recession_map,
     relation_check,
     relation_defects,
     sr_ideal,
@@ -242,18 +243,25 @@ def test_recession_length_validation():
         eval_recession(2, [1, 2])
     with pytest.raises(ValueError):
         eval_recession(0, [1])
+    with pytest.raises(ValueError):
+        recession_map(3, [[1], [2], [3]])
+    with pytest.raises(ValueError):
+        recession_map(0, [[1]])
 
 
 def test_recession_stays_in_the_input_ring():
-    ints = eval_recession(3, [3, -7, 2, 5])
-    assert ints == [-1, -19, -3, 5]
-    assert all(type(y) is int for y in ints)
-    fracs = eval_recession(3, [Fraction(3, 2), Fraction(-7, 3), Fraction(2), Fraction(5, 7)])
-    assert fracs == [Fraction(2, 3), Fraction(-49, 6), Fraction(5, 3), Fraction(5, 7)]
-    assert all(type(y) is Fraction for y in fracs)
+    # Two points per column: (3, -7, 2, 5) and the origin.
+    ints = recession_map(3, [[3, 0], [-7, 0], [2, 0], [5, 0]])
+    assert ints == [[-1, 0], [-19, 0], [-3, 0], [5, 0]]
+    assert all(type(y) is int for row in ints for y in row)
+    fracs = recession_map(3, [[Fraction(3, 2)], [Fraction(-7, 3)], [Fraction(2)], [Fraction(5, 7)]])
+    assert fracs == [[Fraction(2, 3)], [Fraction(-49, 6)], [Fraction(5, 3)], [Fraction(5, 7)]]
+    assert all(type(y) is Fraction for row in fracs for y in row)
     # Mixed int and Fraction coordinates: exact values, types not pinned.
-    assert eval_recession(3, [3, Fraction(-7, 3), 2, Fraction(5, 7)]) == [
-        3, Fraction(-29, 3), Fraction(5, 3), Fraction(5, 7)]
+    assert recession_map(3, [[3], [Fraction(-7, 3)], [2], [Fraction(5, 7)]]) == [
+        [3], [Fraction(-29, 3)], [Fraction(5, 3)], [Fraction(5, 7)]]
+    # No points: one empty row per component.
+    assert recession_map(3, [[], [], [], []]) == [[], [], [], []]
     for alpha in ([0.1, 0, 0], [0, Fraction(1, 3), 0.5], ["1", 0, 0]):
         with pytest.raises(TypeError):
             eval_recession(2, alpha)
@@ -321,12 +329,19 @@ def test_volume_and_r_factors_match_literal_lists():
 
 
 def test_eval_recession_is_the_block_minimum():
+    # recession_map against the hand-written minima of tests/polys.py and the
+    # minima of block_forms through evaluate, on int and on Fraction columns;
+    # eval_recession is its one-point call.
     rng = random.Random(8086)
-    for d in range(1, 7):
+    for d in range(1, 9):
         blocks = block_forms(d)
-        for _ in range(200):
-            alpha = [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d + 1)]
-            assert eval_recession(d, alpha) == [min(evaluate(f, alpha) for f in block) for block in blocks]
+        ints = [[rng.randint(-30, 30) for _ in range(d + 1)] for _ in range(100)]
+        fracs = [[Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d + 1)] for _ in range(100)]
+        for points in (ints, fracs):
+            rows = recession_map(d, [list(col) for col in zip(*points)])
+            assert [list(image) for image in zip(*rows)] == [recession_reference(d, a) for a in points]
+            assert rows == [[min(evaluate(f, a) for f in block) for a in points] for block in blocks]
+            assert eval_recession(d, points[0]) == recession_reference(d, points[0])
 
 
 def test_block_forms_reject_bad_degree():
