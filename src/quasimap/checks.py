@@ -338,9 +338,9 @@ def _denominators_closed(f: FactoredRat, plan: ResiduePlan) -> bool:
     """After each engine step on ``f``, every branch denominator factor is linear, free
     of the integrated variables, and tagged inside its support."""
     done = set()
-    branches, *shared = residue_start(f)
-    for var in plan.order:
-        branches, *shared = residue_step(branches, var, *shared)
+    branches, joins = residue_start(f, plan.order)
+    for var, (nums, dens) in zip(plan.order, joins):
+        branches = residue_step(branches, var, nums, dens)
         done.add(var)
         if any(fac.form.support & done or not fac.allowed <= fac.form.support
                for branch in branches.values() for fac in branch.den):

@@ -37,15 +37,15 @@ def e6_factors(x: int, y: int) -> list[LinForm]:
     return [LinForm({x: 6 - j, y: j}) for j in range(7)]
 
 
-def r_denominator_factors(d: int) -> list[tuple[LinForm, int, frozenset[int]]]:
-    """Tagged factors of the pairing denominator ``R`` (without its 3^{d+1} scalar).
+def r_denominator_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int, frozenset[int]]]]:
+    """Scalar ``3^{d+1}`` and tagged factors of the pairing denominator ``R``.
 
-    ``R`` is the product of the ideal generators; every form of block ``i``
-    (:func:`~quasimap.toric.block_forms`) is tagged ``{i}``, since the ``z_i``
-    contour encloses its zero.
+    ``R`` is the scalar times the product of the ideal generators; every form
+    of block ``i`` (:func:`~quasimap.toric.block_forms`) is tagged ``{i}``,
+    since the ``z_i`` contour encloses its zero.
     """
-    return [(form, mult, frozenset({i}))
-            for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
+    return Fraction(3 ** (d + 1)), [(form, mult, frozenset({i}))
+                                    for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
 
 
 class IntegrandSpec(NamedTuple):
@@ -72,13 +72,13 @@ class IntegrandSpec(NamedTuple):
         proportional ones and keeps the survivors unexpanded.
         """
         d = self.d
-        den = r_denominator_factors(d)
+        scalar, den = r_denominator_factors(d)
         den += [(LinForm({i: 6}), 1, frozenset({i})) for i in range(1, d)]
         den += [(LinForm.variable(v), -e, frozenset({v})) for v, e in self.monomial if e < 0]
         num = [(form, 1) for i in range(1, d + 1) for form in e6_factors(i - 1, i)]
         num += [(form, 1) for form in self.extra_forms]
         num += [(LinForm.variable(v), e) for v, e in self.monomial if e > 0]
-        return FactoredRat(Fraction(1, 3 ** (d + 1)), MPoly.const(1), den, num)
+        return FactoredRat(1 / scalar, MPoly.const(1), den, num)
 
 
 def compute_w(d: int, a: int, b: int) -> Fraction:
@@ -110,7 +110,8 @@ def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
     """
     if max(omega.variables(), default=0) > d:
         raise ValueError(f"omega must be a class in H_0..H_{d}")
-    integrand = FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d), factors)
+    scalar, den = r_denominator_factors(d)
+    integrand = FactoredRat(1 / scalar, omega, den, factors)
     return iterated_residue(integrand, plan or ResiduePlan.ascending(d))
 
 

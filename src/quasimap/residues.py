@@ -9,8 +9,9 @@ the local pole order.
 
 The engine follows the locality of the integrand: the numerator stays a list
 of factors, and a numerator or denominator factor joins the branches only at
-the first step whose variable it involves; until then it is shared by all of
-them and never expanded.  Branches whose tagged denominators agree after a
+the first step of the plan whose variable it involves; until then it is never
+expanded.  :func:`residue_start` decides that step for every factor once, as
+the plan's *join schedule*.  Branches whose tagged denominators agree after a
 step are merged by adding their numerators.  After the last step each
 survivor must be an exact rational constant.
 
@@ -18,16 +19,16 @@ No tag is ever gained (a residue tags each new factor ``(fac.allowed - {var}) & 
 and merging unites tags), so :func:`iterated_residue` returns 0 before any step when a
 plan variable is in no allowed set: no branch would have a pole to visit there.
 
-:func:`residue_step` is that one step; :func:`iterated_residue` applies it once
-per variable of a plan, and :func:`residue_sweep` runs a chain family ``f_1..f_D``
-on one ascending pass over ``f_D``.
+:func:`residue_step` is one step and joins one schedule entry; :func:`iterated_residue`
+applies it once per variable of a plan, and :func:`residue_sweep` runs a chain family
+``f_1..f_D`` on one ascending pass over ``f_D``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .exact import FactoredRat, MPoly, TaggedFactor
 
@@ -128,23 +129,28 @@ def _prepared(f: FactoredRat, d: int) -> FactoredRat:
     return homogeneity_filter(f, d).reduce()
 
 
-def residue_start(f: FactoredRat) -> tuple[dict, list, list]:
-    """One branch carrying ``f.scalar``, and every factor of ``f`` shared: the numerator
-    ones with the variables they involve (a constant ``num`` is 1 and is never claimed)."""
-    shared = [(f.num, f.num.variables())]
-    shared += [(form.to_mpoly() ** mult, form.support) for form, mult in f.factors]
-    return {(): FactoredRat(f.scalar, MPoly.const(1))}, shared, list(f.den)
+def residue_start(f: FactoredRat, order: Sequence[int]) -> tuple[dict, list[tuple[list, list]]]:
+    """One branch carrying ``f.scalar``, and the join schedule of ``f``'s factors over
+    ``order``: entry ``k`` holds, as (numerators, denominators), the factors whose first
+    variable in ``order`` is ``order[k]``.  A constant ``num`` is 1 and never joins."""
+    step = {var: k for k, var in enumerate(order)}
+    joins = [([], []) for _ in step]
+    if not f.num.is_constant():
+        joins[min(map(step.get, f.num.variables()))][0].append(f.num)
+    for form, mult in f.factors:
+        joins[min(map(step.get, form.support))][0].append(form.to_mpoly() ** mult)
+    for fac in f.den:
+        joins[min(map(step.get, fac.form.support))][1].append(fac)
+    return {(): FactoredRat(f.scalar, MPoly.const(1))}, joins
 
 
-def residue_step(branches: dict, var: int, shared: list, shared_den: list) -> tuple[dict, list, list]:
-    """Integrate ``z_var`` out of every branch; returns the branches and the shared lists
-    advanced by one step.  Only the shared factors that involve ``z_var`` join the
-    branches.  Each branch gives one residue per factor tagged with ``var``, and
-    residues with identical tagged denominators are merged."""
-    local = MPoly.product(poly for poly, used in shared if var in used)
-    shared = [(poly, used) for poly, used in shared if var not in used]
-    local_den = tuple(fac for fac in shared_den if var in fac.form.support)
-    shared_den = [fac for fac in shared_den if var not in fac.form.support]
+def residue_step(branches: dict, var: int, nums: list, dens: list) -> dict:
+    """Integrate ``z_var`` out of every branch, after multiplying in the factors that
+    join at this step: the numerators ``nums`` and the denominators ``dens``.  Each
+    branch gives one residue per factor tagged with ``var``, and residues with
+    identical tagged denominators are merged."""
+    local = MPoly.product(nums)
+    local_den = tuple(dens)
     merged: dict[tuple, FactoredRat] = {}
     for branch in branches.values():
         g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den).reduce()
@@ -155,7 +161,7 @@ def residue_step(branches: dict, var: int, shared: list, shared_den: list) -> tu
                 r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)
             if not r.is_zero():
                 merged[r.den] = r
-    return merged, shared, shared_den
+    return merged
 
 
 def _value(branches: dict) -> Fraction:
@@ -174,51 +180,40 @@ def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
     f = _prepared(f, len(plan.order) - 1)
     if f.is_zero() or not set().union(*(fac.allowed for fac in f.den)).issuperset(plan.order):
         return Fraction(0)
-    branches, *shared = residue_start(f)
-    for var in plan.order:
-        branches, *shared = residue_step(branches, var, *shared)
+    branches, joins = residue_start(f, plan.order)
+    for var, (nums, dens) in zip(plan.order, joins):
+        branches = residue_step(branches, var, nums, dens)
     return _value(branches)
-
-
-def _split_at(shared: list, shared_den: list, var: int) -> tuple[tuple, tuple]:
-    """The shared factors whose lowest variable is below ``var`` (those the ascending
-    steps before ``z_var`` join), and the rest, each as (numerators, denominators)."""
-    def early(support) -> bool:
-        return bool(support) and min(support) < var
-
-    head = [x for x in shared if early(x[1])], [fac for fac in shared_den if early(fac.form.support)]
-    rest = [x for x in shared if not early(x[1])], [fac for fac in shared_den if not early(fac.form.support)]
-    return head, rest
 
 
 def residue_sweep(integrands: list[FactoredRat]) -> list[Fraction]:
     """``iterated_residue(f_d, ResiduePlan.ascending(d))`` for every ``f_d`` of
     ``integrands = [f_1, ..., f_D]``, from one ascending pass over ``f_D``.
 
-    The steps ``z_0..z_{d-2}`` join only the factors whose lowest variable is below
-    ``d-1``.  When those of ``f_d`` and ``f_D`` are equal (else :class:`ResidueError`),
-    the branches of ``f_D`` after these steps, times ``f_d.scalar / f_D.scalar``, are
-    those of ``f_d``; the steps ``z_{d-1}, z_d`` with ``f_d``'s other factors close them.
+    The steps ``z_0..z_{d-2}`` join the first ``d-1`` entries of a schedule.  When
+    those of ``f_d`` and ``f_D`` are equal (else :class:`ResidueError`), the branches
+    of ``f_D`` after these steps, times ``f_d.scalar / f_D.scalar``, are those of
+    ``f_d``; the steps ``z_{d-1}, z_d`` with entries ``d-1`` and ``d`` of ``f_d``'s
+    schedule close them.
     """
     fs = [_prepared(f, d) for d, f in enumerate(integrands, start=1)]
     if not fs:
         return []
     top = fs[-1]
-    branches, *shared = residue_start(top)
-    top_shared = shared
+    branches, top_joins = residue_start(top, range(len(fs) + 1))
     values = []
     for d, f in enumerate(fs, start=1):
-        head, rest = _split_at(*residue_start(f)[1:], d - 1)
+        joins = residue_start(f, range(d + 1))[1]
         if f.is_zero():
             values.append(Fraction(0))
-        elif top.is_zero() or head != _split_at(*top_shared, d - 1)[0]:
+        elif top.is_zero() or joins[:d - 1] != top_joins[:d - 1]:
             raise ResidueError(f"integrand d={d} does not share its chain prefix with d={len(fs)}")
         else:
             ratio = f.scalar / top.scalar
             closing = {k: FactoredRat(b.scalar * ratio, b.num, b.den) for k, b in branches.items()}
             for var in (d - 1, d):
-                closing, *rest = residue_step(closing, var, *rest)
+                closing = residue_step(closing, var, *joins[var])
             values.append(_value(closing))
         if d < len(fs):
-            branches, *shared = residue_step(branches, d - 1, *shared)
+            branches = residue_step(branches, d - 1, *top_joins[d - 1])
     return values

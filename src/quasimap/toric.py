@@ -288,11 +288,3 @@ def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list
                for block in block_forms(d)]
     return [list(map(min, *forms)) for forms in columns]
 
-
-def eval_recession(d: int, a: Sequence[int | Fraction]) -> list[int | Fraction]:
-    """:func:`recession_map` at the one point ``a``, whose coordinates must be
-    ``int`` or ``Fraction``: any other type (``float`` included) raises
-    ``TypeError``."""
-    if not all(isinstance(x, (int, Fraction)) for x in a):
-        raise TypeError("coordinates of a must be int or Fraction")
-    return [row[0] for row in recession_map(d, [[x] for x in a])]

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from polys import dense, linform
 from quasimap import residues
@@ -23,6 +24,7 @@ from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
+    integrate_class,
     mixed_insertion_residues,
     r_denominator_factors,
     telescoped_insertion_residue,
@@ -190,9 +192,9 @@ def _excluded_for_z1():
 def _stepped(f, plan):
     """The branches of ``f`` after each step of ``plan``, stepped by hand as
     ``checks._denominators_closed`` does, without the untagged-variable rule."""
-    branches, *shared = residue_start(residues._prepared(f, len(plan.order) - 1))
-    for var in plan.order:
-        branches, *shared = residue_step(branches, var, *shared)
+    branches, joins = residue_start(residues._prepared(f, len(plan.order) - 1), plan.order)
+    for var, (nums, dens) in zip(plan.order, joins):
+        branches = residue_step(branches, var, nums, dens)
         yield var, branches
 
 
@@ -209,7 +211,8 @@ def test_excluded_factors_are_never_visited():
 
 def _class_integrand(d, omega, factors):
     """The integrand ``integrate_class(d, omega, factors=factors)`` integrates."""
-    return FactoredRat(Fraction(1, 3 ** (d + 1)), omega, r_denominator_factors(d), factors)
+    scalar, den = r_denominator_factors(d)
+    return FactoredRat(1 / scalar, omega, den, factors)
 
 
 def _untagged(f, d):
@@ -247,6 +250,8 @@ def _tag_families():
     for gi, factors in enumerate(sr_ideal_factors(2)):
         omega = MPoly.monomial({0: 6 * 2 + 2 - sum(mult for _, mult in factors)})
         yield f"generator {gi} d=2", 2, _class_integrand(2, omega, factors), {gi}
+    for d in range(1, 7):
+        yield f"mixed d={d}", d, _CHAIN_FAMILIES["mixed"](d).build(), set()
 
 
 @pytest.mark.parametrize("descending", [False, True])
@@ -280,9 +285,7 @@ def test_a_tagged_factor_is_the_only_one_vanishing_at_its_zero(descending, monke
         return residue_at_point(f, var, pole)
 
     monkeypatch.setattr(residues, "residue_at_point", checked)
-    mixed = [(f"mixed d={d}", d, IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))).build(), set())
-             for d in range(1, 7)]
-    for name, d, f, untagged in [*_tag_families(), *mixed]:
+    for name, d, f, untagged in _tag_families():
         plan = ResiduePlan.descending(d) if descending else ResiduePlan.ascending(d)
         visited.clear()
         for var, _ in _stepped(f, plan):
@@ -309,6 +312,58 @@ def test_plan_cover_is_checked_before_the_tags():
     )
     with pytest.raises(ResidueError, match="cover"):
         iterated_residue(f, ResiduePlan.ascending(1))
+
+
+# The chain families the sweep and the random plans run.
+_CHAIN_FAMILIES = {
+    "insertions(1,0)": lambda d: IntegrandSpec.insertions(d, 1, 0),
+    "insertions(2,-1)": lambda d: IntegrandSpec.insertions(d, 2, -1),
+    "insertions(0,1)": lambda d: IntegrandSpec.insertions(d, 0, 1),
+    "insertions(-1,2)": lambda d: IntegrandSpec.insertions(d, -1, 2),
+    "mixed": lambda d: IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))),
+}
+
+
+@functools.cache
+def _ascending_values(d):
+    return {name: iterated_residue(spec(d).build(), ResiduePlan.ascending(d))
+            for name, spec in _CHAIN_FAMILIES.items()}
+
+
+@settings(max_examples=25)
+@given(st.integers(1, 5).flatmap(lambda d: st.permutations(range(d + 1))))
+def test_any_plan_gives_the_ascending_value(order):
+    # Each factor joins at the first step of the plan whose variable it involves,
+    # wherever that step falls; the value does not depend on the plan.
+    d, plan = len(order) - 1, ResiduePlan(tuple(order))
+    for name, spec in _CHAIN_FAMILIES.items():
+        assert iterated_residue(spec(d).build(), plan) == _ascending_values(d)[name], (name, order)
+    scalar, factors = volume_form_factors(d)
+    assert integrate_class(d, MPoly.const(scalar), plan, factors) == 1
+
+
+def test_residue_start_joins_each_factor_at_its_first_step():
+    # Every non-constant numerator and every denominator factor sits in exactly one
+    # entry: the first position of the plan among the variables it involves.
+    rng = random.Random(2323)
+    for name, d, f, _ in _tag_families():
+        f = residues._prepared(f, d)
+        plans = [ResiduePlan.ascending(d).order, ResiduePlan.descending(d).order]
+        plans += [tuple(rng.sample(range(d + 1), d + 1)) for _ in range(4)]
+        for order in plans:
+            def first(support):
+                return next(k for k, var in enumerate(order) if var in support)
+
+            branches, joins = residue_start(f, order)
+            assert branches == {(): FactoredRat(f.scalar, MPoly.const(1))}
+            assert len(joins) == d + 1, (name, order)
+            nums = [] if f.num.is_constant() else [(f.num, first(f.num.variables()))]
+            nums += [(form.to_mpoly() ** mult, first(form.support)) for form, mult in f.factors]
+            dens = [(fac, first(fac.form.support)) for fac in f.den]
+            assert [(x, k) for k, (xs, _) in enumerate(joins) for x in xs] == sorted(
+                nums, key=lambda x: x[1]), (name, order)
+            assert [(x, k) for k, (_, xs) in enumerate(joins) for x in xs] == sorted(
+                dens, key=lambda x: x[1]), (name, order)
 
 
 def _chain_integrands(d):
@@ -396,19 +451,10 @@ def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, sca
     assert residue_at_point(f, var, vanishing[0]) == _residue_by_derivatives(f, var, point)
 
 
-_SWEPT_FAMILIES = {
-    "insertions(1,0)": lambda d: IntegrandSpec.insertions(d, 1, 0),
-    "insertions(2,-1)": lambda d: IntegrandSpec.insertions(d, 2, -1),
-    "insertions(0,1)": lambda d: IntegrandSpec.insertions(d, 0, 1),
-    "insertions(-1,2)": lambda d: IntegrandSpec.insertions(d, -1, 2),
-    "mixed": lambda d: IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))),
-}
-
-
-@pytest.mark.parametrize("family", sorted(_SWEPT_FAMILIES))
+@pytest.mark.parametrize("family", sorted(_CHAIN_FAMILIES))
 def test_sweep_matches_each_degree(family):
     # One ascending pass over f_8 gives the value of every f_d, d <= 8.
-    integrands = [_SWEPT_FAMILIES[family](d).build() for d in range(1, 9)]
+    integrands = [_CHAIN_FAMILIES[family](d).build() for d in range(1, 9)]
     expected = [iterated_residue(f, ResiduePlan.ascending(d)) for d, f in enumerate(integrands, start=1)]
     assert residue_sweep(integrands) == expected
     assert any(expected)
@@ -420,6 +466,28 @@ def test_sweep_rejects_a_family_without_a_common_prefix():
     with pytest.raises(ResidueError, match="prefix"):
         residue_sweep(integrands)
     assert residue_sweep(integrands[:1]) == [2 * telescoped_insertion_residue(1)]
+
+
+def _guard_family(d, top_form, form):
+    """``[0, .., 0, f_d, .., f_D]`` with ``D = d + 1``: ``f_D`` carries ``z_0 * top_form / z_D``
+    and ``f_d`` carries ``z_0 * form / z_d``; the zeros below ``d`` skip the guard."""
+    zeros = [FactoredRat(0, MPoly.const(1))] * (d - 1)
+    return zeros + [IntegrandSpec(d, ((0, 1), (d, -1)), (form,)).build(),
+                    IntegrandSpec(d + 1, ((0, 1), (d + 1, -1)), (top_form,)).build()]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_sweep_guard_compares_the_first_d_minus_1_entries(d):
+    # A numerator factor of f_d that joins at z_{d-2} must match f_D's, one that
+    # joins at z_{d-1} need not: f_D's branches are shared through step z_{d-2}.
+    early = _guard_family(d, linform((d - 2, 1), (d - 1, 1)), linform((d - 2, 1), (d - 1, 3)))
+    with pytest.raises(ResidueError, match="prefix"):
+        residue_sweep(early)
+    late = _guard_family(d, linform((d - 1, 1), (d, 1)), linform((d - 1, 1), (d, 3)))
+    values = residue_sweep(late)
+    assert values[d - 1:] == [iterated_residue(f, ResiduePlan.ascending(k))
+                              for k, f in enumerate(late[d - 1:], start=d)]
+    assert values[d - 1]
 
 
 def test_closure_line_fails_when_a_residue_keeps_its_variable(monkeypatch):

@@ -17,7 +17,6 @@ from quasimap.toric import (
     build_fan,
     det_Bk,
     divisor_classes,
-    eval_recession,
     max_cone_count,
     orientation_enumeration,
     recession_map,
@@ -225,8 +224,8 @@ def test_orientation_identity_selection():
 
 
 def test_recession_zero_and_example():
-    assert eval_recession(3, [0, 0, 0, 0]) == [0, 0, 0, 0]
-    assert eval_recession(2, [1, 1, 1]) == [1, 0, 1]
+    assert recession_map(3, [[0], [0], [0], [0]]) == [[0], [0], [0], [0]]
+    assert recession_map(2, [[1], [1], [1]]) == [[1], [0], [1]]
 
 
 def test_recession_positive_homogeneity():
@@ -235,14 +234,11 @@ def test_recession_positive_homogeneity():
         for _ in range(25):
             alpha = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(d + 1)]
             t = Fraction(rng.randint(1, 20), rng.randint(1, 6))
-            assert eval_recession(d, [t * x for x in alpha]) == [t * y for y in eval_recession(d, alpha)]
+            image = recession_map(d, [[x, t * x] for x in alpha])
+            assert [row[1] for row in image] == [t * row[0] for row in image]
 
 
 def test_recession_length_validation():
-    with pytest.raises(ValueError):
-        eval_recession(2, [1, 2])
-    with pytest.raises(ValueError):
-        eval_recession(0, [1])
     with pytest.raises(ValueError):
         recession_map(3, [[1], [2], [3]])
     with pytest.raises(ValueError):
@@ -262,9 +258,6 @@ def test_recession_stays_in_the_input_ring():
         [3], [Fraction(-29, 3)], [Fraction(5, 3)], [Fraction(5, 7)]]
     # No points: one empty row per component.
     assert recession_map(3, [[], [], [], []]) == [[], [], [], []]
-    for alpha in ([0.1, 0, 0], [0, Fraction(1, 3), 0.5], ["1", 0, 0]):
-        with pytest.raises(TypeError):
-            eval_recession(2, alpha)
 
 
 # The block forms as they were written out by hand before ``block_forms``:
@@ -324,14 +317,15 @@ def test_volume_and_r_factors_match_literal_lists():
         assert scalar == 3 ** (d + 1)
         assert sorted(key(f, m) for f, m in factors) == sorted(
             key(_form(row), m) for row, m in VOLUME_LITERAL[d])
-        assert sorted(key(f, m, tuple(tags)) for f, m, tags in r_denominator_factors(d)) == sorted(
+        scalar, r_factors = r_denominator_factors(d)
+        assert scalar == 3 ** (d + 1)
+        assert sorted(key(f, m, tuple(tags)) for f, m, tags in r_factors) == sorted(
             key(_form(row), m, (tag,)) for row, m, tag in R_LITERAL[d])
 
 
-def test_eval_recession_is_the_block_minimum():
+def test_recession_map_is_the_block_minimum():
     # recession_map against the hand-written minima of tests/polys.py and the
-    # minima of block_forms through evaluate, on int and on Fraction columns;
-    # eval_recession is its one-point call.
+    # minima of block_forms through evaluate, on int and on Fraction columns.
     rng = random.Random(8086)
     for d in range(1, 9):
         blocks = block_forms(d)
@@ -341,7 +335,6 @@ def test_eval_recession_is_the_block_minimum():
             rows = recession_map(d, [list(col) for col in zip(*points)])
             assert [list(image) for image in zip(*rows)] == [recession_reference(d, a) for a in points]
             assert rows == [[min(evaluate(f, a) for f in block) for a in points] for block in blocks]
-            assert eval_recession(d, points[0]) == recession_reference(d, points[0])
 
 
 def test_block_forms_reject_bad_degree():
