@@ -26,7 +26,7 @@ from .intersection import (
     w_sweep,
     wall_insertion_residue,
 )
-from .residues import ResiduePlan, iterated_residue, residue_start, residue_step
+from .residues import ResiduePlan, iterated_residue, residue_states
 from .series import (
     f0_coeff,
     f1_hat_coeff,
@@ -70,8 +70,8 @@ ORIENTATION_DMAX = 4
 
 # lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
 RECESSION_SCALE = 420
-# The scaled coordinate RECESSION_SCALE * p/q of each draw, at [p + 50][q - 1].
-RECESSION_SCALED = tuple(tuple(p * (RECESSION_SCALE // q) for q in range(1, 8)) for p in range(-50, 51))
+# The scaled coordinate RECESSION_SCALE * p/q of each pair, p in -50..50 and q in 1..7.
+RECESSION_SCALED = tuple(RECESSION_SCALE * p // q for p in range(-50, 51) for q in range(1, 8))
 
 
 class CheckResult(NamedTuple):
@@ -292,27 +292,16 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
 def recession_samples(count: int, d: int, rng: random.Random) -> list[int]:
     """``count`` seeded points of ``(1/420) Z^{d+1}`` times 420, as one point-major list of ints.
 
-    Each coordinate is ``420 * p/q`` for ``p`` in -50..50 and ``q`` in 1..7, drawn in
-    that order as ``randint(-50, 50)`` and ``randint(1, 7)`` draw them: ``getrandbits(7)``
-    until it is below 101, minus 50, then ``getrandbits(3)`` until it is below 7, plus 1.
-    So the points, and the state ``rng`` is left in, are those of the ``randint`` calls.
+    Each coordinate is the entry ``420 * p/q`` of :data:`RECESSION_SCALED` for a pair drawn
+    uniformly from the 707 with ``p`` in -50..50 and ``q`` in 1..7, by one ``rng.random()``.
     """
-    bits = rng.getrandbits
-    flat = []
-    for _ in range(count * (d + 1)):
-        p = bits(7)
-        while p > 100:
-            p = bits(7)
-        q = bits(3)
-        while q > 6:
-            q = bits(3)
-        flat.append(RECESSION_SCALED[p][q])
-    return flat
+    return rng.choices(RECESSION_SCALED, k=count * (d + 1))
 
 
 def recession_injective(d: int, rng: random.Random) -> bool:
     """No two distinct points of ``RECESSION_SAMPLES`` :func:`recession_samples` share an
-    image under :func:`recession_map`, which maps them ``RECESSION_BLOCK`` at a time.
+    image under :func:`recession_map`, which maps them ``RECESSION_BLOCK`` at a time.  Each
+    coordinate takes one ``rng.random()``, so the blocks are the points one call would draw.
 
     ``F`` is a minimum of integer linear forms, so ``F(420 a) = 420 F(a)``: the scaled
     samples collide exactly when the unscaled ones do, in ``int`` arithmetic.
@@ -337,11 +326,8 @@ def recession_injective(d: int, rng: random.Random) -> bool:
 def _denominators_closed(f: FactoredRat, plan: ResiduePlan) -> bool:
     """After each engine step on ``f``, every branch denominator factor is linear, free
     of the integrated variables, and tagged inside its support."""
-    done = set()
-    branches, joins = residue_start(f, plan.order)
-    for var, (nums, dens) in zip(plan.order, joins):
-        branches = residue_step(branches, var, nums, dens)
-        done.add(var)
+    for k, branches in enumerate(residue_states(f, plan.order)):
+        done = set(plan.order[:k])
         if any(fac.form.support & done or not fac.allowed <= fac.form.support
                for branch in branches.values() for fac in branch.den):
             return False

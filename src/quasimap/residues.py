@@ -19,16 +19,17 @@ No tag is ever gained (a residue tags each new factor ``(fac.allowed - {var}) & 
 and merging unites tags), so :func:`iterated_residue` returns 0 before any step when a
 plan variable is in no allowed set: no branch would have a pole to visit there.
 
-:func:`residue_step` is one step and joins one schedule entry; :func:`iterated_residue`
-applies it once per variable of a plan, and :func:`residue_sweep` runs a chain family
-``f_1..f_D`` on one ascending pass over ``f_D``.
+:func:`residue_step` is one step and joins one schedule entry; :func:`residue_states`
+is the one stepping loop, which applies it once per variable of a plan.
+:func:`iterated_residue` runs that loop to the end, and :func:`residue_sweep` runs a
+chain family ``f_1..f_D`` on one ascending pass of it over ``f_D``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exact import FactoredRat, MPoly, TaggedFactor
 
@@ -172,6 +173,16 @@ def _value(branches: dict) -> Fraction:
     return sum((b.scalar * b.num.constant_value() for b in branches.values()), Fraction(0))
 
 
+def residue_states(f: FactoredRat, order: Sequence[int]) -> Iterator[dict]:
+    """The branches of ``f`` at the start, then after each :func:`residue_step` of
+    ``order``, which joins the matching entry of ``f``'s schedule."""
+    branches, joins = residue_start(f, order)
+    yield branches
+    for var, (nums, dens) in zip(order, joins):
+        branches = residue_step(branches, var, nums, dens)
+        yield branches
+
+
 def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
     """The exact value of ``f`` by one :func:`residue_step` per variable of the plan;
     0 without a step when some plan variable is in no factor's allowed set.
@@ -180,9 +191,8 @@ def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
     f = _prepared(f, len(plan.order) - 1)
     if f.is_zero() or not set().union(*(fac.allowed for fac in f.den)).issuperset(plan.order):
         return Fraction(0)
-    branches, joins = residue_start(f, plan.order)
-    for var, (nums, dens) in zip(plan.order, joins):
-        branches = residue_step(branches, var, nums, dens)
+    for branches in residue_states(f, plan.order):
+        pass
     return _value(branches)
 
 
@@ -193,27 +203,24 @@ def residue_sweep(integrands: list[FactoredRat]) -> list[Fraction]:
     The steps ``z_0..z_{d-2}`` join the first ``d-1`` entries of a schedule.  When
     those of ``f_d`` and ``f_D`` are equal (else :class:`ResidueError`), the branches
     of ``f_D`` after these steps, times ``f_d.scalar / f_D.scalar``, are those of
-    ``f_d``; the steps ``z_{d-1}, z_d`` with entries ``d-1`` and ``d`` of ``f_d``'s
-    schedule close them.
+    ``f_d``.  The residue is linear, so the sweep closes ``f_D``'s branches as they are,
+    with the steps ``z_{d-1}, z_d`` and entries ``d-1`` and ``d`` of ``f_d``'s schedule,
+    and multiplies the value by that ratio.
     """
     fs = [_prepared(f, d) for d, f in enumerate(integrands, start=1)]
     if not fs:
         return []
     top = fs[-1]
-    branches, top_joins = residue_start(top, range(len(fs) + 1))
+    order = range(len(fs) + 1)
+    top_joins = residue_start(top, order)[1]
     values = []
-    for d, f in enumerate(fs, start=1):
+    for d, (f, branches) in enumerate(zip(fs, residue_states(top, order)), start=1):
         joins = residue_start(f, range(d + 1))[1]
         if f.is_zero():
             values.append(Fraction(0))
         elif top.is_zero() or joins[:d - 1] != top_joins[:d - 1]:
             raise ResidueError(f"integrand d={d} does not share its chain prefix with d={len(fs)}")
         else:
-            ratio = f.scalar / top.scalar
-            closing = {k: FactoredRat(b.scalar * ratio, b.num, b.den) for k, b in branches.items()}
-            for var in (d - 1, d):
-                closing = residue_step(closing, var, *joins[var])
-            values.append(_value(closing))
-        if d < len(fs):
-            branches = residue_step(branches, d - 1, *top_joins[d - 1])
+            closed = residue_step(residue_step(branches, d - 1, *joins[d - 1]), d, *joins[d])
+            values.append(f.scalar / top.scalar * _value(closed))
     return values

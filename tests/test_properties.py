@@ -14,6 +14,7 @@ import quasimap.checks as checks
 from polys import dense, recession_reference
 from quasimap.checks import (
     RECESSION_SAMPLES,
+    RECESSION_SCALED,
     linearity_samples,
     recession_injective,
     recession_samples,
@@ -68,29 +69,25 @@ def test_recession_injectivity_direct_sampling():
                 assert fa != fb
 
 
-def test_integer_recession_samples_are_scaled_fraction_samples():
-    # Replays the seed-40961 stream of ``check_properties``, homogeneity draws
-    # included, with ``randint`` on a second generator.  Every integer
-    # injectivity sample is 420 times the ``Fraction(randint(-50, 50),
-    # randint(1, 7))`` sample it replaced, and after each degree's samples both
-    # generators are in the same state, so the rest of the stream is unchanged.
-    # The first 500 samples of each degree are mapped as integer columns and
-    # compared with 420 times the reference image of the Fraction sample.
-    rng, replay = random.Random(40961), random.Random(40961)
+def test_recession_samples_are_scaled_pairs():
+    # The seed-40961 stream of ``check_properties``, homogeneity draws included.
+    # Every injectivity sample is an entry 420 * p/q of RECESSION_SCALED, and the
+    # first 500 points of each degree, mapped as integer columns, give 420 times
+    # the reference image of the point over 420.
+    assert len(RECESSION_SCALED) == 101 * 7  # one entry per pair, so the pairs are uniform
+    rng = random.Random(40961)
     for d in (1, 2, 3, 4):
-        for g in (rng, replay):
-            for _ in range(50):  # the homogeneity draws: d + 1 coordinates, then t
-                for _ in range(d + 1):
-                    g.randint(-20, 20), g.randint(1, 9)
-                g.randint(1, 30), g.randint(1, 9)
-        points = _points(recession_samples(RECESSION_SAMPLES, d, rng), d)
-        assert len(points) == RECESSION_SAMPLES
-        fracs = [tuple(Fraction(replay.randint(-50, 50), replay.randint(1, 7)) for _ in range(d + 1))
-                 for _ in range(RECESSION_SAMPLES)]
-        assert points == [tuple(420 * x for x in a) for a in fracs]
-        images = [list(image) for image in zip(*recession_map(d, _columns(points[:500])))]
-        assert images == [[420 * y for y in recession_reference(d, a)] for a in fracs[:500]]
-        assert rng.getstate() == replay.getstate()
+        for _ in range(50):  # the homogeneity draws: d + 1 coordinates, then t
+            for _ in range(d + 1):
+                rng.randint(-20, 20), rng.randint(1, 9)
+            rng.randint(1, 30), rng.randint(1, 9)
+        flat = recession_samples(RECESSION_SAMPLES, d, rng)
+        assert len(flat) == RECESSION_SAMPLES * (d + 1)
+        assert set(flat) <= set(RECESSION_SCALED)
+        points = _points(flat, d)[:500]
+        images = [list(image) for image in zip(*recession_map(d, _columns(points)))]
+        assert images == [[420 * y for y in recession_reference(d, [Fraction(x, 420) for x in a])]
+                          for a in points]
 
 
 def test_recession_injectivity_beyond_the_ladder():
@@ -130,7 +127,7 @@ def test_packed_keys_agree_with_tuple_keys(monkeypatch):
 
 def test_repeated_points_are_not_collisions():
     points = _points(recession_samples(RECESSION_SAMPLES, 1, random.Random(40961)), 1)
-    assert len(points) - len(set(points)) == 572
+    assert len(points) - len(set(points)) == 566
     assert recession_injective(1, random.Random(40961))
 
 

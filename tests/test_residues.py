@@ -15,6 +15,7 @@ from quasimap import residues
 from quasimap.checks import (
     IDEAL_SAMPLES,
     IDEAL_SEED,
+    _denominators_closed,
     _random_monomial,
     check_degree_selection,
     check_ideal_annihilation,
@@ -38,7 +39,7 @@ from quasimap.residues import (
     iterated_residue,
     residue_at_point,
     residue_start,
-    residue_step,
+    residue_states,
     residue_sweep,
 )
 from quasimap.toric import sr_ideal_factors, volume_form_factors
@@ -190,12 +191,11 @@ def _excluded_for_z1():
 
 
 def _stepped(f, plan):
-    """The branches of ``f`` after each step of ``plan``, stepped by hand as
-    ``checks._denominators_closed`` does, without the untagged-variable rule."""
-    branches, joins = residue_start(residues._prepared(f, len(plan.order) - 1), plan.order)
-    for var, (nums, dens) in zip(plan.order, joins):
-        branches = residue_step(branches, var, nums, dens)
-        yield var, branches
+    """``(var, branches)`` after each step of the engine's loop on ``f`` over ``plan``,
+    as ``checks._denominators_closed`` steps it, without the untagged-variable rule."""
+    states = residue_states(residues._prepared(f, len(plan.order) - 1), plan.order)
+    next(states)
+    return zip(plan.order, states)
 
 
 def test_excluded_factors_are_never_visited():
@@ -303,6 +303,21 @@ def test_untagged_plan_variable_gives_zero_without_a_step(monkeypatch):
         iterated_residue(vol_integrand(1), ResiduePlan.ascending(1))
 
 
+def test_closure_check_steps_the_engine_loop(monkeypatch):
+    # The closure line checks the branches of the loop ``iterated_residue`` runs:
+    # one residue_step per variable of the plan, looked up in the engine module.
+    calls = []
+    step = residues.residue_step
+
+    def counted(branches, var, nums, dens):
+        calls.append(var)
+        return step(branches, var, nums, dens)
+
+    monkeypatch.setattr(residues, "residue_step", counted)
+    assert _denominators_closed(IntegrandSpec.insertions(2, 1, 0).build(), ResiduePlan.ascending(2))
+    assert calls == [0, 1, 2]
+
+
 def test_plan_cover_is_checked_before_the_tags():
     # z1 is untagged, and the plan misses z2.
     f = FactoredRat(
@@ -366,21 +381,43 @@ def test_residue_start_joins_each_factor_at_its_first_step():
                 dens, key=lambda x: x[1]), (name, order)
 
 
+def _telescoped(d):
+    """The telescoped insertion ``z_0 ((1-d) z_0 + d z_1) / z_d``."""
+    return IntegrandSpec(d, ((0, 1), (d, -1)), (LinForm({0: Fraction(1 - d), 1: Fraction(d)}),))
+
+
 def _chain_integrands(d):
     """Every insertion integrand the two-point identities use at degree d, with
     the value its public function reports (halved ones doubled back)."""
-    telescoped = LinForm({0: Fraction(1 - d), 1: Fraction(d)})
     specs = [
         ("insertions(1,0)", IntegrandSpec.insertions(d, 1, 0), None),
         ("insertions(2,-1)", IntegrandSpec.insertions(d, 2, -1), None),
-        ("mixed", IntegrandSpec(d, ((0, 1), (1, 1), (d, -1))), 2 * mixed_insertion_residues(d)[-1]),
-        ("telescoped", IntegrandSpec(d, ((0, 1), (d, -1)), (telescoped,)),
-         2 * telescoped_insertion_residue(d)),
+        ("mixed", _CHAIN_FAMILIES["mixed"](d), 2 * mixed_insertion_residues(d)[-1]),
+        ("telescoped", _telescoped(d), 2 * telescoped_insertion_residue(d)),
     ]
     for f in range(1, d):
         spec = IntegrandSpec(d, ((0, 1), (d, -1)), (wall_form(d - f),))
         specs.append((f"wall f={f}", spec, 2 * wall_insertion_residue(d, f)))
     return specs
+
+
+def _branch_counts(spec):
+    """The number of branches after each step of the ascending plan."""
+    return [len(branches) for _, branches in _stepped(spec.build(), ResiduePlan.ascending(spec.d))]
+
+
+@pytest.mark.parametrize("d", range(1, 13))
+def test_branch_counts_keep_their_measured_shape(d):
+    # The measured shape, as a guard: a merge bug breaks it long before it shows
+    # in the times.  The (1,0), (0,1) and (-1,2) chains have j+1 branches after
+    # step z_j for j <= d-2, then one; the (2,-1), mixed and telescoped chains
+    # keep one at every step.
+    growing, one = list(range(1, d)) + [1, 1], [1] * (d + 1)
+    shapes = {"insertions(1,0)": growing, "insertions(0,1)": growing, "insertions(-1,2)": growing,
+              "insertions(2,-1)": one, "mixed": one}
+    for name, shape in shapes.items():
+        assert _branch_counts(_CHAIN_FAMILIES[name](d)) == shape, name
+    assert _branch_counts(_telescoped(d)) == one
 
 
 @pytest.mark.parametrize("d", range(1, 6))
@@ -462,7 +499,7 @@ def test_sweep_matches_each_degree(family):
 
 def test_sweep_rejects_a_family_without_a_common_prefix():
     # The telescoped head form (1-d) z_0 + d z_1 changes with d.
-    integrands = [_chain_integrands(d)[3][1].build() for d in range(1, 4)]
+    integrands = [_telescoped(d).build() for d in range(1, 4)]
     with pytest.raises(ResidueError, match="prefix"):
         residue_sweep(integrands)
     assert residue_sweep(integrands[:1]) == [2 * telescoped_insertion_residue(1)]
