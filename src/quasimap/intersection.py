@@ -19,10 +19,10 @@ multiplies each one in at the step whose variable it first involves.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .exact import FactoredRat, LinForm, MPoly
-from .residues import ResiduePlan, iterated_residue, residue_sweep
+from .residues import iterated_residue, residue_sweep
 from .toric import sr_ideal_factors, wall_form
 
 
@@ -91,7 +91,7 @@ def compute_w(d: int, a: int, b: int) -> Fraction:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    return iterated_residue(_chain(d, a, b), ResiduePlan.ascending(d))
+    return iterated_residue(_chain(d, a, b), range(d + 1))
 
 
 def _chain(d: int, a: int, b: int) -> FactoredRat:
@@ -99,20 +99,20 @@ def _chain(d: int, a: int, b: int) -> FactoredRat:
     return IntegrandSpec.insertions(d, max(a, b), min(a, b)).build()
 
 
-def integrate_class(d: int, omega: MPoly, plan: ResiduePlan | None = None,
+def integrate_class(d: int, omega: MPoly, order: Sequence[int] | None = None,
                     factors: Iterable[tuple[LinForm, int]] = ()) -> Fraction:
     """Pair the class ``omega * prod(form ** mult for form, mult in factors)``
     in ``H_0..H_d`` against the degree-d moduli.
 
     ``H_j`` is variable ``j``, and the value is the iterated residue of the
-    class over ``R``.  A class given as a factor list stays factored and
-    cancels against ``R`` factor by factor.
+    class over ``R`` in ``order``, ``0..d`` ascending unless given.  A class
+    given as a factor list stays factored and cancels against ``R`` factor by factor.
     """
     if max(omega.variables(), default=0) > d:
         raise ValueError(f"omega must be a class in H_0..H_{d}")
     scalar, den = r_denominator_factors(d)
     integrand = FactoredRat(1 / scalar, omega, den, factors)
-    return iterated_residue(integrand, plan or ResiduePlan.ascending(d))
+    return iterated_residue(integrand, range(d + 1) if order is None else order)
 
 
 def w_sweep(dmax: int, a: int, b: int) -> list[Fraction]:
@@ -154,4 +154,4 @@ def telescoped_insertion_residue(d: int) -> Fraction:
 def _z0_form_over_zd(d: int, form: LinForm) -> Fraction:
     """Half the ascending residue of the chain with numerator ``z_0 * form`` and ``1/z_d``."""
     spec = IntegrandSpec(d, ((0, 1), (d, -1)), (form,))
-    return iterated_residue(spec.build(), ResiduePlan.ascending(d)) / 2
+    return iterated_residue(spec.build(), range(d + 1)) / 2

@@ -1,26 +1,25 @@
 """Iterated residue evaluation of factored rational functions.
 
-A ``FactoredRat`` integrand is integrated one variable at a time.  For the
-current variable ``z_j`` every live branch contributes one residue per
-*prescribed* pole, i.e. per denominator factor whose allowed set contains ``j``.
-``FactoredRat`` merges proportional factors, so no other factor of the branch
-vanishes at the zero ``z_j = p`` of that factor, and its own multiplicity is
-the local pole order.
+A ``FactoredRat`` integrand is integrated one variable at a time, in an order
+given as a permutation of ``0..d``.  For the current variable ``z_j`` every live
+branch contributes one residue per *prescribed* pole, i.e. per denominator factor
+whose allowed set contains ``j``.  ``FactoredRat`` merges proportional factors, so
+no other factor of the branch vanishes at the zero ``z_j = p`` of that factor, and
+its own multiplicity is the local pole order.
 
 The engine follows the locality of the integrand: the numerator stays a list
 of factors, and a numerator or denominator factor joins the branches only at
-the first step of the plan whose variable it involves; until then it is never
-expanded.  :func:`residue_start` decides that step for every factor once, as
-the plan's *join schedule*.  Branches whose tagged denominators agree after a
-step are merged by adding their numerators.  After the last step each
-survivor must be an exact rational constant.
+the first step of the order whose variable it involves; until then it is never
+expanded.  :func:`join_schedule` decides that step for every factor once.
+Branches whose tagged denominators agree after a step are merged by adding their
+numerators.  After the last step each survivor must be an exact rational constant.
 
 No tag is ever gained (a residue tags each new factor ``(fac.allowed - {var}) & support``
 and merging unites tags), so :func:`iterated_residue` returns 0 before any step when a
-plan variable is in no allowed set: no branch would have a pole to visit there.
+variable of the order is in no allowed set: no branch would have a pole to visit there.
 
 :func:`residue_step` is one step and joins one schedule entry; :func:`residue_states`
-is the one stepping loop, which applies it once per variable of a plan.
+is the one stepping loop, which applies it once per variable of an order.
 :func:`iterated_residue` runs that loop to the end, and :func:`residue_sweep` runs a
 chain family ``f_1..f_D`` on one ascending pass of it over ``f_D``.
 """
@@ -29,32 +28,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, Sequence
 
 from .exact import FactoredRat, MPoly, TaggedFactor
 
 
 class ResidueError(ValueError):
     """Raised for ill-posed residue requests or a non-scalar final remainder."""
-
-
-class ResiduePlan(NamedTuple("ResiduePlan", [("order", tuple[int, ...])])):
-    """Order in which variables are integrated out."""
-
-    __slots__ = ()
-
-    def __new__(cls, order: tuple[int, ...]):
-        if sorted(order) != list(range(len(order))):
-            raise ValueError("order must be a permutation of 0..d")
-        return super().__new__(cls, order)
-
-    @classmethod
-    def ascending(cls, d: int) -> ResiduePlan:
-        return cls(tuple(range(d + 1)))
-
-    @classmethod
-    def descending(cls, d: int) -> ResiduePlan:
-        return cls(tuple(range(d, -1, -1)))
 
 
 def residue_at_point(f: FactoredRat, var: int, pole: TaggedFactor) -> FactoredRat:
@@ -86,7 +66,7 @@ def residue_at_point(f: FactoredRat, var: int, pole: TaggedFactor) -> FactoredRa
             series = [_coefficient(series, inverse, n) for n in range(m)]
             mult += m - 1
         den.append((a, mult, (fac.allowed - {var}) & a.support))
-    num = f.num * MPoly.factored(f.factors)
+    num = f.num * MPoly.factored(f.factors) if f.factors else f.num
     top = _coefficient(num.taylor(var, point, m), series, m - 1)
     return FactoredRat(f.scalar / c ** m, top, den).reduce()
 
@@ -126,14 +106,14 @@ def _prepared(f: FactoredRat, d: int) -> FactoredRat:
     involved = f.num.variables().union(*(form.support for form, _ in f.factors),
                                        *(fac.form.support for fac in f.den))
     if not involved <= set(range(d + 1)):
-        raise ResidueError("plan does not cover the integrand's variables")
+        raise ResidueError("order does not cover the integrand's variables")
     return homogeneity_filter(f, d).reduce()
 
 
-def residue_start(f: FactoredRat, order: Sequence[int]) -> tuple[dict, list[tuple[list, list]]]:
-    """One branch carrying ``f.scalar``, and the join schedule of ``f``'s factors over
-    ``order``: entry ``k`` holds, as (numerators, denominators), the factors whose first
-    variable in ``order`` is ``order[k]``.  A constant ``num`` is 1 and never joins."""
+def join_schedule(f: FactoredRat, order: Sequence[int]) -> list[tuple[list, list]]:
+    """The join schedule of ``f``'s factors over ``order``: entry ``k`` holds, as
+    (numerators, denominators), the factors whose first variable in ``order`` is
+    ``order[k]``.  A constant ``num`` is 1 and never joins."""
     step = {var: k for k, var in enumerate(order)}
     joins = [([], []) for _ in step]
     if not f.num.is_constant():
@@ -142,7 +122,7 @@ def residue_start(f: FactoredRat, order: Sequence[int]) -> tuple[dict, list[tupl
         joins[min(map(step.get, form.support))][0].append(form.to_mpoly() ** mult)
     for fac in f.den:
         joins[min(map(step.get, fac.form.support))][1].append(fac)
-    return {(): FactoredRat(f.scalar, MPoly.const(1))}, joins
+    return joins
 
 
 def residue_step(branches: dict, var: int, nums: list, dens: list) -> dict:
@@ -174,30 +154,34 @@ def _value(branches: dict) -> Fraction:
 
 
 def residue_states(f: FactoredRat, order: Sequence[int]) -> Iterator[dict]:
-    """The branches of ``f`` at the start, then after each :func:`residue_step` of
-    ``order``, which joins the matching entry of ``f``'s schedule."""
-    branches, joins = residue_start(f, order)
+    """The branches of ``f`` over ``order``: first the one start branch, carrying
+    ``f.scalar``, then the branches after each :func:`residue_step`, which joins the
+    matching entry of ``f``'s :func:`join_schedule`."""
+    branches = {(): FactoredRat(f.scalar, MPoly.const(1))}
     yield branches
-    for var, (nums, dens) in zip(order, joins):
+    for var, (nums, dens) in zip(order, join_schedule(f, order)):
         branches = residue_step(branches, var, nums, dens)
         yield branches
 
 
-def iterated_residue(f: FactoredRat, plan: ResiduePlan) -> Fraction:
-    """The exact value of ``f`` by one :func:`residue_step` per variable of the plan;
-    0 without a step when some plan variable is in no factor's allowed set.
-    :class:`ResidueError` when a term still carries variables after the last step,
-    or when the plan, which integrates ``z_0..z_d``, misses a variable of ``f``."""
-    f = _prepared(f, len(plan.order) - 1)
-    if f.is_zero() or not set().union(*(fac.allowed for fac in f.den)).issuperset(plan.order):
+def iterated_residue(f: FactoredRat, order: Sequence[int]) -> Fraction:
+    """The exact value of ``f`` by one :func:`residue_step` per variable of ``order``,
+    a permutation of ``0..d`` (else :class:`ValueError`); 0 without a step when some
+    variable of ``order`` is in no factor's allowed set.  :class:`ResidueError` when a
+    term still carries variables after the last step, or when ``order`` misses a
+    variable of ``f``."""
+    if sorted(order) != list(range(len(order))):
+        raise ValueError("order must be a permutation of 0..d")
+    f = _prepared(f, len(order) - 1)
+    if f.is_zero() or not set().union(*(fac.allowed for fac in f.den)).issuperset(order):
         return Fraction(0)
-    for branches in residue_states(f, plan.order):
+    for branches in residue_states(f, order):
         pass
     return _value(branches)
 
 
 def residue_sweep(integrands: list[FactoredRat]) -> list[Fraction]:
-    """``iterated_residue(f_d, ResiduePlan.ascending(d))`` for every ``f_d`` of
+    """``iterated_residue(f_d, range(d + 1))`` for every ``f_d`` of
     ``integrands = [f_1, ..., f_D]``, from one ascending pass over ``f_D``.
 
     The steps ``z_0..z_{d-2}`` join the first ``d-1`` entries of a schedule.  When
@@ -212,10 +196,10 @@ def residue_sweep(integrands: list[FactoredRat]) -> list[Fraction]:
         return []
     top = fs[-1]
     order = range(len(fs) + 1)
-    top_joins = residue_start(top, order)[1]
+    top_joins = join_schedule(top, order)
     values = []
     for d, (f, branches) in enumerate(zip(fs, residue_states(top, order)), start=1):
-        joins = residue_start(f, range(d + 1))[1]
+        joins = join_schedule(f, range(d + 1))
         if f.is_zero():
             values.append(Fraction(0))
         elif top.is_zero() or joins[:d - 1] != top_joins[:d - 1]:

@@ -20,7 +20,7 @@ from quasimap.intersection import (
     wall_form,
     wall_insertion_residue,
 )
-from quasimap.residues import ResiduePlan, iterated_residue
+from quasimap.residues import iterated_residue
 from quasimap.series import f0_coeff, f1_hat_coeff, mirror_w, mixed_insertion_closed_form
 from quasimap.toric import sr_ideal, sr_ideal_factors, volume_form_factors
 
@@ -91,11 +91,11 @@ def test_compute_w_matches_mirror_coefficients():
 
 def test_compute_w_both_plans_match_mirror_at_degree_twenty():
     # compute_w integrates both pairs from z_0 with the exponent 1 there; the
-    # descending plan on the (0, 1) chain runs the same steps in reverse.
+    # descending order on the (0, 1) chain runs the same steps in reverse.
     w_20 = mirror_w(20)[-1]
     assert compute_w(20, 1, 0) == 2 * w_20
     assert compute_w(20, 0, 1) == 2 * w_20
-    descending = iterated_residue(IntegrandSpec.insertions(20, 0, 1).build(), ResiduePlan.descending(20))
+    descending = iterated_residue(IntegrandSpec.insertions(20, 0, 1).build(), range(20, -1, -1))
     assert descending == 2 * w_20
 
 
@@ -159,10 +159,10 @@ def test_integrate_class_rejects_variable_outside_range():
 def test_order_independence_on_standard_integrands():
     for d in (1, 2):
         vol = volume_form(d)
-        assert integrate_class(d, vol) == integrate_class(d, vol, plan=ResiduePlan.descending(d))
+        assert integrate_class(d, vol) == integrate_class(d, vol, order=range(d, -1, -1))
         for a, b in ((1, 0), (2, -1)):
-            up = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), ResiduePlan.ascending(d))
-            down = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), ResiduePlan.descending(d))
+            up = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), range(d + 1))
+            down = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), range(d, -1, -1))
             assert up == down
 
 
@@ -188,7 +188,7 @@ def test_wall_split_identity():
 
 def test_insertion_residues_are_half_the_chain_residue():
     # The three insertion helpers return half the ascending residue of their chain.
-    up = ResiduePlan.ascending(2)
+    up = range(3)
     wall = IntegrandSpec(2, ((0, 1), (2, -1)), (wall_form(1),)).build()
     assert iterated_residue(wall, up) == 178560
     assert wall_insertion_residue(2, 1) == 89280
@@ -234,24 +234,24 @@ def test_insertion_symmetry_for_a_plus_b_one():
         assert compute_w(d, 1, 0) == compute_w(d, 0, 1)
     for d in (5, 10):
         assert compute_w(d, 2, -1) == compute_w(d, -1, 2)
-    # For a < b compute_w integrates the reversed chain; the ascending plan
+    # For a < b compute_w integrates the reversed chain; the ascending order
     # on the chain as given agrees.
     for d in (1, 2, 5):
         for a, b in ((0, 1), (-1, 2), (-2, 3)):
             ascending = iterated_residue(IntegrandSpec.insertions(d, a, b).build(),
-                                         ResiduePlan.ascending(d))
+                                         range(d + 1))
             assert compute_w(d, a, b) == ascending
 
 
 def test_chain_reversal_swaps_the_insertions():
     # z_j -> z_{d-j} maps insertions(d, a, b) onto insertions(d, b, a), so the
-    # descending plan on (a, b) is the ascending plan on (b, a): compute_w and
+    # descending order on (a, b) is the ascending order on (b, a): compute_w and
     # w_sweep integrate the latter, with the larger exponent at z_0.
     for a, b in [(a, 1 - a) for a in range(-2, 4)]:
         values = [compute_w(d, a, b) for d in range(1, 9)]
         for d, value in enumerate(values, start=1):
             chain = IntegrandSpec.insertions(d, a, b).build()
-            assert value == iterated_residue(chain, ResiduePlan.descending(d)), (d, a, b)
+            assert value == iterated_residue(chain, range(d, -1, -1)), (d, a, b)
         assert w_sweep(8, a, b) == values, (a, b)
         assert any(values) == (max(a, b) < 3), (a, b)
 

@@ -34,11 +34,10 @@ from quasimap.intersection import (
 )
 from quasimap.residues import (
     ResidueError,
-    ResiduePlan,
     homogeneity_filter,
     iterated_residue,
+    join_schedule,
     residue_at_point,
-    residue_start,
     residue_states,
     residue_sweep,
 )
@@ -93,8 +92,8 @@ def test_residue_errors():
 
 def test_vol_normalization_any_degree():
     for d in range(1, 5):
-        assert iterated_residue(vol_integrand(d), ResiduePlan.ascending(d)) == 1
-        assert iterated_residue(vol_integrand(d), ResiduePlan.descending(d)) == 1
+        assert iterated_residue(vol_integrand(d), range(d + 1)) == 1
+        assert iterated_residue(vol_integrand(d), range(d, -1, -1)) == 1
 
 
 def test_hand_oracle_degree_one_insertion():
@@ -102,8 +101,8 @@ def test_hand_oracle_degree_one_insertion():
     # Res_{z0=0} = 48 * 31 * z1^2 / z1^3, then Res_{z1=0} = 1488.
     num = MPoly.product([linform((0, 1), (1, 1)), linform((0, 5), (1, 1)), linform((0, 1), (1, 5))])
     f = FactoredRat(48, num, [(zvar(0), 2, frozenset({0})), (zvar(1), 3, frozenset({1}))])
-    assert iterated_residue(f, ResiduePlan.ascending(1)) == 1488
-    assert iterated_residue(f, ResiduePlan.descending(1)) == 1488
+    assert iterated_residue(f, range(2)) == 1488
+    assert iterated_residue(f, range(1, -1, -1)) == 1488
 
 
 def test_homogeneity_filter_keeps_matching_component():
@@ -149,7 +148,7 @@ def test_residue_linearity_same_denominator_family():
     nvars = 3
     d = 2
     den = [(zvar(j), 1, frozenset({j})) for j in range(nvars)]
-    plan = ResiduePlan.ascending(d)
+    order = range(d + 1)
     for _ in range(5):
         nf = _random_poly(rng, nvars, 0)
         ng = _random_poly(rng, nvars, 0)
@@ -158,8 +157,8 @@ def test_residue_linearity_same_denominator_family():
         fa = FactoredRat(1, nf, den)
         fb = FactoredRat(1, ng, den)
         combo = FactoredRat(1, alpha * nf + beta * ng, den)
-        lhs = iterated_residue(combo, plan)
-        rhs = alpha * iterated_residue(fa, plan) + beta * iterated_residue(fb, plan)
+        lhs = iterated_residue(combo, order)
+        rhs = alpha * iterated_residue(fa, order) + beta * iterated_residue(fb, order)
         assert lhs == rhs
 
 
@@ -174,11 +173,19 @@ def _random_poly(rng, nvars, degree, nterms=4):
 
 
 def test_plan_validation():
-    with pytest.raises(ValueError):
-        ResiduePlan((0, 2))
+    # An order must be a permutation of 0..d; a valid one that misses a variable
+    # of the integrand does not cover it.
     f = vol_integrand(2)
+    for order in ((0, 2), (1, 1), (0, 0, 2)):
+        with pytest.raises(ValueError, match="permutation"):
+            iterated_residue(f, order)
     with pytest.raises(ResidueError, match="cover"):
-        iterated_residue(f, ResiduePlan.ascending(1))
+        iterated_residue(f, range(2))
+    # An explicit empty order is not the default ascending one.
+    scalar, factors = volume_form_factors(1)
+    with pytest.raises(ResidueError, match="cover"):
+        integrate_class(1, MPoly.const(scalar), order=(), factors=factors)
+    assert integrate_class(1, MPoly.const(scalar), factors=factors) == 1
 
 
 def _excluded_for_z1():
@@ -190,12 +197,12 @@ def _excluded_for_z1():
     )
 
 
-def _stepped(f, plan):
-    """``(var, branches)`` after each step of the engine's loop on ``f`` over ``plan``,
+def _stepped(f, order):
+    """``(var, branches)`` after each step of the engine's loop on ``f`` over ``order``,
     as ``checks._denominators_closed`` steps it, without the untagged-variable rule."""
-    states = residue_states(residues._prepared(f, len(plan.order) - 1), plan.order)
+    states = residue_states(residues._prepared(f, len(order) - 1), order)
     next(states)
-    return zip(plan.order, states)
+    return zip(order, states)
 
 
 def test_excluded_factors_are_never_visited():
@@ -205,8 +212,8 @@ def test_excluded_factors_are_never_visited():
     poles = [fac for fac in f.den if 0 in fac.allowed]
     dens = [fac for pole in poles for fac in residue_at_point(f, 0, pole).den]
     assert len(poles) == 2 and dens and not any(fac.allowed for fac in dens)
-    assert dict(_stepped(_excluded_for_z1(), ResiduePlan.ascending(1)))[1] == {}
-    assert iterated_residue(_excluded_for_z1(), ResiduePlan.ascending(1)) == 0
+    assert dict(_stepped(_excluded_for_z1(), range(2)))[1] == {}
+    assert iterated_residue(_excluded_for_z1(), range(2)) == 0
 
 
 def _class_integrand(d, omega, factors):
@@ -234,7 +241,7 @@ def test_ideal_generators_die_when_stepped():
     for d, gi, factors, mono in runs + draws(4, 2, 1):
         f = _class_integrand(d, mono, factors)
         assert _untagged(f, d) == {gi}, (d, gi)
-        *_, (_, branches) = _stepped(f, ResiduePlan.ascending(d))
+        *_, (_, branches) = _stepped(f, range(d + 1))
         assert branches == {}, (d, gi, mono.render())
 
 
@@ -259,10 +266,10 @@ def test_tags_are_never_gained(descending):
     # After each step every tag lies inside the starting tags minus the
     # integrated variables: the fact the untagged-variable rule rests on.
     for name, d, f, untagged in _tag_families():
-        plan = ResiduePlan.descending(d) if descending else ResiduePlan.ascending(d)
+        order = range(d, -1, -1) if descending else range(d + 1)
         assert _untagged(f, d) == untagged, name
         left = set(range(d + 1)) - untagged
-        for var, branches in _stepped(f, plan):
+        for var, branches in _stepped(f, order):
             left.discard(var)
             assert all(fac.allowed <= left for b in branches.values() for fac in b.den), (name, var)
 
@@ -286,9 +293,9 @@ def test_a_tagged_factor_is_the_only_one_vanishing_at_its_zero(descending, monke
 
     monkeypatch.setattr(residues, "residue_at_point", checked)
     for name, d, f, untagged in _tag_families():
-        plan = ResiduePlan.descending(d) if descending else ResiduePlan.ascending(d)
+        order = range(d, -1, -1) if descending else range(d + 1)
         visited.clear()
-        for var, _ in _stepped(f, plan):
+        for var, _ in _stepped(f, order):
             assert untagged or var in visited, (name, var)
 
 
@@ -297,15 +304,15 @@ def test_untagged_plan_variable_gives_zero_without_a_step(monkeypatch):
         raise AssertionError("residue_step called")
 
     monkeypatch.setattr(residues, "residue_step", no_step)
-    assert iterated_residue(_excluded_for_z1(), ResiduePlan.ascending(1)) == Fraction(0)
+    assert iterated_residue(_excluded_for_z1(), range(2)) == Fraction(0)
     assert all(r.ok for r in check_ideal_annihilation(2))
     with pytest.raises(AssertionError, match="residue_step"):
-        iterated_residue(vol_integrand(1), ResiduePlan.ascending(1))
+        iterated_residue(vol_integrand(1), range(2))
 
 
 def test_closure_check_steps_the_engine_loop(monkeypatch):
     # The closure line checks the branches of the loop ``iterated_residue`` runs:
-    # one residue_step per variable of the plan, looked up in the engine module.
+    # one residue_step per variable of the order, looked up in the engine module.
     calls = []
     step = residues.residue_step
 
@@ -314,22 +321,22 @@ def test_closure_check_steps_the_engine_loop(monkeypatch):
         return step(branches, var, nums, dens)
 
     monkeypatch.setattr(residues, "residue_step", counted)
-    assert _denominators_closed(IntegrandSpec.insertions(2, 1, 0).build(), ResiduePlan.ascending(2))
+    assert _denominators_closed(IntegrandSpec.insertions(2, 1, 0).build(), range(3))
     assert calls == [0, 1, 2]
 
 
 def test_plan_cover_is_checked_before_the_tags():
-    # z1 is untagged, and the plan misses z2.
+    # z1 is untagged, and the order misses z2.
     f = FactoredRat(
         1,
         MPoly.const(1),
         [(zvar(0), 1, frozenset({0})), (linform((0, 1), (2, 2)), 1, frozenset({0}))],
     )
     with pytest.raises(ResidueError, match="cover"):
-        iterated_residue(f, ResiduePlan.ascending(1))
+        iterated_residue(f, range(2))
 
 
-# The chain families the sweep and the random plans run.
+# The chain families the sweep and the random orders run.
 _CHAIN_FAMILIES = {
     "insertions(1,0)": lambda d: IntegrandSpec.insertions(d, 1, 0),
     "insertions(2,-1)": lambda d: IntegrandSpec.insertions(d, 2, -1),
@@ -341,36 +348,48 @@ _CHAIN_FAMILIES = {
 
 @functools.cache
 def _ascending_values(d):
-    return {name: iterated_residue(spec(d).build(), ResiduePlan.ascending(d))
+    return {name: iterated_residue(spec(d).build(), range(d + 1))
             for name, spec in _CHAIN_FAMILIES.items()}
 
 
 @settings(max_examples=25)
 @given(st.integers(1, 5).flatmap(lambda d: st.permutations(range(d + 1))))
 def test_any_plan_gives_the_ascending_value(order):
-    # Each factor joins at the first step of the plan whose variable it involves,
-    # wherever that step falls; the value does not depend on the plan.
-    d, plan = len(order) - 1, ResiduePlan(tuple(order))
+    # Each factor joins at the first step of the order whose variable it involves,
+    # wherever that step falls; the value does not depend on the order.
+    d = len(order) - 1
     for name, spec in _CHAIN_FAMILIES.items():
-        assert iterated_residue(spec(d).build(), plan) == _ascending_values(d)[name], (name, order)
+        assert iterated_residue(spec(d).build(), order) == _ascending_values(d)[name], (name, order)
     scalar, factors = volume_form_factors(d)
-    assert integrate_class(d, MPoly.const(scalar), plan, factors) == 1
+    assert integrate_class(d, MPoly.const(scalar), order, factors) == 1
 
 
-def test_residue_start_joins_each_factor_at_its_first_step():
+@pytest.mark.parametrize("d", range(1, 5))
+def test_range_list_and_tuple_orders_agree(d):
+    # An order is any sequence of the variables: a range, a list and a tuple of
+    # the same order give the same value.
+    for order in (range(d + 1), range(d, -1, -1)):
+        for name, spec in _CHAIN_FAMILIES.items():
+            f = spec(d).build()
+            values = [iterated_residue(f, kind) for kind in (order, list(order), tuple(order))]
+            assert values == [_ascending_values(d)[name]] * 3, (name, order)
+
+
+def test_join_schedule_joins_each_factor_at_its_first_step():
     # Every non-constant numerator and every denominator factor sits in exactly one
-    # entry: the first position of the plan among the variables it involves.
+    # entry: the first position of the order among the variables it involves.  The
+    # stepping loop starts from one branch carrying the scalar.
     rng = random.Random(2323)
     for name, d, f, _ in _tag_families():
         f = residues._prepared(f, d)
-        plans = [ResiduePlan.ascending(d).order, ResiduePlan.descending(d).order]
-        plans += [tuple(rng.sample(range(d + 1), d + 1)) for _ in range(4)]
-        for order in plans:
+        orders = [range(d + 1), range(d, -1, -1)]
+        orders += [tuple(rng.sample(range(d + 1), d + 1)) for _ in range(4)]
+        for order in orders:
             def first(support):
                 return next(k for k, var in enumerate(order) if var in support)
 
-            branches, joins = residue_start(f, order)
-            assert branches == {(): FactoredRat(f.scalar, MPoly.const(1))}
+            assert next(residue_states(f, order)) == {(): FactoredRat(f.scalar, MPoly.const(1))}
+            joins = join_schedule(f, order)
             assert len(joins) == d + 1, (name, order)
             nums = [] if f.num.is_constant() else [(f.num, first(f.num.variables()))]
             nums += [(form.to_mpoly() ** mult, first(form.support)) for form, mult in f.factors]
@@ -402,8 +421,8 @@ def _chain_integrands(d):
 
 
 def _branch_counts(spec):
-    """The number of branches after each step of the ascending plan."""
-    return [len(branches) for _, branches in _stepped(spec.build(), ResiduePlan.ascending(spec.d))]
+    """The number of branches after each step of the ascending order."""
+    return [len(branches) for _, branches in _stepped(spec.build(), range(spec.d + 1))]
 
 
 @pytest.mark.parametrize("d", range(1, 13))
@@ -423,15 +442,15 @@ def test_branch_counts_keep_their_measured_shape(d):
 @pytest.mark.parametrize("d", range(1, 6))
 def test_factored_and_expanded_integrands_agree(d):
     # The engine multiplies numerator factors in step by step; multiplying
-    # them all out first must give the same value under both plans.
+    # them all out first must give the same value under both orders.
     for name, spec, reported in _chain_integrands(d):
         factored = spec.build()
         expanded = factored.expand()
         assert not expanded.factors and expanded.num_degree() == factored.num_degree()
         values = {
-            iterated_residue(g, plan)
+            iterated_residue(g, order)
             for g in (factored, expanded)
-            for plan in (ResiduePlan.ascending(d), ResiduePlan.descending(d))
+            for order in (range(d + 1), range(d, -1, -1))
         }
         assert len(values) == 1, (name, values)
         if reported is not None:
@@ -492,7 +511,7 @@ def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, sca
 def test_sweep_matches_each_degree(family):
     # One ascending pass over f_8 gives the value of every f_d, d <= 8.
     integrands = [_CHAIN_FAMILIES[family](d).build() for d in range(1, 9)]
-    expected = [iterated_residue(f, ResiduePlan.ascending(d)) for d, f in enumerate(integrands, start=1)]
+    expected = [iterated_residue(f, range(d + 1)) for d, f in enumerate(integrands, start=1)]
     assert residue_sweep(integrands) == expected
     assert any(expected)
 
@@ -522,7 +541,7 @@ def test_sweep_guard_compares_the_first_d_minus_1_entries(d):
         residue_sweep(early)
     late = _guard_family(d, linform((d - 1, 1), (d, 1)), linform((d - 1, 1), (d, 3)))
     values = residue_sweep(late)
-    assert values[d - 1:] == [iterated_residue(f, ResiduePlan.ascending(k))
+    assert values[d - 1:] == [iterated_residue(f, range(k + 1))
                               for k, f in enumerate(late[d - 1:], start=d)]
     assert values[d - 1]
 
