@@ -9,7 +9,6 @@ subcommand and the acceptance test suite both run these.
 from __future__ import annotations
 
 import random
-import struct
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
@@ -43,6 +42,7 @@ from .toric import (
     divisor_classes,
     orientation_enumeration,
     recession_map,
+    recession_preimages,
     relation_check,
     sr_ideal_factors,
     volume_form_factors,
@@ -59,19 +59,15 @@ IDEAL_SEED = 1113
 DEGREE_SELECTION_SAMPLES = 20
 DEGREE_SELECTION_SEED = 62
 
-# Seeded injectivity samples per degree in check_properties, and how many are mapped at once.
-RECESSION_SAMPLES = 10_000
-RECESSION_BLOCK = 200
+# Seed of the values whose recession preimages check_properties counts, and how many
+# values it tries per degree before it gives up finding a regular one.
+RECESSION_SEED = 2017
+RECESSION_TRIES = 3
 
 # check_toric's ranges: ray relations and orientations up to d, corner determinants up to k.
 RELATION_DMAX = 10
 DET_KMAX = 30
 ORIENTATION_DMAX = 4
-
-# lcm(1..7): every sampled coordinate p/q, q in 1..7, times this is an integer.
-RECESSION_SCALE = 420
-# The scaled coordinate RECESSION_SCALE * p/q of each pair, p in -50..50 and q in 1..7.
-RECESSION_SCALED = tuple(RECESSION_SCALE * p // q for p in range(-50, 51) for q in range(1, 8))
 
 
 class CheckResult(NamedTuple):
@@ -289,38 +285,25 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def recession_samples(count: int, d: int, rng: random.Random) -> list[int]:
-    """``count`` seeded points of ``(1/420) Z^{d+1}`` times 420, as one point-major list of ints.
-
-    Each coordinate is the entry ``420 * p/q`` of :data:`RECESSION_SCALED` for a pair drawn
-    uniformly from the 707 with ``p`` in -50..50 and ``q`` in 1..7, by one ``rng.random()``.
-    """
-    return rng.choices(RECESSION_SCALED, k=count * (d + 1))
-
-
-def recession_injective(d: int, rng: random.Random) -> bool:
-    """No two distinct points of ``RECESSION_SAMPLES`` :func:`recession_samples` share an
-    image under :func:`recession_map`, which maps them ``RECESSION_BLOCK`` at a time.  Each
-    coordinate takes one ``rng.random()``, so the blocks are the points one call would draw.
-
-    ``F`` is a minimum of integer linear forms, so ``F(420 a) = 420 F(a)``: the scaled
-    samples collide exactly when the unscaled ones do, in ``int`` arithmetic.
-
-    Each image and each point is kept as its ``d + 1`` values packed as little-endian
-    ``int32`` bytes, not as a tuple of boxed ints.  The keys are exact: packing is
-    injective on tuples of that fixed length, and a value outside ``int32`` raises
-    ``struct.error`` instead of wrapping.  The samples have ``|a_i| <= 50 * 420``
-    and ``|F_i| <= 4 * 50 * 420``.
-    """
-    pack = struct.Struct(f"<{d + 1}i").pack
-    seen: dict[bytes, bytes] = {}
-    ok = True
-    for start in range(0, RECESSION_SAMPLES, RECESSION_BLOCK):
-        flat = recession_samples(min(RECESSION_BLOCK, RECESSION_SAMPLES - start), d, rng)
-        cols = [flat[j::d + 1] for j in range(d + 1)]
-        points = list(map(pack, *cols))
-        ok = list(map(seen.setdefault, map(pack, *recession_map(d, cols)), points)) == points and ok
-    return ok
+def recession_count_miss(d: int, rng: random.Random) -> str | None:
+    """Why the preimage count fails to prove :func:`recession_map` bijective at degree
+    ``d``, or None.  The map ``F`` is piecewise linear and homogeneous, linear on each
+    region of :func:`recession_preimages`.  If every region has ``det > 0``, ``F`` is
+    coherently oriented, and every regular value (one with no preimage on a wall) has
+    the same number of preimages, the degree of ``F``; one preimage of one regular value
+    makes ``F`` a homeomorphism, so the fan is complete.  See Scholtes, *Introduction to
+    Piecewise Differentiable Equations* (Springer 2012), ch. 2, and Eaves--Rothblum,
+    *Relationships of properties of piecewise affine maps over ordered fields* (Linear
+    Algebra Appl. 132, 1990).  The values are drawn from ``rng``; one found on a wall is
+    passed over for the next, at most ``RECESSION_TRIES`` in all."""
+    for _ in range(RECESSION_TRIES):
+        y = tuple(rng.randint(-99, 99) for _ in range(d + 1))
+        regions, preimages, tie = recession_preimages(d, y)
+        if not regions.all_positive:
+            return f"d={d}: min determinant {regions.min_det}"
+        if not tie:
+            return None if len(preimages) == 1 else f"d={d}: {len(preimages)} preimages of {y}"
+    return f"d={d}: no regular value in {RECESSION_TRIES} tries"
 
 
 def _denominators_closed(f: FactoredRat, order: Sequence[int]) -> bool:
@@ -335,7 +318,8 @@ def _denominators_closed(f: FactoredRat, order: Sequence[int]) -> bool:
 
 
 def check_properties() -> list[CheckResult]:
-    """Seeded property suite: degree zeros, linearity, closure, recession map.
+    """Seeded property suite: degree zeros, linearity, closure, recession map homogeneity
+    and bijectivity (:func:`recession_count_miss`).
     ``homogeneity_filter`` decides the degree zeros; unfiltered, the engine gives 0 too."""
     misses = [(d, a, b) for d in (1, 2, 3) for a in (-1, 0, 1, 2) for b in (-1, 0, 1, 2)
               if a + b != 1 and compute_w(d, a, b) != 0]
@@ -350,17 +334,20 @@ def check_properties() -> list[CheckResult]:
                         "closed", "violation"))
 
     rng = random.Random(40961)
-    hom_ok = inj_ok = True
+    hom_ok = True
     for d in (1, 2, 3, 4):
         alphas, ts = zip(*[([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d + 1)],
                             Fraction(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(50)])
         left = recession_map(d, [list(map(mul, ts, col)) for col in zip(*alphas)])
         right = [list(map(mul, ts, row)) for row in recession_map(d, list(zip(*alphas)))]
         hom_ok = hom_ok and left == right
-        inj_ok = recession_injective(d, rng) and inj_ok
     out.append(_verdict("recession homogeneity", hom_ok, "F(t a) = t F(a)", "holds", "violation"))
-    out.append(_verdict("recession sampled injectivity", inj_ok,
-                        "no collisions on 10^4 samples per degree", "injective", "collision found"))
+
+    rng = random.Random(RECESSION_SEED)
+    misses = [miss for d in (1, 2, 3, 4) if (miss := recession_count_miss(d, rng))]
+    out.append(CheckResult("recession map bijective", not misses,
+                           "one preimage of a regular value per degree d<=4",
+                           misses[0] if misses else "one each"))
     return out
 
 

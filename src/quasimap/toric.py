@@ -13,8 +13,8 @@ generator ``i``, proportional to the classes' product over collection ``i``.
 Completeness and simpliciality reduce to finite linear algebra: the
 positivity of every linearity-region determinant of the gluing map
 (:func:`orientation_enumeration`, with the corner determinants
-:func:`det_Bk`), and the sampled injectivity of its recession function
-(:func:`recession_map`).
+:func:`det_Bk`), and the exact preimage count of a regular value under its
+recession function (:func:`recession_preimages` of :func:`recession_map`).
 """
 
 from __future__ import annotations
@@ -207,10 +207,11 @@ def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
     return Fraction(3 ** (d + 1)), [fac for gen in _block_factors(d, 3) for fac in gen]
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    n = len(rows)
-    m = [list(r) for r in rows]
+def _bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss elimination of the square or augmented ``m``, in place; returns
+    the determinant of its square part.  Row ``k`` then holds the row-swapped system in
+    triangular form, with the ``(k+1)``-th leading minor at ``m[k][k]``."""
+    n = len(m)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -223,10 +224,15 @@ def _int_det(rows: Sequence[Sequence[int]]) -> int:
             else:
                 return 0
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
+            for j in range(k + 1, len(m[k])):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant (fraction-free Bareiss elimination)."""
+    return _bareiss([list(r) for r in rows])
 
 
 def det_Bk(k: int) -> int:
@@ -277,8 +283,8 @@ def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list
     ``j`` of each: row ``i`` is the minimum of the forms of block ``i`` of
     :func:`block_forms`, each evaluated over the columns.
 
-    ``F(t*a) = t*F(a)`` for ``t >= 0``; its injectivity (sampled elsewhere) makes the
-    fan complete.  The forms have ``int`` coefficients, so ``int`` columns give
+    ``F(t*a) = t*F(a)`` for ``t >= 0``; its bijectivity (:func:`recession_preimages`)
+    makes the fan complete.  The forms have ``int`` coefficients, so ``int`` columns give
     ``int`` rows and ``Fraction`` entries give exact values.
     """
     if len(cols) != d + 1:
@@ -288,3 +294,38 @@ def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list
                for block in block_forms(d)]
     return [list(map(min, *forms)) for forms in columns]
 
+
+def recession_preimages(d: int, y: Sequence[int]
+                        ) -> tuple[OrientationReport, list[tuple[Fraction, ...]], bool]:
+    """The regions as :func:`orientation_enumeration` reports them, the points ``x`` off
+    the walls with ``F(x) = y`` for ``F`` of :func:`recession_map`, and whether a solution
+    met a wall, so that ``y`` is not a regular value.
+
+    Each choice of one row per block of :func:`_row_choices` is a system ``A x = y``:
+    one Bareiss pass over ``[A | y]`` and back substitution give ``X = |det A| x`` in
+    ``int``s, and a singular region is skipped.  ``F(X) = |det A| y`` when each chosen
+    form is a block minimum, and ``x`` is kept when each is the strict minimum.
+    """
+    if len(y) != d + 1:
+        raise ValueError("need d+1 coordinates")
+    choices = _row_choices(d)
+    dets, scales, points = [], [], []
+    for rows in product(*choices):
+        m = [[*row, t] for row, t in zip(rows, y)]
+        dets.append(_bareiss(m))
+        if dets[-1]:
+            det, X = m[d][d], [0] * (d + 1)  # the row-swapped system's determinant, +-det A
+            for i in range(d, -1, -1):
+                X[i] = (det * m[i][-1] - sum(map(mul, m[i][i + 1:-1], X[i + 1:]))) // m[i][i]
+            scales.append(abs(det))
+            points.append(X if det > 0 else [-x for x in X])
+    images = recession_map(d, [[X[j] for X in points] for j in range(d + 1)])
+    preimages, tie = [], False
+    for k, (scale, X) in enumerate(zip(scales, points)):
+        if all(row[k] == scale * t for row, t in zip(images, y)):
+            if all([sum(map(mul, g, X)) for g in block].count(scale * t) == 1
+                   for block, t in zip(choices, y)):
+                preimages.append(tuple(Fraction(x, scale) for x in X))
+            else:
+                tie = True
+    return OrientationReport(len(dets), min(dets)), preimages, tie

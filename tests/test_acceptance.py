@@ -19,6 +19,8 @@ from quasimap.checks import (
     IDEAL_SAMPLES,
     IDEAL_SEED,
     ORIENTATION_DMAX,
+    RECESSION_SEED,
+    RECESSION_TRIES,
     RELATION_DMAX,
     check_degree_selection,
     check_ideal_annihilation,
@@ -72,10 +74,12 @@ def test_criterion_5_degree_selection():
 
 
 def test_sample_counts_and_seeds_are_pinned():
-    # Criteria 4 and 5 draw their monomials from these; a smaller count
-    # would weaken the checks without changing any line they print.
+    # Criteria 4 and 5 draw their monomials from these, and criterion 10 its
+    # recession values; a change would alter the checks without changing any
+    # line they print.
     assert (IDEAL_SAMPLES, IDEAL_SEED) == (10, 1113)
     assert (DEGREE_SELECTION_SAMPLES, DEGREE_SELECTION_SEED) == (20, 62)
+    assert (RECESSION_SEED, RECESSION_TRIES) == (2017, 3)
 
 
 def test_criterion_6_order_independence():
@@ -126,6 +130,12 @@ def _one_class(d):
     return {label: LinForm.variable(0) for label in toric.divisor_classes(d)}
 
 
+def _two_preimages(d, y):
+    """The true preimage of ``y``, counted twice."""
+    regions, preimages, tie = toric.recession_preimages(d, y)
+    return regions, preimages * 2, tie
+
+
 @pytest.mark.parametrize("check, predicate, replacement, failures, first", [
     (check_toric, "det_Bk", lambda k: 0, 1,
      "FAIL corner determinants k<=30: expected 9k-6 for all k, actual mismatch"),
@@ -150,9 +160,9 @@ def _one_class(d):
      "actual nonzero at (1, -1, -1)"),
     (check_properties, "linearity_samples", lambda: [(Fraction(1), Fraction(2))], 1,
      "FAIL residue linearity: expected linear in the numerator, actual violation"),
-    (check_properties, "recession_injective", lambda d, rng: False, 1,
-     "FAIL recession sampled injectivity: expected no collisions on 10^4 samples per degree, "
-     "actual collision found"),
+    (check_properties, "recession_preimages", _two_preimages, 1,
+     "FAIL recession map bijective: expected one preimage of a regular value per degree d<=4, "
+     "actual d=1: 2 preimages of (-49, 14)"),
     (check_properties, "recession_map", lambda d, cols: [[x + 1 for x in col] for col in cols], 1,
      "FAIL recession homogeneity: expected F(t a) = t F(a), actual violation"),
 ])

@@ -311,7 +311,7 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
 
 @pytest.mark.parametrize("argv, digest", [
     (["verify", "--degree-max", "4", "--format", "json"],
-     "ed4988dcdb34aad40ac16d562c8f731a16651fe3b49a02592935173339cb67ef"),
+     "3609fa02899b8c21d55b84edb47f84c2ccb23ce9783f9d43120a2e4c6478c874"),
     (["intersect", "--degree", "5", "--a", "1", "--b", "0"],
      "93c54dd5dfa9f791c4b66349796ef8978023495e14c0a75977f8f8811ac868cd"),
     (["chow", "--degree", "3"],
@@ -319,7 +319,7 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
     (["chow", "--degree", "3", "--format", "json"],
      "7fba0a8454f591ada7349ca92f53bd485e03a1c5bc9522aa57c5246f6a5edd69"),
     (["verify", "--degree-max", "10"],
-     "9530f02addb0c16fe6379540cc81a2e92877a7eb0c013069f1473fecb20dd31e"),
+     "9141ce306ae420b1b5d1b7db51e123af522732507572b8a9d2b837d2f278356a"),
     (["fan", "--degree", "3"],
      "b359928ed18f6e40951d417638f46d2571781d7ce3963e4d65d606f587d6af64"),
     (["mirror", "--order", "30"],

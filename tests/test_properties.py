@@ -1,28 +1,22 @@
 """Standalone property suite with fixed seeds (degree zeros, linearity, closure,
-recession-map homogeneity and sampled injectivity)."""
+recession-map homogeneity), and the exact preimage count that proves the recession
+map bijective, with its negative controls (a forgetful map, a fold)."""
 
 from __future__ import annotations
 
 import random
-import struct
-import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import quasimap.checks as checks
+import quasimap.toric as toric
 from polys import dense, recession_reference
-from quasimap.checks import (
-    RECESSION_SAMPLES,
-    RECESSION_SCALED,
-    linearity_samples,
-    recession_injective,
-    recession_samples,
-)
-from quasimap.exact import FactoredRat
+from quasimap.checks import RECESSION_TRIES, check_properties, linearity_samples
+from quasimap.exact import FactoredRat, LinForm
 from quasimap.intersection import IntegrandSpec
 from quasimap.residues import iterated_residue
-from quasimap.toric import recession_map
+from quasimap.toric import block_forms, orientation_enumeration, recession_map, recession_preimages
 
 
 def test_property_suite_all_green(property_results):
@@ -34,7 +28,7 @@ def test_property_suite_all_green(property_results):
         "residue linearity",
         "denominator closure",
         "recession homogeneity",
-        "recession sampled injectivity",
+        "recession map bijective",
     } <= names
 
 
@@ -47,9 +41,15 @@ def test_linearity_samples_are_all_nonzero():
     assert all(lhs != 0 for lhs, _ in samples)
 
 
-def _points(flat: list[int], d: int) -> list[tuple[int, ...]]:
-    """The point-major list of :func:`recession_samples` as ``(d + 1)``-tuples."""
-    return list(zip(*[iter(flat)] * (d + 1)))
+def _line(results, name):
+    return next(r for r in results if r.name == name)
+
+
+def _fold(d):
+    """Block 0 of the recession map replaced by ``(z_0, -z_0)``: ``F_0 = -|x_0|``."""
+    blocks = block_forms(d)
+    blocks[0] = [LinForm.variable(0), LinForm({0: -1})]
+    return blocks
 
 
 def _columns(points) -> list[list]:
@@ -69,94 +69,88 @@ def test_recession_injectivity_direct_sampling():
                 assert fa != fb
 
 
-def test_recession_samples_are_scaled_pairs():
-    # The seed-40961 stream of ``check_properties``, homogeneity draws included.
-    # Every injectivity sample is an entry 420 * p/q of RECESSION_SCALED, and the
-    # first 500 points of each degree, mapped as integer columns, give 420 times
-    # the reference image of the point over 420.
-    assert len(RECESSION_SCALED) == 101 * 7  # one entry per pair, so the pairs are uniform
-    rng = random.Random(40961)
+def test_preimages_map_back_exactly_on_the_ladder():
+    # Three seeded regular values per degree: one preimage each, which the recession
+    # map sends back to y exactly, and the regions are those the orientation line sees.
+    rng = random.Random(5)
     for d in (1, 2, 3, 4):
-        for _ in range(50):  # the homogeneity draws: d + 1 coordinates, then t
-            for _ in range(d + 1):
-                rng.randint(-20, 20), rng.randint(1, 9)
-            rng.randint(1, 30), rng.randint(1, 9)
-        flat = recession_samples(RECESSION_SAMPLES, d, rng)
-        assert len(flat) == RECESSION_SAMPLES * (d + 1)
-        assert set(flat) <= set(RECESSION_SCALED)
-        points = _points(flat, d)[:500]
-        images = [list(image) for image in zip(*recession_map(d, _columns(points)))]
-        assert images == [[420 * y for y in recession_reference(d, [Fraction(x, 420) for x in a])]
-                          for a in points]
+        for _ in range(3):
+            y = [rng.randint(-99, 99) for _ in range(d + 1)]
+            regions, preimages, tie = recession_preimages(d, y)
+            assert regions == orientation_enumeration(d)
+            assert regions.region_count == 4 ** d
+            assert not tie and len(preimages) == 1
+            assert all(type(x) is Fraction for x in preimages[0])
+            assert recession_map(d, [[x] for x in preimages[0]]) == [[t] for t in y]
 
 
 def test_recession_injectivity_beyond_the_ladder():
-    # The ladder samples d = 1..4; the same integer path, 10^4 seeded samples, at d = 5, 6.
-    assert RECESSION_SAMPLES == 10_000
-    for d in (5, 6):
-        assert recession_injective(d, random.Random(40961))
+    # The ladder counts d = 1..4; the same count at d = 5 (1,024 regions).
+    y = (-41, 17, 88, -5, 63, -70)
+    regions, preimages, tie = recession_preimages(5, y)
+    assert regions.all_positive and regions.region_count == 4 ** 5
+    assert not tie and len(preimages) == 1
+    assert recession_reference(5, preimages[0]) == list(y)
 
 
-def _tuple_dict_injective(d: int, rng: random.Random, count: int = RECESSION_SAMPLES) -> bool:
-    """The per-point, tuple-keyed collision check that ``recession_injective`` replaced,
-    on the reference map, as a reference."""
-    seen: dict[tuple, tuple] = {}
-    ok = True
-    for alpha in _points(recession_samples(count, d, rng), d):
-        if seen.setdefault(tuple(recession_reference(d, alpha)), alpha) != alpha:
-            ok = False
-    return ok
+def test_a_value_on_a_wall_is_not_regular():
+    # x = (1, -1, 3) ties z_0 with 2 z_0 + z_1 in block 0, so y = F(x) is not regular.
+    y = recession_reference(2, (1, -1, 3))
+    regions, preimages, tie = recession_preimages(2, y)
+    assert tie and regions.all_positive
+    assert recession_preimages(3, (0, 0, 0, 0))[2]
 
 
-def test_packed_keys_agree_with_tuple_keys(monkeypatch):
-    # Same verdict and the same generator state after each degree, so the rest
-    # of the seed-40961 stream is unchanged: the blocked column path draws the
-    # points the per-point reference draws in one go.  Two more seeds run
-    # 2,050 samples, which ends in a partial block.
-    for d in range(1, 7):
-        rng, ref = random.Random(40961 + d), random.Random(40961 + d)
-        assert recession_injective(d, rng) == _tuple_dict_injective(d, ref)
-        assert rng.getstate() == ref.getstate()
-    monkeypatch.setattr(checks, "RECESSION_SAMPLES", 2_050)
-    for seed in (1, 2):
-        for d in range(1, 7):
-            rng, ref = random.Random(seed + d), random.Random(seed + d)
-            assert recession_injective(d, rng) == _tuple_dict_injective(d, ref, 2_050)
-            assert rng.getstate() == ref.getstate()
+def test_preimages_need_d_plus_one_coordinates():
+    with pytest.raises(ValueError):
+        recession_preimages(2, (1, 2))
 
 
-def test_repeated_points_are_not_collisions():
-    points = _points(recession_samples(RECESSION_SAMPLES, 1, random.Random(40961)), 1)
-    assert len(points) - len(set(points)) == 566
-    assert recession_injective(1, random.Random(40961))
+def test_forgetful_map_fails_without_raising(monkeypatch):
+    # Negative control: rows 1..d of the map forgotten, so every region is singular.
+    # No system is solved, nothing divides by 0, and the line fails.
+    monkeypatch.setattr(toric, "_row_choices", lambda d: [
+        [tuple(form.coeff(j) for j in range(d + 1)) for form in block_forms(d)[0]],
+        *[[(0,) * (d + 1)]] * d])
+    regions, preimages, tie = recession_preimages(2, (3, -1, 4))
+    assert (regions.min_det, preimages, tie) == (0, [], False)
+    line = _line(check_properties(), "recession map bijective")
+    assert not line.ok and line.actual == "d=1: min determinant 0"
 
 
 def test_collision_is_found_under_a_non_injective_map(monkeypatch):
-    # Negative control: the map that keeps only the first coordinate.
-    def forgetful(d, cols):
-        return [recession_map(d, cols)[0]] + [[0] * len(cols[0])] * d
+    # Negative control: the fold F_0 = -|x_0| reaches a negative y_0 twice, a positive
+    # one never, and has negative determinants, so the line fails.
+    monkeypatch.setattr(toric, "block_forms", _fold)
+    rng = random.Random(5)
+    for d in (1, 2, 3, 4):
+        y = [rng.randint(1, 99)] + [rng.randint(-99, 99) for _ in range(d)]
+        regions, preimages, tie = recession_preimages(d, y)
+        assert regions.min_det < 0 and not tie and preimages == []
+        y[0] = -y[0]
+        regions, preimages, tie = recession_preimages(d, y)
+        assert not tie and len(preimages) == 2
+        assert recession_map(d, _columns(preimages)) == [[t, t] for t in y]
+    assert not _line(check_properties(), "recession map bijective").ok
 
-    monkeypatch.setattr(checks, "recession_map", forgetful)
-    for d in (1, 4):
-        assert not recession_injective(d, random.Random(40961))
 
+def test_non_regular_values_are_passed_over(monkeypatch):
+    # A tie sends the count to the next seeded value; with none regular it fails.
+    calls = []
 
-def test_values_outside_int32_raise(monkeypatch):
-    monkeypatch.setattr(checks, "recession_map", lambda d, cols: [*cols[:-1], [2 ** 31] * len(cols[-1])])
-    with pytest.raises(struct.error):
-        recession_injective(2, random.Random(40961))
+    def ties_first(d, y):
+        calls.append(d)
+        regions, preimages, _ = recession_preimages(d, y)
+        return regions, preimages, calls.count(d) == 1
 
+    monkeypatch.setattr(checks, "recession_preimages", ties_first)
+    assert _line(check_properties(), "recession map bijective").ok
+    assert calls == [1, 1, 2, 2, 3, 3, 4, 4]
 
-def test_recession_injective_peak_memory():
-    # 10^4 samples at d = 4 kept as packed int32 bytes: 1.3 MiB traced, where
-    # tuples of boxed ints took 4.35 MiB.
-    tracemalloc.start()
-    try:
-        assert recession_injective(4, random.Random(40961))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * 2 ** 20
+    monkeypatch.setattr(checks, "recession_preimages",
+                        lambda d, y: (*recession_preimages(d, y)[:2], True))
+    line = _line(check_properties(), "recession map bijective")
+    assert not line.ok and line.actual == f"d=1: no regular value in {RECESSION_TRIES} tries"
 
 
 def test_numerator_linearity_with_random_scalars():
