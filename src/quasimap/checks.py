@@ -177,16 +177,22 @@ def check_degree_selection(dmax: int) -> list[CheckResult]:
     return out
 
 
-def check_order_independence(dmax: int) -> list[CheckResult]:
+def check_order_independence(dmax: int, w: list[Fraction],
+                             period: list[Fraction]) -> list[CheckResult]:
     """Ascending and descending integration orders agree on the insertion
-    integrands and the volume class, for every ``d <= dmax``."""
+    integrands and the volume class, for every ``d <= dmax``.
+
+    The ascending insertion values are the prefixes of the sweeps ``w``
+    (``(1, 0)``) and ``period`` (``(2, -1)``), each of length at least ``dmax``,
+    so each insertion line also ties the sweep to a full descending residue of
+    the integrand; the volume class is integrated in both orders here."""
+    if min(len(w), len(period)) < dmax:
+        raise ValueError(f"need sweeps of length >= {dmax}")
     out = []
     for d in range(1, dmax + 1):
-        for a, b in ((1, 0), (2, -1)):
-            integrand = IntegrandSpec.insertions(d, a, b).build()
-            up = iterated_residue(integrand, range(d + 1))
-            down = iterated_residue(integrand, range(d, -1, -1))
-            out.append(_cmp(f"order independence d={d} insertions=({a},{b})", up, down))
+        for (a, b), sweep in (((1, 0), w), ((2, -1), period)):
+            down = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), range(d, -1, -1))
+            out.append(_cmp(f"order independence d={d} insertions=({a},{b})", sweep[d - 1], down))
         up = _integrate_volume(d)
         down = _integrate_volume(d, range(d, -1, -1))
         out.append(_cmp(f"order independence d={d} volume", up, down))
@@ -355,10 +361,11 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     """Yield every check of the ladder, each as soon as its family has run.
 
     The w-coefficient, period and volume normalization checks run for every
-    ``d <= degree_max``; each of the two sweeps runs once, and the insertion
-    identities read their prefixes.  The other residue families keep the fixed
-    ranges below, and the toric, series and property checks do not depend on
-    ``degree_max``.  The command line bounds it above by ``cli.DEGREE_MAX``.
+    ``d <= degree_max``; each of the two sweeps runs once, and the order
+    independence and insertion identities read their prefixes.  The other
+    residue families keep the fixed ranges below, and the toric, series and
+    property checks do not depend on ``degree_max``.  The command line bounds
+    it above by ``cli.DEGREE_MAX``.
     """
     if degree_max < 1:
         raise ValueError("degree_max must be >= 1")
@@ -369,7 +376,7 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     yield from check_volume_normalization(degree_max)
     yield from check_ideal_annihilation(min(degree_max, 3))
     yield from check_degree_selection(min(degree_max, 3))
-    yield from check_order_independence(min(degree_max, 3))
+    yield from check_order_independence(min(degree_max, 3), w, period)
     yield from check_insertion_identities(min(degree_max, 4), w, period)
     yield from check_toric()
     yield from check_series()

@@ -85,7 +85,14 @@ def test_sample_counts_and_seeds_are_pinned():
 def test_criterion_6_order_independence():
     _report("criterion 6: ascending vs descending residue plans agree, "
             "insertion integrands and volume class d<=10",
-            check_order_independence(10))
+            check_order_independence(10, w_sweep(10, 1, 0), w_sweep(10, 2, -1)))
+
+
+def test_order_independence_needs_sweeps_of_length_dmax():
+    w, period = w_sweep(2, 1, 0), w_sweep(2, 2, -1)
+    for short in ((w[:1], period), (w, period[:1])):
+        with pytest.raises(ValueError, match="length >= 2"):
+            check_order_independence(2, *short)
 
 
 def test_criterion_7_insertion_identities():
@@ -136,6 +143,12 @@ def _two_preimages(d, y):
     return regions, preimages * 2, tie
 
 
+def _order_independence_perturbed():
+    """Order independence at d<=2 with the ascending w value at d=2 off by one."""
+    w = w_sweep(2, 1, 0)
+    return check_order_independence(2, [w[0], w[1] + 1], w_sweep(2, 2, -1))
+
+
 @pytest.mark.parametrize("check, predicate, replacement, failures, first", [
     (check_toric, "det_Bk", lambda k: 0, 1,
      "FAIL corner determinants k<=30: expected 9k-6 for all k, actual mismatch"),
@@ -165,12 +178,16 @@ def _two_preimages(d, y):
      "actual d=1: 2 preimages of (-49, 14)"),
     (check_properties, "recession_map", lambda d, cols: [[x + 1 for x in col] for col in cols], 1,
      "FAIL recession homogeneity: expected F(t a) = t F(a), actual violation"),
+    (_order_independence_perturbed, None, None, 1,
+     "FAIL order independence d=2 insertions=(1,0): expected 947305, actual 947304"),
 ])
 def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, replacement,
                                                  failures, first):
     # The golden digests see only PASS lines: pin every FAIL text, with the
-    # predicate behind it forced to fail, and that no other line fails.
-    monkeypatch.setattr(checks, predicate, replacement)
+    # predicate behind it forced to fail (or, with none, the input perturbed),
+    # and that no other line fails.
+    if predicate is not None:
+        monkeypatch.setattr(checks, predicate, replacement)
     failed = [r.line() for r in check() if not r.ok]
     assert len(failed) == failures
     assert failed[0] == first

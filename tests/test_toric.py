@@ -191,7 +191,27 @@ def test_det_Bk_values_and_formula():
     assert det_Bk(1) == 3
     assert det_Bk(2) == 12  # cofactor expansion of the 3x3
     assert det_Bk(30) == 264
-    assert all(det_Bk(k) == 9 * k - 6 for k in range(1, 31))
+    assert all(det_Bk(k) == 9 * k - 6 for k in range(1, 101))
+    # The recurrence against the dense corner matrix through Bareiss elimination.
+    for k in range(1, 31):
+        value = det_Bk(k)
+        assert type(value) is int and value == _int_det([c[-1] for c in _row_choices(k)])
+
+
+@pytest.mark.parametrize("row, stray", [(0, 2), (2, 0), (2, 4), (4, 5)])
+def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, row, stray):
+    # Row ``row`` of the k=4 corner matrix gains a coefficient at column ``stray``,
+    # two columns off the diagonal or past the last column.
+    real = block_forms
+
+    def off_band(d):
+        blocks = real(d)
+        blocks[row][-1] = blocks[row][-1] + LinForm.variable(stray)
+        return blocks
+
+    monkeypatch.setattr(toric, "block_forms", off_band)
+    with pytest.raises(ValueError, match="band"):
+        det_Bk(4)
 
 
 def test_orientation_degree_one_exact_matrices():
@@ -323,18 +343,41 @@ def test_volume_and_r_factors_match_literal_lists():
             key(_form(row), m, (tag,)) for row, m, tag in R_LITERAL[d])
 
 
+def _mixed_points(d, rng):
+    """Points whose coordinates mix zeros, ints and Fractions of unlike denominators:
+    the origin, and points on the end blocks' walls ``z_1 = -z_0`` and ``z_{d-1} = -z_d``."""
+    def coordinate():
+        kind = rng.randrange(3)
+        if kind == 0:
+            return 0
+        if kind == 1:
+            return rng.randint(-20, 20)
+        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
+
+    points = [[coordinate() for _ in range(d + 1)] for _ in range(60)]
+    points.append([Fraction(0)] * (d + 1))
+    for a in points[:10]:
+        a[1] = -a[0]
+    for a in points[10:20]:
+        a[d - 1] = -a[d]
+    return points
+
+
 def test_recession_map_is_the_block_minimum():
-    # recession_map against the hand-written minima of tests/polys.py and the
-    # minima of block_forms through evaluate, on int and on Fraction columns.
-    rng = random.Random(8086)
+    # recession_map against the hand-written minima of tests/polys.py, evaluated in
+    # Fraction arithmetic, and the minima of block_forms through evaluate, on int,
+    # Fraction and mixed columns; any Fraction among them gives Fraction rows.
+    rng, mixed_rng = random.Random(8086), random.Random(5147)
     for d in range(1, 9):
         blocks = block_forms(d)
         ints = [[rng.randint(-30, 30) for _ in range(d + 1)] for _ in range(100)]
         fracs = [[Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d + 1)] for _ in range(100)]
-        for points in (ints, fracs):
+        for points in (ints, fracs, _mixed_points(d, mixed_rng)):
             rows = recession_map(d, [list(col) for col in zip(*points)])
-            assert [list(image) for image in zip(*rows)] == [recession_reference(d, a) for a in points]
+            assert [list(image) for image in zip(*rows)] == [
+                recession_reference(d, [Fraction(x) for x in a]) for a in points]
             assert rows == [[min(evaluate(f, a) for f in block) for a in points] for block in blocks]
+            assert {type(y) for row in rows for y in row} == {int if points is ints else Fraction}
 
 
 def test_block_forms_reject_bad_degree():
