@@ -76,10 +76,6 @@ class LinForm:
     def variable(cls, j: int) -> LinForm:
         return cls({j: 1})
 
-    @classmethod
-    def zero(cls) -> LinForm:
-        return cls()
-
     @property
     def support(self) -> frozenset[int]:
         return frozenset(self.coeffs)
@@ -189,10 +185,6 @@ class MPoly:
     @classmethod
     def const(cls, c) -> MPoly:
         return cls({(): _as_coeff(c)})
-
-    @classmethod
-    def variable(cls, j: int) -> MPoly:
-        return cls({((j, 1),): 1})
 
     @classmethod
     def monomial(cls, exps: Mapping[int, int], c=1) -> MPoly:

@@ -135,13 +135,10 @@ def pf_first_failure(order: int) -> int | None:
     """
     if order < 1:
         raise ValueError("order must be >= 1")
-    prev = f0_coeff(0)
-    for n in range(1, order + 1):
-        cur = f0_coeff(n)
-        if cur != Fraction(8 * (6 * n - 5) * (6 * n - 3) * (6 * n - 1), n ** 3) * prev:
-            return n
-        prev = cur
     f0 = f0_series(order)
+    for n in range(1, order + 1):
+        if f0[n] != Fraction(8 * (6 * n - 5) * (6 * n - 3) * (6 * n - 1), n ** 3) * f0[n - 1]:
+            return n
     for sol in (([0] * (order + 1), f0), (f0, f1_hat_series(order))):
         for n, coeffs in enumerate(zip(*picard_fuchs_apply(sol))):
             if any(coeffs):

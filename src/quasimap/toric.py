@@ -14,8 +14,8 @@ Completeness and simpliciality reduce to finite linear algebra: the
 positivity of every linearity-region determinant of the gluing map
 (:func:`orientation_enumeration`, with the corner determinants :func:`det_Bk`
 by cofactor expansion along the last row), and the exact preimage count of a
-regular value under its recession function (:func:`recession_preimages` of
-:func:`recession_map`).
+regular value under its recession function (:func:`recession_map`), one pass
+over the regions solving, testing and counting each (:func:`recession_preimages`).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import product, repeat
 from math import lcm
-from operator import add, mul
+from operator import add, index, mul
 from typing import NamedTuple
 
 from .exact import LinForm, MPoly
@@ -297,16 +297,20 @@ def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list
     :func:`block_forms`, each evaluated over the columns.
 
     ``F(t*a) = t*F(a)`` for ``t >= 0``; its bijectivity (:func:`recession_preimages`)
-    makes the fan complete.  The forms have ``int`` coefficients, so ``int`` columns give
-    ``int`` rows.  When any entry is a ``Fraction``, each point is scaled by ``D``, the
-    lcm of its coordinates' denominators, the forms run on those ``int`` numerators,
-    and the row is ``Fraction(row, D)``: the same exact value, with one common
-    denominator per point instead of a ``Fraction`` operation per term.
+    makes the fan complete.  A coordinate neither ``int`` nor ``Fraction`` raises
+    ``TypeError``.  The forms have ``int`` coefficients, so ``int`` columns give ``int``
+    rows.  When any entry is a ``Fraction``, each point is scaled by ``D``, the lcm of
+    its coordinates' denominators, the forms run on those ``int`` numerators, and the
+    row is ``Fraction(row, D)``: the same exact value, with one common denominator per
+    point instead of a ``Fraction`` operation per term.
     """
     if len(cols) != d + 1:
         raise ValueError("need d+1 coordinates")
+    kinds = {type(x) for col in cols for x in col}
+    if not all(issubclass(k, (int, Fraction)) for k in kinds):
+        raise TypeError("coordinates must be int or Fraction")
     dens = None
-    if any(isinstance(x, Fraction) for col in cols for x in col):
+    if Fraction in kinds:
         dens = [lcm(*(x.denominator for x in point)) for point in zip(*cols)]
         cols = [[x.numerator * (D // x.denominator) for x, D in zip(col, dens)] for col in cols]
     columns = [[reduce(partial(map, add), [cols[j] if c == 1 else map(mul, repeat(c), cols[j])
@@ -320,17 +324,18 @@ def recession_preimages(d: int, y: Sequence[int]
                         ) -> tuple[OrientationReport, list[tuple[Fraction, ...]], bool]:
     """The regions as :func:`orientation_enumeration` reports them, the points ``x`` off
     the walls with ``F(x) = y`` for ``F`` of :func:`recession_map`, and whether a solution
-    met a wall, so that ``y`` is not a regular value.
+    met a wall, so that ``y`` is not a regular value.  ``y`` must hold ``int``s.
 
     Each choice of one row per block of :func:`_row_choices` is a system ``A x = y``:
     one Bareiss pass over ``[A | y]`` and back substitution give ``X = |det A| x`` in
-    ``int``s, and a singular region is skipped.  ``F(X) = |det A| y`` when each chosen
-    form is a block minimum, and ``x`` is kept when each is the strict minimum.
+    ``int``s, and a singular region is skipped.  Then ``X`` is tested block by block:
+    ``F(X) = |det A| y`` when each chosen row is its block's minimum at ``X``, and ``x``
+    is a preimage when each is the strict minimum.
     """
     if len(y) != d + 1:
         raise ValueError("need d+1 coordinates")
-    choices = _row_choices(d)
-    dets, scales, points = [], [], []
+    choices, y = _row_choices(d), list(map(index, y))
+    dets, preimages, tie = [], [], False
     for rows in product(*choices):
         m = [[*row, t] for row, t in zip(rows, y)]
         dets.append(_bareiss(m))
@@ -338,15 +343,15 @@ def recession_preimages(d: int, y: Sequence[int]
             det, X = m[d][d], [0] * (d + 1)  # the row-swapped system's determinant, +-det A
             for i in range(d, -1, -1):
                 X[i] = (det * m[i][-1] - sum(map(mul, m[i][i + 1:-1], X[i + 1:]))) // m[i][i]
-            scales.append(abs(det))
-            points.append(X if det > 0 else [-x for x in X])
-    images = recession_map(d, [[X[j] for X in points] for j in range(d + 1)])
-    preimages, tie = [], False
-    for k, (scale, X) in enumerate(zip(scales, points)):
-        if all(row[k] == scale * t for row, t in zip(images, y)):
-            if all([sum(map(mul, g, X)) for g in block].count(scale * t) == 1
-                   for block, t in zip(choices, y)):
-                preimages.append(tuple(Fraction(x, scale) for x in X))
-            else:
-                tie = True
+            scale, X = abs(det), X if det > 0 else [-x for x in X]
+            wall = False
+            for block, t in zip(choices, y):
+                values = [sum(map(mul, g, X)) for g in block]
+                if min(values) != scale * t:
+                    break
+                wall = wall or values.count(scale * t) > 1
+            else:  # each chosen row is its block's minimum: F(X) = scale * y
+                tie = tie or wall
+                if not wall:
+                    preimages.append(tuple(Fraction(x, scale) for x in X))
     return OrientationReport(len(dets), min(dets)), preimages, tie

@@ -213,7 +213,7 @@ def test_telescoped_insertion_values():
 def test_telescoping_linear_identity():
     # sum_f f * (2 z_{d-f} - z_{d-f-1} - z_{d-f+1}) = d (z1 - z0) + z0 - z_d
     for d in range(2, 7):
-        total = LinForm.zero()
+        total = LinForm()
         for f in range(1, d):
             total = total + wall_form(d - f) * f
         expected = LinForm({0: Fraction(1 - d), 1: Fraction(d), d: Fraction(-1)})

@@ -11,7 +11,7 @@ import pytest
 
 import quasimap.checks as checks
 import quasimap.toric as toric
-from polys import dense, recession_reference
+from polys import dense, recession_blocks, recession_reference
 from quasimap.checks import RECESSION_TRIES, check_properties, linearity_samples
 from quasimap.exact import FactoredRat, LinForm
 from quasimap.intersection import IntegrandSpec
@@ -104,6 +104,32 @@ def test_a_value_on_a_wall_is_not_regular():
 def test_preimages_need_d_plus_one_coordinates():
     with pytest.raises(ValueError):
         recession_preimages(2, (1, 2))
+
+
+def test_preimages_need_int_values():
+    # A rational y is rejected, not floored by the fraction-free elimination; F is a
+    # bijection, so (1/2, 3) has a preimage that a floored solve would miss.
+    for y in ((Fraction(1, 2), 3), (Fraction(3), 3), (0.5, 3), (2.0, 3)):
+        with pytest.raises(TypeError):
+            recession_preimages(1, y)
+
+
+def test_preimages_of_lattice_points_against_the_reference():
+    # Small seeded points x land on a wall often.  y = F(x) by the hand-written block
+    # values: x off every wall is the one preimage, with no tie; x on a wall gives no
+    # preimage and a tie, since F is a bijection.
+    rng = random.Random(2029)
+    for d in (1, 2, 3, 4):
+        on_wall = 0
+        for _ in range(50):
+            x = tuple(rng.randint(-3, 3) for _ in range(d + 1))
+            blocks = recession_blocks(d, x)
+            wall = any(block.count(min(block)) > 1 for block in blocks)
+            regions, preimages, tie = recession_preimages(d, recession_reference(d, x))
+            assert regions.region_count == 4 ** d
+            assert (preimages, tie) == (([], True) if wall else ([x], False))
+            on_wall += wall
+        assert 0 < on_wall < 50
 
 
 def test_forgetful_map_fails_without_raising(monkeypatch):

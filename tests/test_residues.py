@@ -45,7 +45,7 @@ from quasimap.toric import sr_ideal_factors, volume_form_factors
 
 
 def z(j):
-    return MPoly.variable(j)
+    return MPoly.monomial({j: 1})
 
 
 def zvar(j):

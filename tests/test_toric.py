@@ -280,6 +280,15 @@ def test_recession_stays_in_the_input_ring():
     assert recession_map(3, [[], [], [], []]) == [[], [], [], []]
 
 
+def test_recession_map_takes_only_exact_coordinates():
+    # A float or str coordinate raises, also beside an exact one, at the first point or the second.
+    for point in ([0.1, 0, 0], [0, Fraction(1, 3), 0.5], ["1", 0, 0]):
+        with pytest.raises(TypeError):
+            recession_map(2, [[x] for x in point])
+        with pytest.raises(TypeError):
+            recession_map(2, [[0, x] for x in point])
+
+
 # The block forms as they were written out by hand before ``block_forms``:
 # coefficient rows of z_0..z_d with their multiplicities (and, for R, the
 # variable whose contour encloses the zero).  Generators and recession rows
