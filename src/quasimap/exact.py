@@ -384,17 +384,16 @@ class FactoredRat:
     The constructor checks each denominator factor ``(form, multiplicity,
     allowed)`` -- a positive multiplicity, a nonzero form, ``allowed`` inside
     the form's support -- and raises ``ValueError`` otherwise, whatever the
-    numerator.  It canonicalizes each form (absorbing the extracted rational
-    scale into ``scalar``), merges proportional factors by adding
-    multiplicities and taking the union of their allowed sets, and extracts
-    the content of the numerator.  ``num = 0`` collapses the whole
-    object to the zero function.  ``factors`` holds linear numerator factors
-    ``(g_k, n_k)`` that stay unexpanded: the residue engine multiplies each
-    one in at the first step whose variable it involves.  The constructor
-    canonicalizes them too and cancels each against a proportional
-    denominator factor (a partly cancelled denominator factor keeps its
-    allowed set); the survivors are merged and sorted.  This is the one place
-    where numerator factors cancel.  :meth:`reduce` leaves them alone;
+    numerator; ``num = 0`` then collapses the object to the zero function.
+    ``factors`` holds linear numerator factors ``(g_k, n_k)``, unexpanded
+    until the first residue step whose variable they involve.  Each form is
+    canonicalized (its scale, like the content of ``num``, goes into
+    ``scalar``) and entered in one table by canonical form: a denominator
+    factor subtracts its multiplicity and adds its tags to the entry's
+    allowed set, a numerator factor adds its multiplicity.  Negative net
+    exponents make ``den``, positive ones ``factors``, both sorted by form;
+    zero ones cancel.  This is the one place where anything cancels:
+    :meth:`reduce` hands it the carried powers of ``z_p``, and
     :meth:`derivative` and :meth:`subst` expand first.
     """
 
@@ -402,7 +401,7 @@ class FactoredRat:
 
     def __init__(self, scalar, num: MPoly, den: Iterable = (), factors: Iterable[tuple[LinForm, int]] = ()):
         scalar = _as_rat(scalar)
-        merged: dict[tuple, list] = {}
+        net: dict[tuple, list] = {}  # canonical key -> [form, net exponent, allowed]
         for form, mult, allowed in den:
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
@@ -412,34 +411,20 @@ class FactoredRat:
                 raise ValueError("allowed set must lie inside the support of the form")
             if scale != 1:
                 scalar /= scale ** mult
-            key = canon.key()
-            entry = merged.get(key)
-            if entry is None:
-                merged[key] = [canon, mult, allowed]
-            else:
-                entry[1] += mult
-                entry[2] = entry[2] | allowed
+            entry = net.setdefault(canon.key(), [canon, 0, frozenset()])
+            entry[1] -= mult
+            entry[2] |= allowed
         if num.is_zero() or scalar == 0:
             self.scalar = Fraction(0)
             self.num = MPoly.zero()
             self.den = ()
             self.factors = ()
             return
-        kept: dict[tuple, list] = {}
         for form, mult in factors:
             scale, canon = form.canonicalized()
             if scale != 1:
                 scalar *= scale ** mult
-            key = canon.key()
-            entry = merged.get(key)
-            if entry is not None:
-                cancel = min(mult, entry[1])
-                mult -= cancel
-                entry[1] -= cancel
-                if not entry[1]:
-                    del merged[key]
-            if mult:
-                kept.setdefault(key, [canon, 0])[1] += mult
+            net.setdefault(canon.key(), [canon, 0, frozenset()])[1] += mult
         c = num.content()
         if num.terms[max(num.terms, key=_dense_order)] < 0:
             c = -c
@@ -448,11 +433,9 @@ class FactoredRat:
             num = MPoly({e: v // c for e, v in num.terms.items()})  # exact: c is the content
         self.scalar = scalar
         self.num = num
-        self.den = tuple(
-            TaggedFactor(form, mult, allowed)
-            for _, (form, mult, allowed) in sorted(merged.items())
-        )
-        self.factors = tuple((form, mult) for _, (form, mult) in sorted(kept.items()))
+        table = [entry for _, entry in sorted(net.items())]
+        self.den = tuple(TaggedFactor(form, -e, allowed) for form, e, allowed in table if e < 0)
+        self.factors = tuple((form, e) for form, e, _ in table if e > 0)
 
     def is_zero(self) -> bool:
         return self.scalar == 0
@@ -495,9 +478,11 @@ class FactoredRat:
 
         Denominator forms are canonical, so a single-variable factor is
         ``z_p`` itself, and ``z_p^k`` divides ``num`` iff every term carries
-        it.  Multi-variable factors and the unexpanded ``factors`` stay as
-        they are: on the integrands of this package a multi-variable form
-        never divides ``num`` (0 of about 18,000 tries over ``compute_w``,
+        it.  Each cut ``z_p^k`` leaves ``num`` and goes to the constructor as
+        a numerator factor, which cancels it; a partly cut ``z_p`` keeps its
+        allowed set.  Multi-variable factors and ``factors`` stay as they
+        are: on the integrands of this package a multi-variable form never
+        divides ``num`` (0 of about 18,000 tries over ``compute_w``,
         ``w_sweep``, the check ladder and ``intersect``), while ``z_p``
         cancels at most steps.  Value-preserving and idempotent;
         cancellation is an optimization for the residue engine, never
@@ -513,12 +498,8 @@ class FactoredRat:
             return self
         num = MPoly({tuple((v, k - cut.get(v, 0)) for v, k in e if k != cut.get(v, 0)): c
                      for e, c in self.num.terms.items()})
-        den = []
-        for f in self.den:
-            mult = f.multiplicity - (cut.get(min(f.form.coeffs), 0) if len(f.form.coeffs) == 1 else 0)
-            if mult:
-                den.append(TaggedFactor(f.form, mult, f.allowed))
-        return FactoredRat(self.scalar, num, den, self.factors)
+        carried = tuple((LinForm.variable(v), k) for v, k in cut.items())
+        return FactoredRat(self.scalar, num, self.den, self.factors + carried)
 
     def subst(self, var: int, point: LinForm) -> FactoredRat:
         """Substitute ``z_var = point``; no denominator factor may vanish there."""

@@ -113,15 +113,17 @@ def fr(scalar, num, den):
     return FactoredRat(scalar, num, den)
 
 
-@pytest.mark.parametrize("num, bad", [
-    (MPoly.const(1), (LinForm.variable(1), 0, frozenset({1}))),
-    (MPoly.const(1), (LinForm(), 1, frozenset())),
-    (MPoly.const(1), (linform((0, 1), (1, 2)), 1, frozenset({2}))),
+@pytest.mark.parametrize("num, bad, message", [
+    (MPoly.const(1), (LinForm.variable(1), 0, frozenset({1})), "multiplicity must be positive"),
+    (MPoly.const(1), (LinForm(), 1, frozenset()), "the zero form has no canonical representative"),
+    # canonicalization comes before the support check
+    (MPoly.const(1), (LinForm(), 1, frozenset({0})), "the zero form has no canonical representative"),
+    (MPoly.const(1), (linform((0, 1), (1, 2)), 1, frozenset({2})), "allowed set must lie inside the support"),
     # the checks run before a zero numerator collapses the function
-    (MPoly.zero(), (LinForm.variable(1), 0, frozenset({1}))),
-], ids=["multiplicity-0", "zero-form", "allowed-outside-support", "zero-numerator"])
-def test_fr_rejects_bad_denominator_factor(num, bad):
-    with pytest.raises(ValueError):
+    (MPoly.zero(), (LinForm.variable(1), 0, frozenset({1})), "multiplicity must be positive"),
+], ids=["multiplicity-0", "zero-form", "zero-form-tagged", "allowed-outside-support", "zero-numerator"])
+def test_fr_rejects_bad_denominator_factor(num, bad, message):
+    with pytest.raises(ValueError, match=message):
         FactoredRat(1, num, [bad])
 
 
@@ -361,11 +363,13 @@ def test_sparse_monomials_agree_with_exponent_vectors(p, q, var):
 _mixed_forms = st.lists(st.tuples(st.one_of(_single_forms, _general_forms), st.integers(1, 3)), max_size=4)
 
 
-@given(p=_polys, num_forms=_mixed_forms, den=_mixed_forms, seed=st.integers(0, 2 ** 16))
-def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, seed):
+@given(p=_polys, num_forms=_mixed_forms, den=_mixed_forms, tagged=st.lists(st.booleans(), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 16))
+def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, tagged, seed):
     assume(not p.is_zero())
     num = p * MPoly.factored(num_forms)
-    f = fr(Fraction(2, 3), num, [(form, m, frozenset({min(form.support)})) for form, m in den])
+    f = fr(Fraction(2, 3), num,
+           [(form, m, frozenset({min(form.support)}) if t else frozenset()) for (form, m), t in zip(den, tagged)])
     g = f.reduce()
     rng = random.Random(seed)
     for _ in range(2):
@@ -378,6 +382,14 @@ def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, seed)
             assert 0 in g.num.split(min(fac.form.support))
     assert [fac for fac in g.den if len(fac.form.support) > 1] == \
         [fac for fac in f.den if len(fac.form.support) > 1]
+    # z_v^m cut by k < m survives as z_v^(m-k) with its allowed set; k = m removes it
+    for fac in f.den:
+        if len(fac.form.support) == 1:
+            v = min(fac.form.support)
+            k = min(fac.multiplicity, *(dict(e).get(v, 0) for e in f.num.terms))
+            survivors = [h for h in g.den if h.form == fac.form]
+            expected = [TaggedFactor(fac.form, fac.multiplicity - k, fac.allowed)] if k < fac.multiplicity else []
+            assert survivors == expected
 
 
 @given(form=_small_forms, s=st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
