@@ -92,12 +92,6 @@ class LinForm:
             d[v] = d.get(v, 0) + c
         return LinForm(d)
 
-    def __sub__(self, other: LinForm) -> LinForm:
-        return self + (-other)
-
-    def __neg__(self) -> LinForm:
-        return LinForm({v: -c for v, c in self.coeffs.items()})
-
     def __mul__(self, s) -> LinForm:
         s = _as_coeff(s)
         return LinForm({v: c * s for v, c in self.coeffs.items()})

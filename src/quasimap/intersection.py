@@ -89,8 +89,6 @@ def compute_w(d: int, a: int, b: int) -> Fraction:
     chain, ``z_j -> z_{d-j}``, maps ``(a, b)`` onto ``(b, a)``; :func:`_chain` puts
     the larger exponent at ``z_0``, where a negative one would cost far more.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
     return iterated_residue(_chain(d, a, b), range(d + 1))
 
 
@@ -146,8 +144,6 @@ def telescoped_insertion_residue(d: int) -> Fraction:
     ``sum_f f (2 z_{d-f} - z_{d-f-1} - z_{d-f+1}) = d (z_1 - z_0) + z_0 - z_d``,
     and must reproduce the non-log period coefficient ``B_d``.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
     return _z0_form_over_zd(d, LinForm({0: 1 - d, 1: d}))
 
 

@@ -94,8 +94,6 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
     integrations; every other component is annihilated and is discarded here.
     The linear factors kept unexpanded count towards that degree.
     """
-    if f.is_zero():
-        return f
     target = f.den_degree() - (d + 1) - sum(mult for _, mult in f.factors)
     num = f.num.homogeneous_component(target)
     return f if len(num.terms) == len(f.num.terms) else FactoredRat(f.scalar, num, f.den, f.factors)
@@ -173,7 +171,7 @@ def iterated_residue(f: FactoredRat, order: Sequence[int]) -> Fraction:
     if sorted(order) != list(range(len(order))):
         raise ValueError("order must be a permutation of 0..d")
     f = _prepared(f, len(order) - 1)
-    if f.is_zero() or not set().union(*(fac.allowed for fac in f.den)).issuperset(order):
+    if not set().union(*(fac.allowed for fac in f.den)).issuperset(order):
         return Fraction(0)
     for branches in residue_states(f, order):
         pass

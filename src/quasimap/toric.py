@@ -232,11 +232,6 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant (fraction-free Bareiss elimination)."""
-    return _bareiss([list(r) for r in rows])
-
-
 def det_Bk(k: int) -> int:
     """Determinant of the (k+1)x(k+1) corner matrix; equals ``9k - 6``.
 
@@ -285,9 +280,7 @@ def orientation_enumeration(d: int) -> OrientationReport:
     from two, giving ``4 * 4^(d-1)`` regions in total; the report holds the
     region count and the least determinant.
     """
-    if d < 1:
-        raise ValueError("degree must be >= 1")
-    dets = [_int_det(rows) for rows in product(*_row_choices(d))]
+    dets = [_bareiss([list(r) for r in rows]) for rows in product(*_row_choices(d))]
     return OrientationReport(len(dets), min(dets))
 
 

@@ -22,7 +22,7 @@ from quasimap.intersection import (
 )
 from quasimap.residues import iterated_residue
 from quasimap.series import f0_coeff, f1_hat_coeff, mirror_w, mixed_insertion_closed_form
-from quasimap.toric import sr_ideal, sr_ideal_factors, volume_form_factors
+from quasimap.toric import orientation_enumeration, sr_ideal, sr_ideal_factors, volume_form_factors
 
 
 def volume_form(d):
@@ -154,6 +154,20 @@ def test_degree_selection_zeroes():
 def test_integrate_class_rejects_variable_outside_range():
     with pytest.raises(ValueError, match="H_0..H_2"):
         integrate_class(2, MPoly.monomial({3: 1}))
+
+
+@pytest.mark.parametrize("func, args, message", [
+    (compute_w, (0, 1, 0), "degree must be >= 1"),
+    (compute_w, (-3, 2, -1), "degree must be >= 1"),
+    (telescoped_insertion_residue, (0,), "degree must be >= 1"),
+    (orientation_enumeration, (0,), "degree must be >= 1"),
+    (f1_hat_coeff, (-1,), "n must be >= 0"),
+], ids=["compute_w-0", "compute_w-neg", "telescoped-0", "orientation-0", "f1_hat-neg"])
+def test_bounds_are_raised_by_their_owner(func, args, message):
+    # Each bound is checked once, where it belongs: toric.block_forms for the
+    # degree, series.f0_coeff for the period index.  Callers reach the owner.
+    with pytest.raises(ValueError, match=message):
+        func(*args)
 
 
 def test_order_independence_on_standard_integrands():

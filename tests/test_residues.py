@@ -121,6 +121,9 @@ def test_homogeneity_filter_keeps_matching_component():
     kept = homogeneity_filter(FactoredRat(1, mixed, den), d)
     assert kept.num == right
 
+    zero = FactoredRat(0, MPoly.const(1))
+    assert homogeneity_filter(zero, d) is zero
+
 
 def test_engine_annihilates_off_degree_numerators(monkeypatch):
     # The filter alone decides verify's "degree selection" and "degree zeros"
@@ -305,6 +308,7 @@ def test_untagged_plan_variable_gives_zero_without_a_step(monkeypatch):
 
     monkeypatch.setattr(residues, "residue_step", no_step)
     assert iterated_residue(_excluded_for_z1(), range(2)) == Fraction(0)
+    assert iterated_residue(FactoredRat(0, MPoly.const(1)), range(3)) == 0
     assert all(r.ok for r in check_ideal_annihilation(2))
     with pytest.raises(AssertionError, match="residue_step"):
         iterated_residue(vol_integrand(1), range(2))
@@ -492,7 +496,7 @@ def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, sca
     # A pole of the given order at z_var = point, split over one or two
     # proportional factors; the other factors do not vanish there.
     point = LinForm({v: c for v, c in enumerate(point_row) if v != var})
-    pole = LinForm.variable(var) - point
+    pole = LinForm.variable(var) + point * -1
     mults = [order] if order == 1 else [order - len(scales) + 1] + [1] * (len(scales) - 1)
     den = [(pole * c, mult, frozenset({var})) for c, mult in zip(scales, mults)]
 

@@ -25,7 +25,7 @@ from quasimap.toric import (
     sr_ideal,
     sr_ideal_factors,
     volume_form_factors,
-    _int_det,
+    _bareiss,
     _row_choices,
 )
 
@@ -110,7 +110,7 @@ def test_rays_off_v0_form_a_lattice_basis():
         fan = build_fan(d)
         others = [fan.rays[label] for label in fan.labels if not label.startswith("v0_")]
         assert len(others) == fan.dimension
-        assert abs(_int_det([list(row) for row in zip(*others)])) == 1
+        assert abs(_bareiss([list(row) for row in zip(*others)])) == 1
 
 
 def test_wrong_class_fails_relations_and_ideal_generators(monkeypatch):
@@ -195,7 +195,7 @@ def test_det_Bk_values_and_formula():
     # The recurrence against the dense corner matrix through Bareiss elimination.
     for k in range(1, 31):
         value = det_Bk(k)
-        assert type(value) is int and value == _int_det([c[-1] for c in _row_choices(k)])
+        assert type(value) is int and value == _bareiss([list(c[-1]) for c in _row_choices(k)])
 
 
 @pytest.mark.parametrize("row, stray", [(0, 2), (2, 0), (2, 4), (4, 5)])
