@@ -204,22 +204,11 @@ class MPoly:
     def is_constant(self) -> bool:
         return all(not e for e in self.terms)
 
-    def constant_value(self) -> int | Fraction:
-        if not self.is_constant():
-            raise ValueError("polynomial is not constant")
-        return self.terms.get((), 0)
-
     def __add__(self, other: MPoly) -> MPoly:
         d = dict(self.terms)
         for e, c in other.terms.items():
             d[e] = d.get(e, 0) + c
         return MPoly(d)
-
-    def __sub__(self, other: MPoly) -> MPoly:
-        return self + (-other)
-
-    def __neg__(self) -> MPoly:
-        return MPoly({e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other) -> MPoly:
         if not isinstance(other, MPoly):
@@ -276,9 +265,6 @@ class MPoly:
             else:
                 parts.setdefault(0, {})[e] = c
         return {k: MPoly(part) for k, part in parts.items()}
-
-    def derivative(self, var: int) -> MPoly:
-        return _unsplit({k - 1: p * k for k, p in self.split(var).items() if k}, var)
 
     def taylor(self, var: int, point: LinForm, m: int) -> list[MPoly]:
         """The coefficients of ``t^0 .. t^(m-1)`` in ``self`` at ``z_var = point + t``
@@ -345,18 +331,6 @@ def _monomial_product(a: tuple, b: tuple) -> tuple:
     for v, k in b:
         exps[v] = exps.get(v, 0) + k
     return tuple(sorted(exps.items()))
-
-
-def _unsplit(parts: dict[int, MPoly], var: int) -> MPoly:
-    """``sum_k P_k z_var^k``, the inverse of :meth:`MPoly.split`."""
-    terms = {}
-    for k, part in parts.items():
-        for e, c in part.terms.items():
-            if k:
-                i = bisect_left(e, (var,))
-                e = e[:i] + ((var, k),) + e[i:]
-            terms[e] = c
-    return MPoly(terms)
 
 
 class TaggedFactor(NamedTuple):
@@ -456,13 +430,14 @@ class FactoredRat:
             return self.expand().derivative(var)
         involved = [f for f in self.den if var in f.form.support]
         others = [f for f in self.den if var not in f.form.support]
-        n_prime = self.num.derivative(var)
-        if not involved:
-            return FactoredRat(self.scalar, n_prime, others)
+        n_prime = MPoly()
+        for k, part in self.num.split(var).items():
+            if k:
+                n_prime = n_prime + part * MPoly.monomial({var: k - 1}, k)
         total = n_prime * MPoly.product(f.form for f in involved)
         for i, f in enumerate(involved):
             rest = MPoly.product(g.form for j, g in enumerate(involved) if j != i)
-            total = total - (f.form.coeff(var) * f.multiplicity) * (self.num * rest)
+            total = total + (-f.form.coeff(var) * f.multiplicity) * (self.num * rest)
         new_den = others + [TaggedFactor(f.form, f.multiplicity + 1, f.allowed) for f in involved]
         return FactoredRat(self.scalar, total, new_den)
 

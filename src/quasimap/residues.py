@@ -148,7 +148,7 @@ def _value(branches: dict) -> Fraction:
     for b in branches.values():
         if b.den or not b.num.is_constant():
             raise ResidueError("non-scalar remainder after the last variable: " + b.render())
-    return sum((b.scalar * b.num.constant_value() for b in branches.values()), Fraction(0))
+    return sum((b.scalar * b.num.terms.get((), 0) for b in branches.values()), Fraction(0))
 
 
 def residue_states(f: FactoredRat, order: Sequence[int]) -> Iterator[dict]:

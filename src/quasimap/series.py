@@ -73,8 +73,6 @@ def harmonic_combo(n: int) -> Fraction:
 
 def f1_hat_coeff(n: int) -> Fraction:
     """Coefficient of the non-log part of the logarithmic period solution."""
-    if n == 0:
-        return Fraction(0)
     return f0_coeff(n) * harmonic_combo(n)
 
 

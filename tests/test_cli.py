@@ -17,6 +17,7 @@ import sys
 import pytest
 
 from quasimap.cli import CommandResult, main
+from quasimap.exact import FactoredRat
 from quasimap.residues import residue_at_point
 
 
@@ -440,6 +441,28 @@ def test_tracer_targets_exist():
         assert key in spans or inspect.isfunction(target), key
     # Its span info reads ``args[1]`` of ``residue_at_point`` as the step variable.
     assert list(inspect.signature(residue_at_point).parameters)[:2] == ["f", "var"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["fan", "--degree", "2"],
+    ["chow", "--degree", "2"],
+    ["intersect", "--degree", "5", "--a", "1", "--b", "0"],
+    ["intersect", "--degree", "4", "--a", "-2", "--b", "3"],
+    ["mirror", "--order", "5"],
+    ["jinv", "--order", "15"],
+    ["verify", "--degree-max", "4"],
+    ["verify", "--degree-max", "4", "--format", "json"],
+], ids=" ".join)
+def test_cli_never_runs_the_derivative_reference(monkeypatch, argv):
+    # ``FactoredRat.derivative``, ``.subst`` and ``.expand`` are the independent
+    # reference the residue tests check ``residue_at_point`` against; an engine
+    # that ran them would be compared with itself.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CLI ran the derivative reference")
+
+    for name in ("derivative", "subst", "expand"):
+        monkeypatch.setattr(FactoredRat, name, refuse)
+    assert run_cli(argv)[0] == 0
 
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]

@@ -19,8 +19,8 @@ def z(j):
 
 
 def test_mpoly_difference_of_squares():
-    p = (z(0) + z(1)) * (z(0) - z(1))
-    assert p == z(0) * z(0) - z(1) * z(1)
+    p = (z(0) + z(1)) * (z(0) + -1 * z(1))
+    assert p == z(0) * z(0) + -1 * z(1) * z(1)
 
 
 def test_mpoly_additive_identity():
@@ -36,7 +36,7 @@ def test_mpoly_hand_expansion():
 
 
 def test_subst_linear_pole_locus():
-    p = 2 * z(1) - z(2)
+    p = linform((1, 2), (2, -1)).to_mpoly()
     assert p.taylor(1, linform((2, Fraction(1, 2))), 1)[0].is_zero()
 
 
@@ -47,7 +47,7 @@ def test_subst_linear_by_zero():
 
 def test_subst_linear_wall_form():
     # 2*z2 - z1 - z3 at z1 = z2/2 becomes (3/2)*z2 - z3
-    p = 2 * z(2) - z(1) - z(3)
+    p = linform((1, -1), (2, 2), (3, -1)).to_mpoly()
     got = p.taylor(1, linform((2, Fraction(1, 2))), 1)[0]
     expected = dense({(0, 0, 1, 0): Fraction(3, 2), (0, 0, 0, 1): Fraction(-1)})
     assert got == expected
@@ -144,13 +144,19 @@ def test_fr_derivative_kills_constants():
     assert f.derivative(0).is_zero()
 
 
-def test_fr_derivative_untagged_factor_untouched():
+@pytest.mark.parametrize("var, num, scalar, deriv, pole", [
     # d/dz0 [z0^2/z1] = 2*z0/z1
-    f = fr(1, z(0) ** 2, [(LinForm.variable(1), 1, frozenset({1}))])
-    g = f.derivative(0)
-    assert g.scalar == 2
-    assert g.num == z(0)
-    assert g.den == (TaggedFactor(LinForm.variable(1), 1, frozenset({1})),)
+    (0, z(0) ** 2, 2, z(0), 1),
+    # d/dz1 [(3 z0 z1^3 + z1 - 5 z2^2)/z0] = (9 z0 z1^2 + 1)/z0: a power falls to
+    # z1^0, a term free of z1 drops, and no denominator factor involves z1
+    (1, dense({(1, 3, 0): 3, (0, 1, 0): 1, (0, 0, 2): -5}), 1, dense({(1, 2, 0): 9, (0, 0, 0): 1}), 0),
+], ids=["z0-over-z1", "z1-over-z0"])
+def test_fr_derivative_untagged_factor_untouched(var, num, scalar, deriv, pole):
+    f = fr(1, num, [(LinForm.variable(pole), 1, frozenset({pole}))])
+    g = f.derivative(var)
+    assert g.scalar == scalar
+    assert g.num == deriv
+    assert g.den == (TaggedFactor(LinForm.variable(pole), 1, frozenset({pole})),)
 
 
 def test_fr_product_rule():
@@ -187,14 +193,14 @@ def _non_pole_points(rng, funcs, nvars=4):
 
 def test_fr_reduce_difference_of_squares():
     # z0 + z1 divides the numerator, but reduce cancels single variables only.
-    f = fr(1, z(0) ** 2 - z(1) ** 2, [(LinForm.variable(0) + LinForm.variable(1), 1, frozenset())])
+    f = fr(1, z(0) ** 2 + -1 * z(1) ** 2, [(LinForm.variable(0) + LinForm.variable(1), 1, frozenset())])
     assert f.reduce() == f
 
 
 def test_fr_reduce_idempotent_and_value_preserving():
     rng = random.Random(4242)
     wall = linform((0, -1), (1, 2), (2, -1))
-    num = (z(0) + z(1)) * (2 * z(1) - z(0) - z(2)) * (z(2) + z(3)) * z(3) ** 2
+    num = (z(0) + z(1)) * wall.to_mpoly() * (z(2) + z(3)) * z(3) ** 2
     f = fr(Fraction(5, 3), num, [(wall, 2, frozenset({1})), (LinForm.variable(3), 1, frozenset({3}))])
     g = f.reduce()
     # every term carries z3^2, so the z3 factor cancels; the wall stays
