@@ -21,6 +21,7 @@ from .intersection import (
     compute_w,
     integrate_class,
     mixed_insertion_residues,
+    r_inverse,
     telescoped_insertion_residue,
     w_sweep,
     wall_insertion_residue,
@@ -121,10 +122,10 @@ def check_period_coefficients(period: list[Fraction]) -> list[CheckResult]:
     ]
 
 
-def _integrate_volume(d: int, order: Sequence[int] | None = None) -> Fraction:
-    """The volume class, kept factored: over ``R`` it cancels to ``1/prod z_j``."""
+def _integrate_volume(d: int, order: Sequence[int] | None = None, inverse: FactoredRat | None = None) -> Fraction:
+    """The volume class, kept factored: over ``R`` (``inverse`` is ``1/R``) it cancels to ``1/prod z_j``."""
     scalar, factors = volume_form_factors(d)
-    return integrate_class(d, MPoly.const(scalar), order, factors)
+    return integrate_class(d, MPoly.const(scalar), order, factors, inverse)
 
 
 def check_volume_normalization(dmax: int) -> list[CheckResult]:
@@ -140,11 +141,11 @@ def _random_monomial(d: int, degree: int, rng: random.Random) -> MPoly:
     return MPoly.monomial(Counter(rng.randrange(d + 1) for _ in range(degree)))
 
 
-def _sampled_zeros(name: str, d: int, monomials: list[MPoly],
+def _sampled_zeros(name: str, d: int, inverse: FactoredRat, monomials: list[MPoly],
                    factors: Iterable[tuple[LinForm, int]] = ()) -> CheckResult:
-    """Each class ``mono * prod factors`` integrates to 0; a miss is ``(monomial, value)``."""
+    """Each class ``mono * prod factors`` integrates to 0 over ``inverse``, ``1/R``; a miss is ``(monomial, value)``."""
     misses = [(mono.render(), str(value)) for mono in monomials
-              if (value := integrate_class(d, mono, factors=factors))]
+              if (value := integrate_class(d, mono, factors=factors, inverse=inverse))]
     return _all_zero(name, f"0 on {len(monomials)} samples", misses)
 
 
@@ -154,10 +155,11 @@ def check_ideal_annihilation(dmax: int) -> list[CheckResult]:
     rng = random.Random(IDEAL_SEED)
     out = []
     for d in range(1, dmax + 1):
+        inverse = r_inverse(d)
         for gi, factors in enumerate(sr_ideal_factors(d)):
             comp = 6 * d + 2 - sum(mult for _, mult in factors)
             monomials = [_random_monomial(d, comp, rng) for _ in range(IDEAL_SAMPLES)]
-            out.append(_sampled_zeros(f"ideal annihilation d={d} generator={gi}", d, monomials, factors))
+            out.append(_sampled_zeros(f"ideal annihilation d={d} generator={gi}", d, inverse, monomials, factors))
     return out
 
 
@@ -173,7 +175,7 @@ def check_degree_selection(dmax: int) -> list[CheckResult]:
             if degree == 6 * d + 2:
                 degree += 1
             monomials.append(_random_monomial(d, degree, rng))
-        out.append(_sampled_zeros(f"degree selection d={d}", d, monomials))
+        out.append(_sampled_zeros(f"degree selection d={d}", d, r_inverse(d), monomials))
     return out
 
 
@@ -193,8 +195,8 @@ def check_order_independence(dmax: int, w: list[Fraction],
         for (a, b), sweep in (((1, 0), w), ((2, -1), period)):
             down = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), range(d, -1, -1))
             out.append(_cmp(f"order independence d={d} insertions=({a},{b})", sweep[d - 1], down))
-        up = _integrate_volume(d)
-        down = _integrate_volume(d, range(d, -1, -1))
+        inverse = r_inverse(d)
+        up, down = (_integrate_volume(d, order, inverse) for order in (None, range(d, -1, -1)))
         out.append(_cmp(f"order independence d={d} volume", up, down))
     return out
 

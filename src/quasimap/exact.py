@@ -353,6 +353,8 @@ class FactoredRat:
     allowed)`` -- a positive multiplicity, a nonzero form, ``allowed`` inside
     the form's support -- and raises ``ValueError`` otherwise, whatever the
     numerator; ``num = 0`` then collapses the object to the zero function.
+    A :class:`TaggedFactor`, which only a ``FactoredRat`` makes, is taken on
+    trust: its form is canonical and it was checked, so it is entered as it is.
     ``factors`` holds linear numerator factors ``(g_k, n_k)``, unexpanded
     until the first residue step whose variable they involve.  Each form is
     canonicalized (its scale, like the content of ``num``, goes into
@@ -370,15 +372,19 @@ class FactoredRat:
     def __init__(self, scalar, num: MPoly, den: Iterable = (), factors: Iterable[tuple[LinForm, int]] = ()):
         scalar = _as_rat(scalar)
         net: dict[tuple, list] = {}  # canonical key -> [form, net exponent, allowed]
-        for form, mult, allowed in den:
-            if mult < 1:
-                raise ValueError("multiplicity must be positive")
-            scale, canon = form.canonicalized()  # raises on the zero form
-            allowed = frozenset(allowed)
-            if not allowed <= form.support:
-                raise ValueError("allowed set must lie inside the support of the form")
-            if scale != 1:
-                scalar /= scale ** mult
+        for fac in den:
+            if isinstance(fac, TaggedFactor):  # made, and so checked, by a FactoredRat
+                canon, mult, allowed = fac
+            else:
+                form, mult, allowed = fac
+                if mult < 1:
+                    raise ValueError("multiplicity must be positive")
+                scale, canon = form.canonicalized()  # raises on the zero form
+                allowed = frozenset(allowed)
+                if not allowed <= form.support:
+                    raise ValueError("allowed set must lie inside the support of the form")
+                if scale != 1:
+                    scalar /= scale ** mult
             entry = net.setdefault(canon.key(), [canon, 0, frozenset()])
             entry[1] -= mult
             entry[2] |= allowed

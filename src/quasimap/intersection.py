@@ -48,6 +48,13 @@ def r_denominator_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int, fr
                                     for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
 
 
+def r_inverse(d: int) -> FactoredRat:
+    """``1/R`` as a :class:`FactoredRat`, from :func:`r_denominator_factors`: build it
+    once per degree and hand it to every :func:`integrate_class` of that degree."""
+    scalar, den = r_denominator_factors(d)
+    return FactoredRat(1 / scalar, MPoly.const(1), den)
+
+
 class IntegrandSpec(NamedTuple):
     """Recipe for one insertion-chain integrand over the degree-d moduli.
 
@@ -98,18 +105,21 @@ def _chain(d: int, a: int, b: int) -> FactoredRat:
 
 
 def integrate_class(d: int, omega: MPoly, order: Sequence[int] | None = None,
-                    factors: Iterable[tuple[LinForm, int]] = ()) -> Fraction:
+                    factors: Iterable[tuple[LinForm, int]] = (),
+                    inverse: FactoredRat | None = None) -> Fraction:
     """Pair the class ``omega * prod(form ** mult for form, mult in factors)``
     in ``H_0..H_d`` against the degree-d moduli.
 
     ``H_j`` is variable ``j``, and the value is the iterated residue of the
     class over ``R`` in ``order``, ``0..d`` ascending unless given.  A class
     given as a factor list stays factored and cancels against ``R`` factor by factor.
+    ``inverse`` is ``r_inverse(d)``, built here unless given.
     """
     if max(omega.variables(), default=0) > d:
         raise ValueError(f"omega must be a class in H_0..H_{d}")
-    scalar, den = r_denominator_factors(d)
-    integrand = FactoredRat(1 / scalar, omega, den, factors)
+    if inverse is None:
+        inverse = r_inverse(d)
+    integrand = FactoredRat(inverse.scalar, omega, inverse.den, factors)
     return iterated_residue(integrand, range(d + 1) if order is None else order)
 
 

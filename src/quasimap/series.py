@@ -13,13 +13,15 @@ Three independent routes to the j-coefficients ``j_1..j_n`` must agree exactly:
 
 A series is a dense truncated list ``[c_0, ..., c_N]`` of exact coefficients
 (``int`` or ``Fraction``).  :func:`series_mul` and :func:`series_div` are its
-only products; both truncate to the shorter operand.
+only products; both truncate to the shorter operand and work in ``int``s over
+one common denominator per operand, making one ``Fraction`` per coefficient.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -43,18 +45,23 @@ def series_mul(a: Sequence, b: Sequence) -> list[Fraction]:
 
 
 def series_div(a: Sequence, b: Sequence) -> list[Fraction]:
-    """Exact quotient ``a / b`` to the shorter order; ``b`` needs an invertible constant term."""
+    """Exact quotient ``c = a / b`` to the shorter order; ``b`` needs an invertible constant term.
+
+    With ``a = A / da`` and ``b = B / db`` over common denominators, ``b_0 c_k = a_k -
+    sum_{j>=1} b_j c_{k-j}`` becomes the ``int`` recurrence ``C_k = A_k B_0^k -
+    sum_{j>=1} B_j B_0^(j-1) C_{k-j}`` on ``C_k = c_k B_0^(k+1) da / db``.
+    """
     if not b[0]:
         raise ZeroDivisionError("series division needs an invertible constant term")
-    inv0 = 1 / Fraction(b[0])
-    out: list[Fraction] = []
-    for k in range(min(len(a), len(b))):
-        acc = a[k]
-        for j in range(1, k + 1):
-            if b[j]:
-                acc -= b[j] * out[k - j]
-        out.append(acc * inv0)
-    return out
+    n = min(len(a), len(b))
+    na, da = _over_common_denominator(a[:n])
+    nb, db = _over_common_denominator(b[:n])
+    powers = list(accumulate(repeat(nb[0], n), mul, initial=1))  # B_0^0 .. B_0^n
+    scaled = [x * p for x, p in zip(nb[1:], powers)]  # B_j B_0^(j-1), j >= 1
+    out: list[int] = []
+    for k in range(n):
+        out.append(na[k] * powers[k] - sum(map(mul, scaled[:k], reversed(out))))
+    return [Fraction(c * db, p * da) for c, p in zip(out, powers[1:])]
 
 
 def f0_coeff(n: int) -> Fraction:

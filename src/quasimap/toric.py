@@ -12,15 +12,16 @@ no other table passes); and :func:`block_forms`, whose block ``i`` makes ideal
 generator ``i``, proportional to the classes' product over collection ``i``.
 Completeness and simpliciality reduce to finite linear algebra: the
 positivity of every linearity-region determinant of the gluing map
-(:func:`orientation_enumeration`, with the corner determinants :func:`det_Bk`
-by cofactor expansion along the last row), and the exact preimage count of a
-regular value under its recession function (:func:`recession_map`), one pass
-over the regions solving, testing and counting each (:func:`recession_preimages`).
+(:func:`orientation_enumeration`, one walk of the tridiagonal region matrices by
+cofactor expansion along the last row, whose corner region gives :func:`det_Bk`),
+and the exact preimage count of a regular value under its recession function
+(:func:`recession_map`), one pass over the regions solving, testing and
+counting each (:func:`recession_preimages`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import product, repeat
@@ -232,27 +233,38 @@ def _bareiss(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def _band_dets(choices: list[list[dict[int, int]]]) -> Iterator[int]:
+    """The determinant of each tridiagonal matrix whose row ``i`` is one of ``choices[i]``
+    (coefficient dicts), depth-first in the order of ``product``.  Cofactor expansion along
+    the last row of the leading ``i+1`` minors gives ``f_i = M[i][i] f_{i-1} - M[i][i-1]
+    M[i-1][i] f_{i-2}``, ``f_{-1} = 1``, ``f_{-2} = 0``: one ``int`` step per choice of row
+    ``i``, shared by every matrix below it.  A row off the three diagonals raises ``ValueError``."""
+    last = len(choices) - 1
+    for i, rows in enumerate(choices):
+        if any(abs(j - i) > 1 or not 0 <= j <= last for row in rows for j in row):
+            raise ValueError(f"row {i} leaves the tridiagonal band")
+    stack = [(0, 1, 0, 0)]  # rows chosen, f_{i-1}, f_{i-2}, M[i-1][i]
+    while stack:
+        i, f, f_prev, upper = stack.pop()
+        if i > last:
+            yield f
+            continue
+        for row in reversed(choices[i]):
+            stack.append((i + 1, row.get(i, 0) * f - row.get(i - 1, 0) * upper * f_prev, f,
+                          row.get(i + 1, 0)))
+
+
 def det_Bk(k: int) -> int:
     """Determinant of the (k+1)x(k+1) corner matrix; equals ``9k - 6``.
 
     The gluing map's region where each row takes the last form of its block
     of :func:`block_forms`: first row ``(2, 1, 0, ...)``, the walls
-    ``(-1, 2, -1)`` inside, last row ``(..., 1, 2)``.  The matrix is
-    tridiagonal, so cofactor expansion along the last row of its leading
-    ``i+1`` minors gives ``f_i = M[i][i] f_{i-1} - M[i][i-1] M[i-1][i] f_{i-2}``
-    with ``f_{-1} = 1``, ``f_{-2} = 0``: ``O(k)`` ``int`` steps.  A row with a
-    coefficient off the three diagonals raises ``ValueError``.
+    ``(-1, 2, -1)`` inside, last row ``(..., 1, 2)``.  It is the one region of
+    :func:`_band_dets` over these rows: ``O(k)`` ``int`` steps.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    f, f_prev, upper = 1, 0, 0  # f_{i-1}, f_{i-2}, M[i-1][i]
-    for i, block in enumerate(block_forms(k)):
-        row = block[-1].coeffs
-        if any(abs(j - i) > 1 or not 0 <= j <= k for j in row):
-            raise ValueError(f"corner row {i} leaves the tridiagonal band")
-        f, f_prev = row.get(i, 0) * f - row.get(i - 1, 0) * upper * f_prev, f
-        upper = row.get(i + 1, 0)
-    return f
+    return next(_band_dets([[block[-1].coeffs] for block in block_forms(k)]))
 
 
 def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
@@ -278,9 +290,11 @@ def orientation_enumeration(d: int) -> OrientationReport:
 
     Row 0 selects its gradient from two options, middle rows from four, row d
     from two, giving ``4 * 4^(d-1)`` regions in total; the report holds the
-    region count and the least determinant.
+    region count and the least determinant.  A form of block ``i`` lives on
+    ``z_{i-1..i+1}``, so each region matrix is tridiagonal and
+    :func:`_band_dets` walks them all.
     """
-    dets = [_bareiss([list(r) for r in rows]) for rows in product(*_row_choices(d))]
+    dets = list(_band_dets([[form.coeffs for form in block] for block in block_forms(d)]))
     return OrientationReport(len(dets), min(dets))
 
 

@@ -7,6 +7,7 @@ The same checks back the ``quasimap verify`` subcommand.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from quasimap.checks import (
     check_toric,
     check_volume_normalization,
     check_w_coefficients,
+    run_verification,
 )
 from quasimap.exact import LinForm
 from quasimap.intersection import w_sweep
@@ -191,3 +193,26 @@ def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, 
     failed = [r.line() for r in check() if not r.ok]
     assert len(failed) == failures
     assert failed[0] == first
+
+
+def test_ladder_repeats_no_exact_work(monkeypatch):
+    # Each degree's 1/R is built once and reused by every class paired against it,
+    # and factors a FactoredRat made are entered without being canonicalized again:
+    # the ladder to d=4 then calls block_forms at most 150 and LinForm.canonicalized
+    # at most 3,000 times (288 and 6,217 when R was rebuilt per class).
+    counts = Counter()
+
+    def count(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count(toric, "block_forms")
+    count(LinForm, "canonicalized")
+    assert all(r.ok for r in run_verification(4))
+    assert counts["block_forms"] <= 150
+    assert counts["canonicalized"] <= 3000

@@ -8,13 +8,14 @@ from fractions import Fraction
 import pytest
 
 from polys import dense, evaluate, homogeneous_degree, linform
-from quasimap.exact import LinForm, MPoly
+from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
     e6_factors,
     integrate_class,
     mixed_insertion_residues,
+    r_inverse,
     telescoped_insertion_residue,
     w_sweep,
     wall_form,
@@ -274,3 +275,25 @@ def test_insertions_with_exponent_three_vanish():
     for d in (5, 10, 20):
         assert compute_w(d, 3, -2) == 0
     assert compute_w(10, -2, 3) == 0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_built_integrands_pass_through_the_constructor_unchanged(d):
+    # The constructor takes a TaggedFactor on trust; each one a FactoredRat makes is
+    # canonical, so feeding a built integrand back in, factors as they are, is the identity.
+    built = [IntegrandSpec.insertions(d, a, b).build() for a, b in ((1, 0), (2, -1), (-2, 3), (3, -1))]
+    for f in [*built, r_inverse(d)]:
+        assert all(fac.form.canonicalized() == (1, fac.form) for fac in f.den)
+        assert FactoredRat(f.scalar, f.num, f.den, f.factors) == f
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_integrate_class_takes_a_prebuilt_inverse(d):
+    inverse = r_inverse(d)
+    scalar, factors = volume_form_factors(d)
+    for order in (None, range(d, -1, -1)):
+        assert integrate_class(d, MPoly.const(scalar), order, factors, inverse) == 1
+    rng = random.Random(d)
+    for gen in sr_ideal(d):
+        mono = MPoly.monomial({rng.randrange(d + 1): 6 * d + 2 - gen.degree()})
+        assert integrate_class(d, gen * mono, inverse=inverse) == integrate_class(d, gen * mono) == 0

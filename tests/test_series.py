@@ -230,6 +230,31 @@ def test_series_division_needs_unit():
         series_div([1, 2], [0, 1])
 
 
+def _long_division(a, b):
+    """``a / b`` by the schoolbook recurrence, one ``Fraction`` operation at a time."""
+    out = []
+    for k in range(min(len(a), len(b))):
+        acc = Fraction(a[k])
+        for j in range(1, k + 1):
+            acc -= b[j] * out[k - j]
+        out.append(acc / b[0])
+    return out
+
+
+@pytest.mark.parametrize("b0", [1, -1, 7, Fraction(-3, 4)], ids=["unit", "minus-unit", "int", "fraction"])
+def test_series_div_matches_long_division(b0):
+    rng = random.Random(3301)
+    for _ in range(40):
+        def draw(n, den):
+            return [Fraction(rng.randint(-40, 40), rng.randint(1, den)) for _ in range(n)]
+
+        a = draw(rng.randint(1, 12), rng.choice((1, 9)))
+        b = [b0, *draw(rng.randint(0, 11), 1 if b0 in (1, -1) else 9)]
+        quotient = series_div(a, b)
+        assert quotient == _long_division(a, b) and len(quotient) == min(len(a), len(b))
+        assert all(type(c) is Fraction for c in quotient)
+
+
 _coeffs = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))
 _series = st.lists(_coeffs, min_size=1, max_size=8)
 

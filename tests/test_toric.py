@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -198,10 +199,14 @@ def test_det_Bk_values_and_formula():
         assert type(value) is int and value == _bareiss([list(c[-1]) for c in _row_choices(k)])
 
 
-@pytest.mark.parametrize("row, stray", [(0, 2), (2, 0), (2, 4), (4, 5)])
-def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, row, stray):
+@pytest.mark.parametrize("walk, row, stray", [
+    pytest.param(walk, row, stray, id=f"{prefix}{row}-{stray}")
+    for walk, prefix in ((det_Bk, ""), (orientation_enumeration, "orientation-"))
+    for row, stray in [(0, 2), (2, 0), (2, 4), (4, 5)]])
+def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, walk, row, stray):
     # Row ``row`` of the k=4 corner matrix gains a coefficient at column ``stray``,
-    # two columns off the diagonal or past the last column.
+    # two columns off the diagonal or past the last column; the corner region and
+    # the walk over every region both refuse it.
     real = block_forms
 
     def off_band(d):
@@ -211,7 +216,7 @@ def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, row, stray):
 
     monkeypatch.setattr(toric, "block_forms", off_band)
     with pytest.raises(ValueError, match="band"):
-        det_Bk(4)
+        walk(4)
 
 
 def test_orientation_degree_one_exact_matrices():
@@ -227,6 +232,12 @@ def test_orientation_degree_one_exact_matrices():
     assert rep.region_count == 4
     assert rep.min_det == 1
     assert rep.all_positive
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_orientation_walk_matches_bareiss_on_every_region(d):
+    dets = [_bareiss([list(r) for r in rows]) for rows in product(*_row_choices(d))]
+    assert orientation_enumeration(d) == (4 ** d, min(dets))
 
 
 def test_orientation_all_positive_up_to_four():
