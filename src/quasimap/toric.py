@@ -10,13 +10,13 @@ collections; :func:`divisor_classes`, a Gale dual of the ray matrix (relation
 rays other than ``v_{0,j}`` form a lattice basis, so with ``D(v_{0,j}) = H_j``
 no other table passes); and :func:`block_forms`, whose block ``i`` makes ideal
 generator ``i``, proportional to the classes' product over collection ``i``.
-Completeness and simpliciality reduce to finite linear algebra: the
-positivity of every linearity-region determinant of the gluing map
-(:func:`orientation_enumeration`, one walk of the tridiagonal region matrices by
-cofactor expansion along the last row, whose corner region gives :func:`det_Bk`),
-and the exact preimage count of a regular value under its recession function
-(:func:`recession_map`), one pass over the regions solving, testing and
-counting each (:func:`recession_preimages`).
+Completeness and simpliciality reduce to finite linear algebra on the
+tridiagonal linearity-region matrices of the gluing map, all read off one
+depth-first walk of their leading minors (:func:`_band_walk`): the positivity of
+every region determinant (:func:`orientation_enumeration`; the corner region
+gives :func:`det_Bk`), and the exact preimage count of a regular value under
+its recession function (:func:`recession_map`), each region solved in ``int``s
+from its minors, then tested and counted (:func:`recession_preimages`).
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import product, repeat
+from itertools import repeat
 from math import lcm
 from operator import add, index, mul
 from typing import NamedTuple
@@ -210,48 +210,38 @@ def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
     return Fraction(3 ** (d + 1)), [fac for gen in _block_factors(d, 3) for fac in gen]
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Fraction-free Bareiss elimination of the square or augmented ``m``, in place; returns
-    the determinant of its square part.  Row ``k`` then holds the row-swapped system in
-    triangular form, with the ``(k+1)``-th leading minor at ``m[k][k]``."""
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, len(m[k])):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def _band_dets(choices: list[list[dict[int, int]]]) -> Iterator[int]:
-    """The determinant of each tridiagonal matrix whose row ``i`` is one of ``choices[i]``
-    (coefficient dicts), depth-first in the order of ``product``.  Cofactor expansion along
-    the last row of the leading ``i+1`` minors gives ``f_i = M[i][i] f_{i-1} - M[i][i-1]
-    M[i-1][i] f_{i-2}``, ``f_{-1} = 1``, ``f_{-2} = 0``: one ``int`` step per choice of row
-    ``i``, shared by every matrix below it.  A row off the three diagonals raises ``ValueError``."""
+def _band_walk(choices: list[list[dict[int, int]]]) -> Iterator[tuple[tuple, tuple[int, ...]]]:
+    """Each tridiagonal matrix whose row ``i`` is one of ``choices[i]`` (coefficient dicts),
+    as its rows and its leading minors ``f_0..f_d``, depth-first in the order of
+    ``product``.  Cofactor expansion along the last row of the leading ``i+1`` minor gives
+    ``f_i = M[i][i] f_{i-1} - M[i][i-1] M[i-1][i] f_{i-2}``, ``f_{-1} = 1``, ``f_{-2} = 0``:
+    one ``int`` step per choice of row ``i``, shared by every matrix below it.  A row off
+    the three diagonals raises ``ValueError``.  On the rows of :func:`block_forms`, the one
+    row with diagonal 1 is ``z_i``, with no sub-diagonal entry, so ``f_i = f_{i-1}``; the
+    others have diagonal 2 and ``|M[i][i-1] M[i-1][i]| <= 1``, so ``f_i >= 2 f_{i-1} -
+    f_{i-2}``; by induction ``1 <= f_{i-1} <= f_i`` on every region at every ``d``.
+    """
     last = len(choices) - 1
     for i, rows in enumerate(choices):
         if any(abs(j - i) > 1 or not 0 <= j <= last for row in rows for j in row):
             raise ValueError(f"row {i} leaves the tridiagonal band")
-    stack = [(0, 1, 0, 0)]  # rows chosen, f_{i-1}, f_{i-2}, M[i-1][i]
+    stack = [((), (0, 1))]  # rows chosen; f_{-2}, f_{-1} and the minors so far
     while stack:
-        i, f, f_prev, upper = stack.pop()
+        rows, f = stack.pop()
+        i = len(rows)
         if i > last:
-            yield f
+            yield rows, f[2:]
             continue
+        upper = rows[-1].get(i, 0) if rows else 0
         for row in reversed(choices[i]):
-            stack.append((i + 1, row.get(i, 0) * f - row.get(i - 1, 0) * upper * f_prev, f,
-                          row.get(i + 1, 0)))
+            step = row.get(i, 0) * f[-1] - row.get(i - 1, 0) * upper * f[-2]
+            stack.append((rows + (row,), f + (step,)))
+
+
+def _row_choices(d: int) -> list[list[dict[int, int]]]:
+    """The gradients each row of the gluing map chooses from: block ``i`` of
+    :func:`block_forms` as coefficient dicts."""
+    return [[form.coeffs for form in block] for block in block_forms(d)]
 
 
 def det_Bk(k: int) -> int:
@@ -260,18 +250,12 @@ def det_Bk(k: int) -> int:
     The gluing map's region where each row takes the last form of its block
     of :func:`block_forms`: first row ``(2, 1, 0, ...)``, the walls
     ``(-1, 2, -1)`` inside, last row ``(..., 1, 2)``.  It is the one region of
-    :func:`_band_dets` over these rows: ``O(k)`` ``int`` steps.
+    :func:`_band_walk` over these rows: ``O(k)`` ``int`` steps.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    return next(_band_dets([[block[-1].coeffs] for block in block_forms(k)]))
-
-
-def _row_choices(d: int) -> list[list[tuple[int, ...]]]:
-    """The gradients each row of the gluing map chooses from: block ``i`` of
-    :func:`block_forms` as integer coefficient rows."""
-    return [[tuple(form.coeffs.get(j, 0) for j in range(d + 1)) for form in block]
-            for block in block_forms(d)]
+    _, f = next(_band_walk([[rows[-1]] for rows in _row_choices(k)]))
+    return f[-1]
 
 
 class OrientationReport(NamedTuple):
@@ -292,9 +276,9 @@ def orientation_enumeration(d: int) -> OrientationReport:
     from two, giving ``4 * 4^(d-1)`` regions in total; the report holds the
     region count and the least determinant.  A form of block ``i`` lives on
     ``z_{i-1..i+1}``, so each region matrix is tridiagonal and
-    :func:`_band_dets` walks them all.
+    :func:`_band_walk` walks them all.
     """
-    dets = list(_band_dets([[form.coeffs for form in block] for block in block_forms(d)]))
+    dets = [f[-1] for _, f in _band_walk(_row_choices(d))]
     return OrientationReport(len(dets), min(dets))
 
 
@@ -327,38 +311,51 @@ def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list
     return rows if dens is None else [list(map(Fraction, row, dens)) for row in rows]
 
 
+def _band_solve(rows: Sequence[dict[int, int]], f: Sequence[int], y: Sequence[int]) -> list[int]:
+    """``X = |det| x`` in ``int``s for ``M x = y`` on a region of :func:`_band_walk`, given
+    its rows and leading minors ``f``, ``det = f[-1] != 0``.  Elimination without pivoting
+    runs forward ``Y_i = f_{i-1} y_i - M[i][i-1] Y_{i-1}`` and back ``X_i = (det Y_i -
+    M[i][i+1] f_{i-1} X_{i+1}) // f_i`` to ``det x``, the adjugate times ``y``, so each
+    division is exact."""
+    lower, Y = (1, *f), [0] * len(rows)  # lower[i] = f_{i-1}
+    for i, (row, t) in enumerate(zip(rows, y)):
+        Y[i] = lower[i] * t - row.get(i - 1, 0) * Y[i - 1]
+    det, X = f[-1], [0] * (len(rows) + 1)  # X[d+1] = 0
+    for i in reversed(range(len(rows))):
+        X[i] = (det * Y[i] - rows[i].get(i + 1, 0) * lower[i] * X[i + 1]) // f[i]
+    return X[:-1] if det > 0 else [-x for x in X[:-1]]
+
+
 def recession_preimages(d: int, y: Sequence[int]
                         ) -> tuple[OrientationReport, list[tuple[Fraction, ...]], bool]:
     """The regions as :func:`orientation_enumeration` reports them, the points ``x`` off
     the walls with ``F(x) = y`` for ``F`` of :func:`recession_map`, and whether a solution
     met a wall, so that ``y`` is not a regular value.  ``y`` must hold ``int``s.
 
-    Each choice of one row per block of :func:`_row_choices` is a system ``A x = y``:
-    one Bareiss pass over ``[A | y]`` and back substitution give ``X = |det A| x`` in
-    ``int``s, and a singular region is skipped.  Then ``X`` is tested block by block:
-    ``F(X) = |det A| y`` when each chosen row is its block's minimum at ``X``, and ``x``
-    is a preimage when each is the strict minimum.
+    One :func:`_band_walk` over :func:`_row_choices` gives each region's determinant and
+    leading minors; a singular region is skipped, and :func:`_band_solve` solves the others
+    from the same minors.  A region with a nonzero determinant but a zero leading minor
+    would raise ``ZeroDivisionError``; by the induction of :func:`_band_walk` the rows of
+    :func:`block_forms` give none.  Then ``X = |det| x`` is tested block by block:
+    ``F(X) = |det| y`` when each chosen row is its block's minimum at ``X``, and ``x`` is a
+    preimage when each is the strict minimum.
     """
     if len(y) != d + 1:
         raise ValueError("need d+1 coordinates")
     choices, y = _row_choices(d), list(map(index, y))
     dets, preimages, tie = [], [], False
-    for rows in product(*choices):
-        m = [[*row, t] for row, t in zip(rows, y)]
-        dets.append(_bareiss(m))
-        if dets[-1]:
-            det, X = m[d][d], [0] * (d + 1)  # the row-swapped system's determinant, +-det A
-            for i in range(d, -1, -1):
-                X[i] = (det * m[i][-1] - sum(map(mul, m[i][i + 1:-1], X[i + 1:]))) // m[i][i]
-            scale, X = abs(det), X if det > 0 else [-x for x in X]
-            wall = False
-            for block, t in zip(choices, y):
-                values = [sum(map(mul, g, X)) for g in block]
-                if min(values) != scale * t:
-                    break
-                wall = wall or values.count(scale * t) > 1
-            else:  # each chosen row is its block's minimum: F(X) = scale * y
-                tie = tie or wall
-                if not wall:
-                    preimages.append(tuple(Fraction(x, scale) for x in X))
+    for rows, f in _band_walk(choices):
+        dets.append(f[-1])
+        if not f[-1]:
+            continue
+        scale, X, wall = abs(f[-1]), _band_solve(rows, f, y), False
+        for block, t in zip(choices, y):
+            values = [sum(c * X[j] for j, c in row.items()) for row in block]
+            if min(values) != scale * t:
+                break
+            wall = wall or values.count(scale * t) > 1
+        else:  # each chosen row is its block's minimum: F(X) = scale * y
+            tie = tie or wall
+            if not wall:
+                preimages.append(tuple(Fraction(x, scale) for x in X))
     return OrientationReport(len(dets), min(dets)), preimages, tie

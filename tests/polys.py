@@ -52,3 +52,26 @@ def recession_reference(d: int, a) -> list:
     """The recession map at the one point ``a``: each block minimum of
     :func:`recession_blocks`, an independent reference for ``toric.recession_map``."""
     return [min(block) for block in recession_blocks(d, a)]
+
+
+def bareiss(m: list[list[int]]) -> int:
+    """Fraction-free Bareiss elimination of the square or augmented ``m``, in place; returns
+    the determinant of its square part.  Row ``k`` then holds the row-swapped system in
+    triangular form, with the ``(k+1)``-th leading minor at ``m[k][k]``."""
+    n = len(m)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, len(m[k])):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]

@@ -6,12 +6,13 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import quasimap.checks as checks
 import quasimap.toric as toric
-from polys import dense, recession_blocks, recession_reference
+from polys import bareiss, dense, recession_blocks, recession_reference
 from quasimap.checks import RECESSION_TRIES, check_properties, linearity_samples
 from quasimap.exact import FactoredRat, LinForm
 from quasimap.intersection import IntegrandSpec
@@ -132,12 +133,40 @@ def test_preimages_of_lattice_points_against_the_reference():
         assert 0 < on_wall < 50
 
 
+def _bareiss_solve(rows, y):
+    """``|det| x`` for the region ``A x = y`` with coefficient-dict rows ``rows``: Bareiss
+    over the dense ``[A | y]``, with its row swaps, then back substitution."""
+    d = len(rows) - 1
+    m = [[*(row.get(j, 0) for j in range(d + 1)), t] for row, t in zip(rows, y)]
+    bareiss(m)
+    det, X = m[d][d], [0] * (d + 1)  # the row-swapped system's determinant, +-det A
+    for i in range(d, -1, -1):
+        X[i] = (det * m[i][-1] - sum(map(mul, m[i][i + 1:-1], X[i + 1:]))) // m[i][i]
+    return X if det > 0 else [-x for x in X]
+
+
+@pytest.mark.parametrize("fold", [False, True], ids=["block-forms", "fold"])
+def test_band_solve_matches_bareiss_on_every_region(monkeypatch, fold):
+    # The walk's int solve against dense Bareiss on every region at d = 1..5, for seeded
+    # y; under the fold half the regions have det < 0, so the sign flip is compared too.
+    if fold:
+        monkeypatch.setattr(toric, "block_forms", _fold)
+    rng = random.Random(3301)
+    signs = set()
+    for d in range(1, 6):
+        for _ in range(2):
+            y = [rng.randint(-99, 99) for _ in range(d + 1)]
+            for rows, minors in toric._band_walk(toric._row_choices(d)):
+                signs.add(minors[-1] > 0)
+                assert toric._band_solve(rows, minors, y) == _bareiss_solve(rows, y), (rows, y)
+    assert signs == ({True, False} if fold else {True})
+
+
 def test_forgetful_map_fails_without_raising(monkeypatch):
     # Negative control: rows 1..d of the map forgotten, so every region is singular.
     # No system is solved, nothing divides by 0, and the line fails.
     monkeypatch.setattr(toric, "_row_choices", lambda d: [
-        [tuple(form.coeff(j) for j in range(d + 1)) for form in block_forms(d)[0]],
-        *[[(0,) * (d + 1)]] * d])
+        [form.coeffs for form in block_forms(d)[0]], *[[{}]] * d])
     regions, preimages, tie = recession_preimages(2, (3, -1, 4))
     assert (regions.min_det, preimages, tie) == (0, [], False)
     line = _line(check_properties(), "recession map bijective")

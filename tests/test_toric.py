@@ -8,7 +8,7 @@ from itertools import product
 
 import pytest
 
-from polys import dense, evaluate, homogeneous_degree, recession_reference
+from polys import bareiss, dense, evaluate, homogeneous_degree, recession_reference
 from quasimap import checks, toric
 from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import r_denominator_factors
@@ -26,9 +26,14 @@ from quasimap.toric import (
     sr_ideal,
     sr_ideal_factors,
     volume_form_factors,
-    _bareiss,
+    _band_walk,
     _row_choices,
 )
+
+
+def _dense(rows, d):
+    """Coefficient dicts over ``z_0..z_d`` as integer row tuples."""
+    return [tuple(row.get(j, 0) for j in range(d + 1)) for row in rows]
 
 
 def volume_form(d):
@@ -111,7 +116,7 @@ def test_rays_off_v0_form_a_lattice_basis():
         fan = build_fan(d)
         others = [fan.rays[label] for label in fan.labels if not label.startswith("v0_")]
         assert len(others) == fan.dimension
-        assert abs(_bareiss([list(row) for row in zip(*others)])) == 1
+        assert abs(bareiss([list(row) for row in zip(*others)])) == 1
 
 
 def test_wrong_class_fails_relations_and_ideal_generators(monkeypatch):
@@ -196,7 +201,8 @@ def test_det_Bk_values_and_formula():
     # The recurrence against the dense corner matrix through Bareiss elimination.
     for k in range(1, 31):
         value = det_Bk(k)
-        assert type(value) is int and value == _bareiss([list(c[-1]) for c in _row_choices(k)])
+        corner = _dense([c[-1] for c in _row_choices(k)], k)
+        assert type(value) is int and value == bareiss([list(row) for row in corner])
 
 
 @pytest.mark.parametrize("walk, row, stray", [
@@ -220,7 +226,7 @@ def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, walk, row, stray):
 
 
 def test_orientation_degree_one_exact_matrices():
-    choices = _row_choices(1)
+    choices = [_dense(rows, 1) for rows in _row_choices(1)]
     mats = {(r0, r1) for r0 in choices[0] for r1 in choices[1]}
     assert mats == {
         ((1, 0), (0, 1)),
@@ -236,8 +242,27 @@ def test_orientation_degree_one_exact_matrices():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
 def test_orientation_walk_matches_bareiss_on_every_region(d):
-    dets = [_bareiss([list(r) for r in rows]) for rows in product(*_row_choices(d))]
+    # Bareiss leaves the (k+1)-th leading minor at m[k][k]; with every minor nonzero it
+    # never swaps rows, so each of the walk's minors f_0..f_d is compared, not only f_d.
+    regions = list(_band_walk(_row_choices(d)))
+    assert [rows for rows, _ in regions] == list(product(*_row_choices(d)))
+    dets = []
+    for rows, minors in regions:
+        m = [list(row) for row in _dense(rows, d)]
+        dets.append(bareiss(m))
+        assert list(minors) == [m[k][k] for k in range(d + 1)]
     assert orientation_enumeration(d) == (4 ** d, min(dets))
+
+
+def test_every_leading_minor_is_positive():
+    # The premise of the recession solve, which divides by every leading minor of every
+    # region: 1 <= f_0 <= f_1 <= ... <= f_d, as the walk's induction states, for d = 1..8.
+    for d in range(1, 9):
+        regions = 0
+        for _, minors in _band_walk(_row_choices(d)):
+            assert 1 <= minors[0] and list(minors) == sorted(minors), minors
+            regions += 1
+        assert regions == 4 ** d
 
 
 def test_orientation_all_positive_up_to_four():
@@ -250,7 +275,7 @@ def test_orientation_all_positive_up_to_four():
 def test_orientation_identity_selection():
     for d in (1, 2, 3):
         choices = _row_choices(d)
-        rows = [c[0] for c in choices]
+        rows = _dense([c[0] for c in choices], d)
         assert rows == [tuple(1 if i == j else 0 for j in range(d + 1)) for i in range(d + 1)]
 
 
@@ -344,7 +369,8 @@ def _form(row):
 def test_sr_ideal_factors_and_row_choices_match_literal_blocks():
     for d, blocks in SR_LITERAL.items():
         assert sr_ideal_factors(d) == [[(_form(row), m) for row, m in gen] for gen in blocks]
-        assert _row_choices(d) == [[row for row, _ in gen] for gen in blocks]
+        assert _row_choices(d) == [[{j: c for j, c in enumerate(row) if c} for row, _ in gen]
+                                   for gen in blocks]
         assert block_forms(d) == [[_form(row) for row, _ in gen] for gen in blocks]
 
 
