@@ -12,7 +12,6 @@ import random
 from collections import Counter
 from collections.abc import Iterable, Iterator, Sequence
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from .exact import FactoredRat, LinForm, MPoly
@@ -42,8 +41,7 @@ from .toric import (
     det_Bk,
     divisor_classes,
     orientation_enumeration,
-    recession_map,
-    recession_preimages,
+    orientation_premises,
     relation_check,
     sr_ideal_factors,
     volume_form_factors,
@@ -60,12 +58,8 @@ IDEAL_SEED = 1113
 DEGREE_SELECTION_SAMPLES = 20
 DEGREE_SELECTION_SEED = 62
 
-# Seed of the values whose recession preimages check_properties counts, and how many
-# values it tries per degree before it gives up finding a regular one.
-RECESSION_SEED = 2017
-RECESSION_TRIES = 3
-
-# check_toric's ranges: ray relations and orientations up to d, corner determinants up to k.
+# check_toric's ranges: ray relations and orientation premises up to d, corner determinants
+# up to k, and the enumeration of every region up to d.
 RELATION_DMAX = 10
 DET_KMAX = 30
 ORIENTATION_DMAX = 4
@@ -227,7 +221,8 @@ def _canonical_factors(factors: list[tuple[LinForm, int]]) -> tuple[tuple[LinFor
 
 def check_toric() -> list[CheckResult]:
     """Ray relations read off the divisor classes, corner determinants, orientation
-    positivity, ideal generators proportional to the fan's collection products."""
+    positivity region by region and by :func:`orientation_premises` (the proof that the
+    fan is complete), ideal generators proportional to the fan's collection products."""
     out = []
     for d in range(1, RELATION_DMAX + 1):
         out.append(_cmp(f"ray relations d={d}", True, relation_check(build_fan(d))))
@@ -239,6 +234,10 @@ def check_toric() -> list[CheckResult]:
         out.append(CheckResult(f"orientation d={d}", rep.all_positive and rep.region_count == 4 ** d,
                                f"{4 ** d} regions, all determinants positive",
                                f"{rep.region_count} regions, min determinant {rep.min_det}"))
+    miss = next(filter(None, map(orientation_premises, range(1, RELATION_DMAX + 1))), None)
+    out.append(CheckResult(f"orientation premises d<={RELATION_DMAX}", miss is None,
+                           "diagonal 1 or 2, no sub-diagonal beside a 1, couplings at most 1",
+                           miss or "all hold"))
     for d in (1, 2):
         classes = divisor_classes(d)
         products = [_canonical_factors([(classes[label], 1) for label in collection])
@@ -293,27 +292,6 @@ def linearity_samples() -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def recession_count_miss(d: int, rng: random.Random) -> str | None:
-    """Why the preimage count fails to prove :func:`recession_map` bijective at degree
-    ``d``, or None.  The map ``F`` is piecewise linear and homogeneous, linear on each
-    region of :func:`recession_preimages`.  If every region has ``det > 0``, ``F`` is
-    coherently oriented, and every regular value (one with no preimage on a wall) has
-    the same number of preimages, the degree of ``F``; one preimage of one regular value
-    makes ``F`` a homeomorphism, so the fan is complete.  See Scholtes, *Introduction to
-    Piecewise Differentiable Equations* (Springer 2012), ch. 2, and Eaves--Rothblum,
-    *Relationships of properties of piecewise affine maps over ordered fields* (Linear
-    Algebra Appl. 132, 1990).  The values are drawn from ``rng``; one found on a wall is
-    passed over for the next, at most ``RECESSION_TRIES`` in all."""
-    for _ in range(RECESSION_TRIES):
-        y = tuple(rng.randint(-99, 99) for _ in range(d + 1))
-        regions, preimages, tie = recession_preimages(d, y)
-        if not regions.all_positive:
-            return f"d={d}: min determinant {regions.min_det}"
-        if not tie:
-            return None if len(preimages) == 1 else f"d={d}: {len(preimages)} preimages of {y}"
-    return f"d={d}: no regular value in {RECESSION_TRIES} tries"
-
-
 def _denominators_closed(f: FactoredRat, order: Sequence[int]) -> bool:
     """After each engine step on ``f``, every branch denominator factor is linear, free
     of the integrated variables, and tagged inside its support."""
@@ -326,8 +304,7 @@ def _denominators_closed(f: FactoredRat, order: Sequence[int]) -> bool:
 
 
 def check_properties() -> list[CheckResult]:
-    """Seeded property suite: degree zeros, linearity, closure, recession map homogeneity
-    and bijectivity (:func:`recession_count_miss`).
+    """Seeded property suite: degree zeros, residue linearity and denominator closure.
     ``homogeneity_filter`` decides the degree zeros; unfiltered, the engine gives 0 too."""
     misses = [(d, a, b) for d in (1, 2, 3) for a in (-1, 0, 1, 2) for b in (-1, 0, 1, 2)
               if a + b != 1 and compute_w(d, a, b) != 0]
@@ -340,22 +317,6 @@ def check_properties() -> list[CheckResult]:
     closure_ok = _denominators_closed(IntegrandSpec.insertions(2, 1, 0).build(), range(3))
     out.append(_verdict("denominator closure", closure_ok, "linear tagged factors only",
                         "closed", "violation"))
-
-    rng = random.Random(40961)
-    hom_ok = True
-    for d in (1, 2, 3, 4):
-        alphas, ts = zip(*[([Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(d + 1)],
-                            Fraction(rng.randint(1, 30), rng.randint(1, 9))) for _ in range(50)])
-        left = recession_map(d, [list(map(mul, ts, col)) for col in zip(*alphas)])
-        right = [list(map(mul, ts, row)) for row in recession_map(d, list(zip(*alphas)))]
-        hom_ok = hom_ok and left == right
-    out.append(_verdict("recession homogeneity", hom_ok, "F(t a) = t F(a)", "holds", "violation"))
-
-    rng = random.Random(RECESSION_SEED)
-    misses = [miss for d in (1, 2, 3, 4) if (miss := recession_count_miss(d, rng))]
-    out.append(CheckResult("recession map bijective", not misses,
-                           "one preimage of a regular value per degree d<=4",
-                           misses[0] if misses else "one each"))
     return out
 
 

@@ -11,22 +11,17 @@ rays other than ``v_{0,j}`` form a lattice basis, so with ``D(v_{0,j}) = H_j``
 no other table passes); and :func:`block_forms`, whose block ``i`` makes ideal
 generator ``i``, proportional to the classes' product over collection ``i``.
 Completeness and simpliciality reduce to finite linear algebra on the
-tridiagonal linearity-region matrices of the gluing map, all read off one
-depth-first walk of their leading minors (:func:`_band_walk`): the positivity of
-every region determinant (:func:`orientation_enumeration`; the corner region
-gives :func:`det_Bk`), and the exact preimage count of a regular value under
-its recession function (:func:`recession_map`), each region solved in ``int``s
-from its minors, then tested and counted (:func:`recession_preimages`).
+tridiagonal linearity-region matrices of the gluing map: one depth-first walk
+of their leading minors (:func:`_band_walk`) enumerates every region determinant
+(:func:`orientation_enumeration`; the corner region gives :func:`det_Bk`), and
+three premises on the rows alone make every determinant positive and the
+recession map a homeomorphism at every degree (:func:`orientation_premises`).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import repeat
-from math import lcm
-from operator import add, index, mul
 from typing import NamedTuple
 
 from .exact import LinForm, MPoly
@@ -215,16 +210,9 @@ def _band_walk(choices: list[list[dict[int, int]]]) -> Iterator[tuple[tuple, tup
     as its rows and its leading minors ``f_0..f_d``, depth-first in the order of
     ``product``.  Cofactor expansion along the last row of the leading ``i+1`` minor gives
     ``f_i = M[i][i] f_{i-1} - M[i][i-1] M[i-1][i] f_{i-2}``, ``f_{-1} = 1``, ``f_{-2} = 0``:
-    one ``int`` step per choice of row ``i``, shared by every matrix below it.  A row off
-    the three diagonals raises ``ValueError``.  On the rows of :func:`block_forms`, the one
-    row with diagonal 1 is ``z_i``, with no sub-diagonal entry, so ``f_i = f_{i-1}``; the
-    others have diagonal 2 and ``|M[i][i-1] M[i-1][i]| <= 1``, so ``f_i >= 2 f_{i-1} -
-    f_{i-2}``; by induction ``1 <= f_{i-1} <= f_i`` on every region at every ``d``.
+    one ``int`` step per choice of row ``i``, shared by every matrix below it.
     """
     last = len(choices) - 1
-    for i, rows in enumerate(choices):
-        if any(abs(j - i) > 1 or not 0 <= j <= last for row in rows for j in row):
-            raise ValueError(f"row {i} leaves the tridiagonal band")
     stack = [((), (0, 1))]  # rows chosen; f_{-2}, f_{-1} and the minors so far
     while stack:
         rows, f = stack.pop()
@@ -240,8 +228,13 @@ def _band_walk(choices: list[list[dict[int, int]]]) -> Iterator[tuple[tuple, tup
 
 def _row_choices(d: int) -> list[list[dict[int, int]]]:
     """The gradients each row of the gluing map chooses from: block ``i`` of
-    :func:`block_forms` as coefficient dicts."""
-    return [[form.coeffs for form in block] for block in block_forms(d)]
+    :func:`block_forms` as coefficient dicts.  Every use reads them as tridiagonal rows,
+    so a form of block ``i`` with a coefficient off ``z_{i-1..i+1}`` raises ``ValueError``."""
+    choices = [[form.coeffs for form in block] for block in block_forms(d)]
+    for i, rows in enumerate(choices):
+        if any(abs(j - i) > 1 or not 0 <= j <= d for row in rows for j in row):
+            raise ValueError(f"row {i} leaves the tridiagonal band")
+    return choices
 
 
 def det_Bk(k: int) -> int:
@@ -282,80 +275,42 @@ def orientation_enumeration(d: int) -> OrientationReport:
     return OrientationReport(len(dets), min(dets))
 
 
-def recession_map(d: int, cols: Sequence[Sequence[int | Fraction]]) -> list[list[int | Fraction]]:
-    """The recession map ``F`` at many points of R^{d+1}, ``cols[j]`` holding coordinate
-    ``j`` of each: row ``i`` is the minimum of the forms of block ``i`` of
-    :func:`block_forms`, each evaluated over the columns.
+def orientation_premises(d: int) -> str | None:
+    """The first premise of the orientation induction that the rows of :func:`_row_choices`
+    break at degree ``d``, or None.  For every region matrix ``M``:
 
-    ``F(t*a) = t*F(a)`` for ``t >= 0``; its bijectivity (:func:`recession_preimages`)
-    makes the fan complete.  A coordinate neither ``int`` nor ``Fraction`` raises
-    ``TypeError``.  The forms have ``int`` coefficients, so ``int`` columns give ``int``
-    rows.  When any entry is a ``Fraction``, each point is scaled by ``D``, the lcm of
-    its coordinates' denominators, the forms run on those ``int`` numerators, and the
-    row is ``Fraction(row, D)``: the same exact value, with one common denominator per
-    point instead of a ``Fraction`` operation per term.
+    1. every diagonal entry ``M[i][i]`` is 1 or 2;
+    2. a row with diagonal 1 has no sub-diagonal entry;
+    3. ``|M[i][i-1] M[i-1][i]| <= 1`` for every choice of two consecutive rows.
+
+    In the recurrence of :func:`_band_walk` for the leading minors, a row with diagonal 1
+    then gives ``f_i = f_{i-1}`` and one with diagonal 2 gives ``f_i >= 2 f_{i-1} - f_{i-2}``,
+    so by induction ``1 <= f_{i-1} <= f_i``: every region determinant is at least 1.
+
+    Then the recession map ``F``, whose row ``i`` is the minimum of the forms of block ``i``
+    of :func:`block_forms`, is a homeomorphism.  Let ``F_s`` take as row ``i`` the minimum
+    of ``(1-s) z_i + s r`` over the forms ``r`` of block ``i``, for ``0 <= s <= 1``.  A
+    determinant is multilinear in its rows, so each region determinant of ``F_s`` is a sum
+    over the sets ``S`` of rows of ``(1-s)^(d+1-|S|) s^|S|`` times the determinant with
+    rows ``r_i`` for ``i`` in ``S`` and ``z_i`` elsewhere.  As ``z_i`` is itself in block
+    ``i``, each is a region determinant of ``F``, and the sum is positive.  At every ``x``,
+    ``F_s(x) = M x`` for the region ``M`` of the forms attaining the minima, so
+    ``F_s^{-1}(0) = {0}`` and the degree of ``F_s`` is constant in ``s``.  ``F_0`` is the
+    identity, so ``F`` is coherently oriented of degree 1: each regular value has exactly
+    one preimage, ``F`` is a homeomorphism, and the fan is complete.  See Scholtes,
+    *Introduction to Piecewise Differentiable Equations* (Springer 2012), ch. 2, and
+    Eaves--Rothblum, *Relationships of properties of piecewise affine maps over ordered
+    fields* (Linear Algebra Appl. 132, 1990).
     """
-    if len(cols) != d + 1:
-        raise ValueError("need d+1 coordinates")
-    kinds = {type(x) for col in cols for x in col}
-    if not all(issubclass(k, (int, Fraction)) for k in kinds):
-        raise TypeError("coordinates must be int or Fraction")
-    dens = None
-    if Fraction in kinds:
-        dens = [lcm(*(x.denominator for x in point)) for point in zip(*cols)]
-        cols = [[x.numerator * (D // x.denominator) for x, D in zip(col, dens)] for col in cols]
-    columns = [[reduce(partial(map, add), [cols[j] if c == 1 else map(mul, repeat(c), cols[j])
-                                           for j, c in form.coeffs.items()]) for form in block]
-               for block in block_forms(d)]
-    rows = [list(map(min, *forms)) for forms in columns]
-    return rows if dens is None else [list(map(Fraction, row, dens)) for row in rows]
-
-
-def _band_solve(rows: Sequence[dict[int, int]], f: Sequence[int], y: Sequence[int]) -> list[int]:
-    """``X = |det| x`` in ``int``s for ``M x = y`` on a region of :func:`_band_walk`, given
-    its rows and leading minors ``f``, ``det = f[-1] != 0``.  Elimination without pivoting
-    runs forward ``Y_i = f_{i-1} y_i - M[i][i-1] Y_{i-1}`` and back ``X_i = (det Y_i -
-    M[i][i+1] f_{i-1} X_{i+1}) // f_i`` to ``det x``, the adjugate times ``y``, so each
-    division is exact."""
-    lower, Y = (1, *f), [0] * len(rows)  # lower[i] = f_{i-1}
-    for i, (row, t) in enumerate(zip(rows, y)):
-        Y[i] = lower[i] * t - row.get(i - 1, 0) * Y[i - 1]
-    det, X = f[-1], [0] * (len(rows) + 1)  # X[d+1] = 0
-    for i in reversed(range(len(rows))):
-        X[i] = (det * Y[i] - rows[i].get(i + 1, 0) * lower[i] * X[i + 1]) // f[i]
-    return X[:-1] if det > 0 else [-x for x in X[:-1]]
-
-
-def recession_preimages(d: int, y: Sequence[int]
-                        ) -> tuple[OrientationReport, list[tuple[Fraction, ...]], bool]:
-    """The regions as :func:`orientation_enumeration` reports them, the points ``x`` off
-    the walls with ``F(x) = y`` for ``F`` of :func:`recession_map`, and whether a solution
-    met a wall, so that ``y`` is not a regular value.  ``y`` must hold ``int``s.
-
-    One :func:`_band_walk` over :func:`_row_choices` gives each region's determinant and
-    leading minors; a singular region is skipped, and :func:`_band_solve` solves the others
-    from the same minors.  A region with a nonzero determinant but a zero leading minor
-    would raise ``ZeroDivisionError``; by the induction of :func:`_band_walk` the rows of
-    :func:`block_forms` give none.  Then ``X = |det| x`` is tested block by block:
-    ``F(X) = |det| y`` when each chosen row is its block's minimum at ``X``, and ``x`` is a
-    preimage when each is the strict minimum.
-    """
-    if len(y) != d + 1:
-        raise ValueError("need d+1 coordinates")
-    choices, y = _row_choices(d), list(map(index, y))
-    dets, preimages, tie = [], [], False
-    for rows, f in _band_walk(choices):
-        dets.append(f[-1])
-        if not f[-1]:
-            continue
-        scale, X, wall = abs(f[-1]), _band_solve(rows, f, y), False
-        for block, t in zip(choices, y):
-            values = [sum(c * X[j] for j, c in row.items()) for row in block]
-            if min(values) != scale * t:
-                break
-            wall = wall or values.count(scale * t) > 1
-        else:  # each chosen row is its block's minimum: F(X) = scale * y
-            tie = tie or wall
-            if not wall:
-                preimages.append(tuple(Fraction(x, scale) for x in X))
-    return OrientationReport(len(dets), min(dets)), preimages, tie
+    choices = _row_choices(d)
+    for i, rows in enumerate(choices):
+        for row in rows:
+            diagonal, below = row.get(i, 0), row.get(i - 1, 0)
+            if diagonal not in (1, 2):
+                return f"d={d}: row {i} has diagonal {diagonal}"
+            if diagonal == 1 and below:
+                return f"d={d}: row {i} has diagonal 1 and sub-diagonal {below}"
+            for upper in choices[i - 1] if i else ():
+                if abs(coupling := below * upper.get(i, 0)) > 1:
+                    return f"d={d}: rows {i - 1} and {i} couple by {coupling}"
+    return None

@@ -38,22 +38,6 @@ def evaluate(x: LinForm | MPoly | FactoredRat, values) -> Fraction:
     return value / prod(evaluate(f.form, values) ** f.multiplicity for f in x.den)
 
 
-def recession_blocks(d: int, a) -> list[tuple]:
-    """The values of each block's forms at the one point ``a``, written out by hand: an
-    independent reference for ``toric.block_forms`` as the recession map uses them."""
-    out = [(a[0], 2 * a[0] + a[1])]
-    for i in range(1, d):
-        out.append((a[i], a[i - 1] + 2 * a[i], 2 * a[i] + a[i + 1], -a[i - 1] + 2 * a[i] - a[i + 1]))
-    out.append((a[d], a[d - 1] + 2 * a[d]))
-    return out
-
-
-def recession_reference(d: int, a) -> list:
-    """The recession map at the one point ``a``: each block minimum of
-    :func:`recession_blocks`, an independent reference for ``toric.recession_map``."""
-    return [min(block) for block in recession_blocks(d, a)]
-
-
 def bareiss(m: list[list[int]]) -> int:
     """Fraction-free Bareiss elimination of the square or augmented ``m``, in place; returns
     the determinant of its square part.  Row ``k`` then holds the row-swapped system in

@@ -20,8 +20,6 @@ from quasimap.checks import (
     IDEAL_SAMPLES,
     IDEAL_SEED,
     ORIENTATION_DMAX,
-    RECESSION_SEED,
-    RECESSION_TRIES,
     RELATION_DMAX,
     check_degree_selection,
     check_ideal_annihilation,
@@ -76,12 +74,10 @@ def test_criterion_5_degree_selection():
 
 
 def test_sample_counts_and_seeds_are_pinned():
-    # Criteria 4 and 5 draw their monomials from these, and criterion 10 its
-    # recession values; a change would alter the checks without changing any
-    # line they print.
+    # Criteria 4 and 5 draw their monomials from these; a change would alter the
+    # checks without changing any line they print.
     assert (IDEAL_SAMPLES, IDEAL_SEED) == (10, 1113)
     assert (DEGREE_SELECTION_SAMPLES, DEGREE_SELECTION_SEED) == (20, 62)
-    assert (RECESSION_SEED, RECESSION_TRIES) == (2017, 3)
 
 
 def test_criterion_6_order_independence():
@@ -104,7 +100,7 @@ def test_criterion_7_insertion_identities():
 
 def test_criterion_8_toric_checks():
     _report("criterion 8: ray relations d<=10, corner determinants k<=30, "
-            "orientation d<=4, ideal generators d<=2",
+            "orientation d<=4, orientation premises d<=10, ideal generators d<=2",
             check_toric())
 
 
@@ -112,7 +108,8 @@ def test_toric_ranges_are_pinned():
     # Criterion 8 states these ranges, and verify prints one line per degree.
     assert (RELATION_DMAX, DET_KMAX, ORIENTATION_DMAX) == (10, 30, 4)
     names = {r.name for r in check_toric()}
-    assert {"ray relations d=10", "corner determinants k<=30", "orientation d=4"} <= names
+    assert {"ray relations d=10", "corner determinants k<=30", "orientation d=4",
+            "orientation premises d<=10"} <= names
     assert not {"ray relations d=11", "orientation d=5"} & names
 
 
@@ -122,7 +119,8 @@ def test_criterion_9_series_suite():
 
 
 def test_criterion_10_property_suite(property_results):
-    _report("criterion 10: seeded property suite", property_results)
+    _report("criterion 10: seeded property suite: degree zeros, residue linearity, "
+            "denominator closure", property_results)
 
 
 def test_headline_chain_residue_w_to_modular_j():
@@ -139,12 +137,6 @@ def _one_class(d):
     return {label: LinForm.variable(0) for label in toric.divisor_classes(d)}
 
 
-def _two_preimages(d, y):
-    """The true preimage of ``y``, counted twice."""
-    regions, preimages, tie = toric.recession_preimages(d, y)
-    return regions, preimages * 2, tie
-
-
 def _order_independence_perturbed():
     """Order independence at d<=2 with the ascending w value at d=2 off by one."""
     w = w_sweep(2, 1, 0)
@@ -157,6 +149,9 @@ def _order_independence_perturbed():
     (check_toric, "orientation_enumeration", lambda d: OrientationReport(4 ** d, -3), 4,
      "FAIL orientation d=1: expected 4 regions, all determinants positive, "
      "actual 4 regions, min determinant -3"),
+    (check_toric, "orientation_premises", lambda d: f"d={d}: rows 5 and 6 couple by 2" if d > 6 else None, 1,
+     "FAIL orientation premises d<=10: expected diagonal 1 or 2, no sub-diagonal beside a 1, "
+     "couplings at most 1, actual d=7: rows 5 and 6 couple by 2"),
     (check_toric, "divisor_classes", _one_class, 2,
      "FAIL ideal generators d=1: expected stated factor lists, actual mismatch"),
     (check_series, "pf_first_failure", lambda n: 7, 1,
@@ -175,11 +170,6 @@ def _order_independence_perturbed():
      "actual nonzero at (1, -1, -1)"),
     (check_properties, "linearity_samples", lambda: [(Fraction(1), Fraction(2))], 1,
      "FAIL residue linearity: expected linear in the numerator, actual violation"),
-    (check_properties, "recession_preimages", _two_preimages, 1,
-     "FAIL recession map bijective: expected one preimage of a regular value per degree d<=4, "
-     "actual d=1: 2 preimages of (-49, 14)"),
-    (check_properties, "recession_map", lambda d, cols: [[x + 1 for x in col] for col in cols], 1,
-     "FAIL recession homogeneity: expected F(t a) = t F(a), actual violation"),
     (_order_independence_perturbed, None, None, 1,
      "FAIL order independence d=2 insertions=(1,0): expected 947305, actual 947304"),
 ])

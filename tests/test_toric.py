@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from polys import bareiss, dense, evaluate, homogeneous_degree, recession_reference
+from polys import bareiss, dense, homogeneous_degree
 from quasimap import checks, toric
 from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.intersection import r_denominator_factors
@@ -20,7 +19,7 @@ from quasimap.toric import (
     divisor_classes,
     max_cone_count,
     orientation_enumeration,
-    recession_map,
+    orientation_premises,
     relation_check,
     relation_defects,
     sr_ideal,
@@ -207,12 +206,13 @@ def test_det_Bk_values_and_formula():
 
 @pytest.mark.parametrize("walk, row, stray", [
     pytest.param(walk, row, stray, id=f"{prefix}{row}-{stray}")
-    for walk, prefix in ((det_Bk, ""), (orientation_enumeration, "orientation-"))
+    for walk, prefix in ((det_Bk, ""), (orientation_enumeration, "orientation-"),
+                         (orientation_premises, "premises-"))
     for row, stray in [(0, 2), (2, 0), (2, 4), (4, 5)]])
 def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, walk, row, stray):
     # Row ``row`` of the k=4 corner matrix gains a coefficient at column ``stray``,
-    # two columns off the diagonal or past the last column; the corner region and
-    # the walk over every region both refuse it.
+    # two columns off the diagonal or past the last column; the corner region, the
+    # walk over every region and the premises all refuse it.
     real = block_forms
 
     def off_band(d):
@@ -255,14 +255,45 @@ def test_orientation_walk_matches_bareiss_on_every_region(d):
 
 
 def test_every_leading_minor_is_positive():
-    # The premise of the recession solve, which divides by every leading minor of every
-    # region: 1 <= f_0 <= f_1 <= ... <= f_d, as the walk's induction states, for d = 1..8.
+    # The conclusion of the induction in orientation_premises, region by region:
+    # 1 <= f_0 <= f_1 <= ... <= f_d for d = 1..8.
     for d in range(1, 9):
         regions = 0
         for _, minors in _band_walk(_row_choices(d)):
             assert 1 <= minors[0] and list(minors) == sorted(minors), minors
             regions += 1
         assert regions == 4 ** d
+
+
+def test_orientation_premises_hold_through_degree_forty():
+    # The premises give every region determinant >= 1 at every degree; verify states
+    # them for d <= 10 and enumerates the 4^d regions only for d <= 4.
+    assert all(orientation_premises(d) is None for d in range(1, 41))
+
+
+def test_a_sub_diagonal_beside_a_one_breaks_the_second_premise(monkeypatch):
+    # The last block's z_d made z_{d-1} + z_d: its row no longer gives f_d = f_{d-1}.
+    real = block_forms
+
+    def leaning(d):
+        blocks = real(d)
+        blocks[d][0] = LinForm({d - 1: 1, d: 1})
+        return blocks
+
+    monkeypatch.setattr(toric, "block_forms", leaning)
+    assert orientation_premises(3) == "d=3: row 3 has diagonal 1 and sub-diagonal 1"
+
+
+@pytest.mark.parametrize("s", [Fraction(1, 3), Fraction(1, 2), Fraction(2, 3)], ids=str)
+def test_the_homotopy_to_the_identity_keeps_every_region_positive(s):
+    # The step of orientation_premises from positive regions to a homeomorphism: F_s,
+    # with row i the minimum of (1-s) z_i + s r over the forms r of block i, has every
+    # region determinant positive, so no F_s on the way to F_0 = id has a zero but 0.
+    for d in range(1, 6):
+        choices = [[{**{j: s * c for j, c in r.items()}, i: s * r.get(i, 0) + 1 - s} for r in rows]
+                   for i, rows in enumerate(_row_choices(d))]
+        dets = [f[-1] for _, f in _band_walk(choices)]
+        assert len(dets) == 4 ** d and min(dets) > 0
 
 
 def test_orientation_all_positive_up_to_four():
@@ -279,56 +310,10 @@ def test_orientation_identity_selection():
         assert rows == [tuple(1 if i == j else 0 for j in range(d + 1)) for i in range(d + 1)]
 
 
-def test_recession_zero_and_example():
-    assert recession_map(3, [[0], [0], [0], [0]]) == [[0], [0], [0], [0]]
-    assert recession_map(2, [[1], [1], [1]]) == [[1], [0], [1]]
-
-
-def test_recession_positive_homogeneity():
-    rng = random.Random(7321)
-    for d in (1, 2, 3):
-        for _ in range(25):
-            alpha = [Fraction(rng.randint(-30, 30), rng.randint(1, 9)) for _ in range(d + 1)]
-            t = Fraction(rng.randint(1, 20), rng.randint(1, 6))
-            image = recession_map(d, [[x, t * x] for x in alpha])
-            assert [row[1] for row in image] == [t * row[0] for row in image]
-
-
-def test_recession_length_validation():
-    with pytest.raises(ValueError):
-        recession_map(3, [[1], [2], [3]])
-    with pytest.raises(ValueError):
-        recession_map(0, [[1]])
-
-
-def test_recession_stays_in_the_input_ring():
-    # Two points per column: (3, -7, 2, 5) and the origin.
-    ints = recession_map(3, [[3, 0], [-7, 0], [2, 0], [5, 0]])
-    assert ints == [[-1, 0], [-19, 0], [-3, 0], [5, 0]]
-    assert all(type(y) is int for row in ints for y in row)
-    fracs = recession_map(3, [[Fraction(3, 2)], [Fraction(-7, 3)], [Fraction(2)], [Fraction(5, 7)]])
-    assert fracs == [[Fraction(2, 3)], [Fraction(-49, 6)], [Fraction(5, 3)], [Fraction(5, 7)]]
-    assert all(type(y) is Fraction for row in fracs for y in row)
-    # Mixed int and Fraction coordinates: exact values, types not pinned.
-    assert recession_map(3, [[3], [Fraction(-7, 3)], [2], [Fraction(5, 7)]]) == [
-        [3], [Fraction(-29, 3)], [Fraction(5, 3)], [Fraction(5, 7)]]
-    # No points: one empty row per component.
-    assert recession_map(3, [[], [], [], []]) == [[], [], [], []]
-
-
-def test_recession_map_takes_only_exact_coordinates():
-    # A float or str coordinate raises, also beside an exact one, at the first point or the second.
-    for point in ([0.1, 0, 0], [0, Fraction(1, 3), 0.5], ["1", 0, 0]):
-        with pytest.raises(TypeError):
-            recession_map(2, [[x] for x in point])
-        with pytest.raises(TypeError):
-            recession_map(2, [[0, x] for x in point])
-
-
 # The block forms as they were written out by hand before ``block_forms``:
 # coefficient rows of z_0..z_d with their multiplicities (and, for R, the
-# variable whose contour encloses the zero).  Generators and recession rows
-# are listed block by block; the volume and R factors in their old order.
+# variable whose contour encloses the zero).  Generators and the gluing map's
+# rows are listed block by block; the volume and R factors in their old order.
 SR_LITERAL = {
     1: [[((1, 0), 4), ((2, 1), 1)],
         [((0, 1), 4), ((1, 2), 1)]],
@@ -387,43 +372,6 @@ def test_volume_and_r_factors_match_literal_lists():
         assert scalar == 3 ** (d + 1)
         assert sorted(key(f, m, tuple(tags)) for f, m, tags in r_factors) == sorted(
             key(_form(row), m, (tag,)) for row, m, tag in R_LITERAL[d])
-
-
-def _mixed_points(d, rng):
-    """Points whose coordinates mix zeros, ints and Fractions of unlike denominators:
-    the origin, and points on the end blocks' walls ``z_1 = -z_0`` and ``z_{d-1} = -z_d``."""
-    def coordinate():
-        kind = rng.randrange(3)
-        if kind == 0:
-            return 0
-        if kind == 1:
-            return rng.randint(-20, 20)
-        return Fraction(rng.randint(-20, 20), rng.randint(1, 12))
-
-    points = [[coordinate() for _ in range(d + 1)] for _ in range(60)]
-    points.append([Fraction(0)] * (d + 1))
-    for a in points[:10]:
-        a[1] = -a[0]
-    for a in points[10:20]:
-        a[d - 1] = -a[d]
-    return points
-
-
-def test_recession_map_is_the_block_minimum():
-    # recession_map against the hand-written minima of tests/polys.py, evaluated in
-    # Fraction arithmetic, and the minima of block_forms through evaluate, on int,
-    # Fraction and mixed columns; any Fraction among them gives Fraction rows.
-    rng, mixed_rng = random.Random(8086), random.Random(5147)
-    for d in range(1, 9):
-        blocks = block_forms(d)
-        ints = [[rng.randint(-30, 30) for _ in range(d + 1)] for _ in range(100)]
-        fracs = [[Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in range(d + 1)] for _ in range(100)]
-        for points in (ints, fracs, _mixed_points(d, mixed_rng)):
-            rows = recession_map(d, [list(col) for col in zip(*points)])
-            assert [list(image) for image in zip(*rows)] == [
-                recession_reference(d, [Fraction(x) for x in a]) for a in points]
-            assert rows == [[min(evaluate(f, a) for f in block) for a in points] for block in blocks]
-            assert {type(y) for row in rows for y in row} == {int if points is ints else Fraction}
 
 
 def test_block_forms_reject_bad_degree():
