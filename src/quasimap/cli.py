@@ -85,8 +85,8 @@ def _cmd_fan(degree: int) -> list[tuple[str, str]]:
         ("max_cones", str(max_cone_count(degree))),
         ("relation_check", "true" if relation_check(fan) else "false"),
     ]
-    for label in fan.labels:
-        values.append((f"ray {label}", "[" + ", ".join(map(str, fan.rays[label])) + "]"))
+    for label, ray in fan.rays.items():
+        values.append((f"ray {label}", "[" + ", ".join(map(str, ray)) + "]"))
     for i, collection in enumerate(fan.primitive_collections):
         values.append((f"primitive_collection {i}", " ".join(collection)))
     return values

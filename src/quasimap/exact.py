@@ -27,11 +27,7 @@ from typing import NamedTuple
 
 
 def _as_rat(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    return x if isinstance(x, Fraction) else Fraction(_as_coeff(x))
 
 
 def _content(cs) -> int | Fraction:
@@ -230,15 +226,7 @@ class MPoly:
     def __pow__(self, k: int) -> MPoly:
         if k < 0:
             raise ValueError("negative power")
-        out = MPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return MPoly.product([self] * k)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MPoly) and self.terms == other.terms

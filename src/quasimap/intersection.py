@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .exact import FactoredRat, LinForm, MPoly
-from .residues import iterated_residue, residue_sweep
+from .residues import ResidueError, iterated_residue, residue_sweep
 from .toric import sr_ideal_factors, wall_form
 
 
@@ -110,13 +110,15 @@ def integrate_class(d: int, omega: MPoly, order: Sequence[int] | None = None,
     """Pair the class ``omega * prod(form ** mult for form, mult in factors)``
     in ``H_0..H_d`` against the degree-d moduli.
 
-    ``H_j`` is variable ``j``, and the value is the iterated residue of the
-    class over ``R`` in ``order``, ``0..d`` ascending unless given.  A class
-    given as a factor list stays factored and cancels against ``R`` factor by factor.
+    ``H_j`` is variable ``j``, and the value is the iterated residue of the class over
+    ``R`` in ``order``, a permutation of ``0..d`` (else ``ValueError``), ascending unless
+    given.  A class given as a factor list stays factored and cancels against ``R`` factor by factor.
     ``inverse`` is ``r_inverse(d)``, built here unless given.
     """
     if max(omega.variables(), default=0) > d:
         raise ValueError(f"omega must be a class in H_0..H_{d}")
+    if order is not None and len(order) != d + 1:
+        raise ResidueError(f"order must cover H_0..H_{d}, got {len(order)} variables")
     if inverse is None:
         inverse = r_inverse(d)
     integrand = FactoredRat(inverse.scalar, omega, inverse.den, factors)

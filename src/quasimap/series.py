@@ -131,17 +131,14 @@ def picard_fuchs_apply(f: tuple[Sequence, Sequence]) -> tuple[list, list]:
 def pf_first_failure(order: int) -> int | None:
     """First order at which the differential-equation checks fail, else None.
 
-    Checks the coefficient recursion
-    ``A_n = 8 (6n-5)(6n-3)(6n-1) / n^3 * A_{n-1}`` and that the operator
-    annihilates both period solutions through the given order: ``f0`` and
-    ``f0 * log z + sum B_n z^n``.
+    Checks that the operator annihilates both period solutions through the given
+    order: ``f0`` and ``f0 * log z + sum B_n z^n``.  Coefficient ``n`` of the
+    operator on ``f0`` is ``n^3 A_n - 8 (6n-5)(6n-3)(6n-1) A_{n-1}``, so the first
+    check is the coefficient recursion ``A_n = 8 (6n-5)(6n-3)(6n-1) / n^3 * A_{n-1}``.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     f0 = f0_series(order)
-    for n in range(1, order + 1):
-        if f0[n] != Fraction(8 * (6 * n - 5) * (6 * n - 3) * (6 * n - 1), n ** 3) * f0[n - 1]:
-            return n
     for sol in (([0] * (order + 1), f0), (f0, f1_hat_series(order))):
         for n, coeffs in enumerate(zip(*picard_fuchs_apply(sol))):
             if any(coeffs):

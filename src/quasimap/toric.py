@@ -38,12 +38,16 @@ def _u_label(k: int) -> str:
 
 
 class FanData(NamedTuple):
-    """Ray matrix and primitive collections of the degree-d fan."""
+    """The degree-d fan's ray columns keyed by label in :func:`build_fan` order, and its
+    primitive collections; ``labels`` reads that order off the keys."""
 
     d: int
-    labels: tuple[str, ...]
     rays: dict[str, tuple[int, ...]]
     primitive_collections: tuple[tuple[str, ...], ...]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        return tuple(self.rays)
 
     @property
     def dimension(self) -> int:
@@ -51,7 +55,7 @@ class FanData(NamedTuple):
 
     @property
     def ray_count(self) -> int:
-        return len(self.labels)
+        return len(self.rays)
 
 
 def build_fan(d: int) -> FanData:
@@ -65,7 +69,6 @@ def build_fan(d: int) -> FanData:
     dim = 6 * d + 2
     pair_rows = 2 * (d + 1)
     mid_rows = 3 * d + 1
-    labels: list[str] = []
     rays: dict[str, tuple[int, ...]] = {}
 
     def w_entry(row: int, j: int) -> int:
@@ -83,17 +86,14 @@ def build_fan(d: int) -> FanData:
                 for basis, coeff in ((j - 1, -1), (j, 2), (j + 1, -1)):
                     if 1 <= basis <= d - 1:
                         col[pair_rows + mid_rows + basis - 1] = coeff
-            labels.append(_v_label(i, j))
             rays[_v_label(i, j)] = tuple(col)
     for j in range(3 * d + 1):
         col = [0] * dim
         col[pair_rows + j] = 1
-        labels.append(_v_label(3, j))
         rays[_v_label(3, j)] = tuple(col)
     for k in range(1, d):
         col = [0] * dim
         col[pair_rows + mid_rows + k - 1] = -1
-        labels.append(_u_label(k))
         rays[_u_label(k)] = tuple(col)
 
     collections = [
@@ -107,7 +107,7 @@ def build_fan(d: int) -> FanData:
     collections.append(
         tuple(_v_label(i, d) for i in range(3)) + (_v_label(3, 3 * d - 1), _v_label(3, 3 * d))
     )
-    return FanData(d, tuple(labels), rays, tuple(collections))
+    return FanData(d, rays, tuple(collections))
 
 
 def relation_defects(fan: FanData) -> list[int]:
@@ -115,8 +115,8 @@ def relation_defects(fan: FanData) -> list[int]:
     ``D_rho(H_j)`` the ``H_j`` coefficient of :func:`divisor_classes`."""
     classes = divisor_classes(fan.d)
     totals = [[0] * fan.dimension for _ in range(fan.d + 1)]
-    for label in fan.labels:
-        entries = [(r, x) for r, x in enumerate(fan.rays[label]) if x]
+    for label, ray in fan.rays.items():
+        entries = [(r, x) for r, x in enumerate(ray) if x]
         for j, c in classes[label].coeffs.items():
             total = totals[j]
             for r, x in entries:
@@ -205,25 +205,24 @@ def volume_form_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int]]]:
     return Fraction(3 ** (d + 1)), [fac for gen in _block_factors(d, 3) for fac in gen]
 
 
-def _band_walk(choices: list[list[dict[int, int]]]) -> Iterator[tuple[tuple, tuple[int, ...]]]:
-    """Each tridiagonal matrix whose row ``i`` is one of ``choices[i]`` (coefficient dicts),
-    as its rows and its leading minors ``f_0..f_d``, depth-first in the order of
-    ``product``.  Cofactor expansion along the last row of the leading ``i+1`` minor gives
+def _band_walk(choices: list[list[dict[int, int]]]) -> Iterator[tuple[int, ...]]:
+    """The leading minors ``f_0..f_d`` of each tridiagonal matrix whose row ``i`` is one of
+    ``choices[i]`` (coefficient dicts), depth-first in the order of ``product``.  Cofactor
+    expansion along the last row of the leading ``i+1`` minor gives
     ``f_i = M[i][i] f_{i-1} - M[i][i-1] M[i-1][i] f_{i-2}``, ``f_{-1} = 1``, ``f_{-2} = 0``:
     one ``int`` step per choice of row ``i``, shared by every matrix below it.
     """
     last = len(choices) - 1
-    stack = [((), (0, 1))]  # rows chosen; f_{-2}, f_{-1} and the minors so far
+    stack = [(0, (0, 1))]  # M[i-1][i] of the last row chosen; f_{-2}, f_{-1} and the minors so far
     while stack:
-        rows, f = stack.pop()
-        i = len(rows)
+        upper, f = stack.pop()
+        i = len(f) - 2
         if i > last:
-            yield rows, f[2:]
+            yield f[2:]
             continue
-        upper = rows[-1].get(i, 0) if rows else 0
         for row in reversed(choices[i]):
             step = row.get(i, 0) * f[-1] - row.get(i - 1, 0) * upper * f[-2]
-            stack.append((rows + (row,), f + (step,)))
+            stack.append((row.get(i + 1, 0), f + (step,)))
 
 
 def _row_choices(d: int) -> list[list[dict[int, int]]]:
@@ -247,8 +246,7 @@ def det_Bk(k: int) -> int:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, f = next(_band_walk([[rows[-1]] for rows in _row_choices(k)]))
-    return f[-1]
+    return next(_band_walk([[rows[-1]] for rows in _row_choices(k)]))[-1]
 
 
 class OrientationReport(NamedTuple):
@@ -271,7 +269,7 @@ def orientation_enumeration(d: int) -> OrientationReport:
     ``z_{i-1..i+1}``, so each region matrix is tridiagonal and
     :func:`_band_walk` walks them all.
     """
-    dets = [f[-1] for _, f in _band_walk(_row_choices(d))]
+    dets = [f[-1] for f in _band_walk(_row_choices(d))]
     return OrientationReport(len(dets), min(dets))
 
 

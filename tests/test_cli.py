@@ -310,7 +310,12 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
         assert result.values == [("error", "|a| and |b| must be <= 3")]
 
 
-@pytest.mark.parametrize("argv, digest", [
+def _by_argv(cases):
+    """The golden cases with the argv as test id, so re-pinning a digest keeps the name."""
+    return [pytest.param(argv, digest, id=" ".join(argv)) for argv, digest in cases]
+
+
+@pytest.mark.parametrize("argv, digest", _by_argv([
     (["verify", "--degree-max", "4", "--format", "json"],
      "e5964aa50d98f144bd8871e6f90465f0ed02a7ac400e4c08adb332373dd102ab"),
     (["intersect", "--degree", "5", "--a", "1", "--b", "0"],
@@ -327,7 +332,7 @@ def test_insertion_exponents_above_documented_maximum_are_usage_errors():
      "9a1a1f9b506f432af4be7e3e2f2464e01706af76ebe120d9b5fef87b2b2c77d7"),
     (["jinv", "--order", "30"],
      "6cb873579010f25af356fa8299f45dd95a8d0fa384a13e3c3d3fe3609035b9b1"),
-])
+]))
 def test_golden_stdout(argv, digest):
     # The sha256 of the exact stdout: any change of value, order or format shows.
     code, text = run_cli(argv)
@@ -335,14 +340,14 @@ def test_golden_stdout(argv, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv, digest", [
+@pytest.mark.parametrize("argv, digest", _by_argv([
     (["intersect", "--degree", "5", "--a", "-3", "--b", "4"],
      "2894983578e12c32ac29a231e0d7008a59df9764a1da57221f0d44000669d35c"),
     (["verify", "--degree-max", "61", "--format", "json"],
      "797a21489d1d3f8e1bf229feb8dc1f5a20961097aaff292c1ee776da213d6835"),
     (["mirror", "--order", "101"],
      "43269dc1a2f73d1f6e363182cd1e15797f6cf6819fd9b496fde03c43afd19ac9"),
-])
+]))
 def test_golden_usage_errors(argv, digest):
     # The whole usage-error output, parameters block included, byte for byte.
     code, text = run_cli(argv)

@@ -35,6 +35,16 @@ def test_mpoly_hand_expansion():
     assert p == expected
 
 
+@pytest.mark.parametrize("base", [2 * z(0), z(0) + -3 * z(1), z(0) + z(1) + 2 * z(2)], ids=["1-term", "2-term", "3-term"])
+def test_mpoly_power_is_the_repeated_product(base):
+    out = MPoly.const(1)
+    for k in range(6):
+        assert base ** k == out
+        out = out * base
+    with pytest.raises(ValueError, match="negative power"):
+        base ** -1
+
+
 def test_subst_linear_pole_locus():
     p = linform((1, 2), (2, -1)).to_mpoly()
     assert p.taylor(1, linform((2, Fraction(1, 2))), 1)[0].is_zero()

@@ -21,7 +21,7 @@ from quasimap.intersection import (
     wall_form,
     wall_insertion_residue,
 )
-from quasimap.residues import iterated_residue
+from quasimap.residues import ResidueError, iterated_residue
 from quasimap.series import f0_coeff, f1_hat_coeff, mirror_w, mixed_insertion_closed_form
 from quasimap.toric import orientation_enumeration, sr_ideal, sr_ideal_factors, volume_form_factors
 
@@ -155,6 +155,16 @@ def test_degree_selection_zeroes():
 def test_integrate_class_rejects_variable_outside_range():
     with pytest.raises(ValueError, match="H_0..H_2"):
         integrate_class(2, MPoly.monomial({3: 1}))
+
+
+def test_integrate_class_rejects_an_order_of_the_wrong_length():
+    # An order over more variables than H_0..H_d once read as a higher degree and gave 0.
+    omega = MPoly.monomial({0: 8})
+    for d, order in ((1, range(3)), (2, (0, 1, 2, 3))):
+        with pytest.raises(ResidueError, match=f"cover H_0..H_{d}"):
+            integrate_class(d, omega, order=order)
+    values = {integrate_class(1, omega, order=order) for order in (None, range(2), (1, 0))}
+    assert values == {Fraction(1, 432)}
 
 
 @pytest.mark.parametrize("func, args, message", [

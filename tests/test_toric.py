@@ -88,7 +88,7 @@ def test_relation_check_detects_corruption():
     col = list(rays["v3_4"])
     col[7] += 1
     rays["v3_4"] = tuple(col)
-    broken = FanData(fan.d, fan.labels, rays, fan.primitive_collections)
+    broken = FanData(fan.d, rays, fan.primitive_collections)
     assert not relation_check(broken)
     assert relation_defects(broken)
 
@@ -244,8 +244,8 @@ def test_orientation_degree_one_exact_matrices():
 def test_orientation_walk_matches_bareiss_on_every_region(d):
     # Bareiss leaves the (k+1)-th leading minor at m[k][k]; with every minor nonzero it
     # never swaps rows, so each of the walk's minors f_0..f_d is compared, not only f_d.
-    regions = list(_band_walk(_row_choices(d)))
-    assert [rows for rows, _ in regions] == list(product(*_row_choices(d)))
+    regions = list(zip(product(*_row_choices(d)), _band_walk(_row_choices(d)), strict=True))
+    assert len(regions) == 4 ** d
     dets = []
     for rows, minors in regions:
         m = [list(row) for row in _dense(rows, d)]
@@ -259,7 +259,7 @@ def test_every_leading_minor_is_positive():
     # 1 <= f_0 <= f_1 <= ... <= f_d for d = 1..8.
     for d in range(1, 9):
         regions = 0
-        for _, minors in _band_walk(_row_choices(d)):
+        for minors in _band_walk(_row_choices(d)):
             assert 1 <= minors[0] and list(minors) == sorted(minors), minors
             regions += 1
         assert regions == 4 ** d
@@ -292,7 +292,7 @@ def test_the_homotopy_to_the_identity_keeps_every_region_positive(s):
     for d in range(1, 6):
         choices = [[{**{j: s * c for j, c in r.items()}, i: s * r.get(i, 0) + 1 - s} for r in rows]
                    for i, rows in enumerate(_row_choices(d))]
-        dets = [f[-1] for _, f in _band_walk(choices)]
+        dets = [f[-1] for f in _band_walk(choices)]
         assert len(dets) == 4 ** d and min(dets) > 0
 
 
