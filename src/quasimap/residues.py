@@ -68,7 +68,7 @@ def residue_at_point(f: FactoredRat, var: int, pole: TaggedFactor) -> FactoredRa
         den.append((a, mult, (fac.allowed - {var}) & a.support))
     num = f.num * MPoly.factored(f.factors) if f.factors else f.num
     top = _coefficient(num.taylor(var, point, m), series, m - 1)
-    return FactoredRat(f.scalar / c ** m, top, den).reduce()
+    return FactoredRat(f.scalar / c ** m, top, den)
 
 
 def _inverse_power(a: MPoly, c: int | Fraction, k: int, m: int) -> list[MPoly]:
@@ -100,12 +100,12 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
 
 
 def _prepared(f: FactoredRat, d: int) -> FactoredRat:
-    """``f`` filtered for ``d+1`` integrations and reduced; it must involve only ``z_0..z_d``."""
+    """``f`` filtered for ``d+1`` integrations; it must involve only ``z_0..z_d``."""
     involved = f.num.variables().union(*(form.support for form, _ in f.factors),
                                        *(fac.form.support for fac in f.den))
     if not involved <= set(range(d + 1)):
         raise ResidueError("order does not cover the integrand's variables")
-    return homogeneity_filter(f, d).reduce()
+    return homogeneity_filter(f, d)
 
 
 def join_schedule(f: FactoredRat, order: Sequence[int]) -> list[tuple[list, list]]:
@@ -127,16 +127,16 @@ def residue_step(branches: dict, var: int, nums: list, dens: list) -> dict:
     """Integrate ``z_var`` out of every branch, after multiplying in the factors that
     join at this step: the numerators ``nums`` and the denominators ``dens``.  Each
     branch gives one residue per factor tagged with ``var``, and residues with
-    identical tagged denominators are merged."""
+    identical tagged denominators are merged.  A merged sum may cancel a ``z_p``
+    and so change its denominator; it merges again until no branch holds that one."""
     local = MPoly.product(nums)
     local_den = tuple(dens)
     merged: dict[tuple, FactoredRat] = {}
     for branch in branches.values():
-        g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den).reduce()
+        g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den)
         for pole in [fac for fac in g.den if var in fac.allowed]:
             r = residue_at_point(g, var, pole)
-            prev = merged.pop(r.den, None)
-            if prev is not None:
+            while (prev := merged.pop(r.den, None)) is not None:
                 r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)
             if not r.is_zero():
                 merged[r.den] = r

@@ -33,7 +33,7 @@ from quasimap.checks import (
     check_w_coefficients,
     run_verification,
 )
-from quasimap.exact import LinForm
+from quasimap.exact import FactoredRat, LinForm
 from quasimap.intersection import w_sweep
 from quasimap.series import j_from_w, j_modular
 from quasimap.toric import OrientationReport
@@ -187,22 +187,26 @@ def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, 
 
 def test_ladder_repeats_no_exact_work(monkeypatch):
     # Each degree's 1/R is built once and reused by every class paired against it,
-    # and factors a FactoredRat made are entered without being canonicalized again:
+    # factors a FactoredRat made are entered without being canonicalized again, and
+    # the carried z_p powers cancel inside the constructor, with no second FactoredRat:
     # the ladder to d=4 then calls block_forms at most 150 and LinForm.canonicalized
-    # at most 3,000 times (288 and 6,217 when R was rebuilt per class).
+    # at most 3,000 times (288 and 6,217 when R was rebuilt per class) and constructs
+    # at most 900 FactoredRat (1,141 when a separate pass rebuilt each cancelled one).
     counts = Counter()
 
     def count(owner, name):
         real = getattr(owner, name)
 
-        def counted(*args):
+        def counted(*args, **kwargs):
             counts[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
 
     count(toric, "block_forms")
     count(LinForm, "canonicalized")
+    count(FactoredRat, "__init__")
     assert all(r.ok for r in run_verification(4))
     assert counts["block_forms"] <= 150
     assert counts["canonicalized"] <= 3000
+    assert counts["__init__"] <= 900

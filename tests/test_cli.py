@@ -461,11 +461,12 @@ def test_tracer_targets_exist():
 def test_cli_never_runs_the_derivative_reference(monkeypatch, argv):
     # ``FactoredRat.derivative``, ``.subst`` and ``.expand`` are the independent
     # reference the residue tests check ``residue_at_point`` against; an engine
-    # that ran them would be compared with itself.
+    # that ran them would be compared with itself.  ``.reduce`` is the identity,
+    # since the constructor cancels: nothing may call it.
     def refuse(*args, **kwargs):
-        raise AssertionError("the CLI ran the derivative reference")
+        raise AssertionError("the CLI ran the derivative reference or reduce")
 
-    for name in ("derivative", "subst", "expand"):
+    for name in ("derivative", "subst", "expand", "reduce"):
         monkeypatch.setattr(FactoredRat, name, refuse)
     assert run_cli(argv)[0] == 0
 

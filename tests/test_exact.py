@@ -137,6 +137,13 @@ def test_fr_rejects_bad_denominator_factor(num, bad, message):
         FactoredRat(1, num, [bad])
 
 
+@pytest.mark.parametrize("mult", [-1, 0])
+def test_fr_rejects_nonpositive_numerator_factor_multiplicity(mult):
+    # (2 z0)^-1 as a numerator factor would leave a float 0.5 scalar and an untagged z0 denominator
+    with pytest.raises(ValueError, match="multiplicity must be positive"):
+        FactoredRat(1, MPoly.const(1), factors=[(LinForm({0: 2}), mult)])
+
+
 def test_fr_derivative_simple_pole():
     # d/dz0 [1/(2z1 - z0 - z2)] = 1/(2z1 - z0 - z2)^2
     wall = linform((0, -1), (1, 2), (2, -1))
@@ -202,28 +209,31 @@ def _non_pole_points(rng, funcs, nvars=4):
 
 
 def test_fr_reduce_difference_of_squares():
-    # z0 + z1 divides the numerator, but reduce cancels single variables only.
-    f = fr(1, z(0) ** 2 + -1 * z(1) ** 2, [(LinForm.variable(0) + LinForm.variable(1), 1, frozenset())])
-    assert f.reduce() == f
+    # z0 + z1 divides the numerator, but construction cancels single variables only.
+    s = LinForm.variable(0) + LinForm.variable(1)
+    f = fr(1, z(0) ** 2 + -1 * z(1) ** 2, [(s, 1, frozenset())])
+    assert f.num == z(0) ** 2 + -1 * z(1) ** 2 and f.den == (TaggedFactor(s, 1, frozenset()),)
+    assert f.reduce() is f
 
 
 def test_fr_reduce_idempotent_and_value_preserving():
     rng = random.Random(4242)
     wall = linform((0, -1), (1, 2), (2, -1))
     num = (z(0) + z(1)) * wall.to_mpoly() * (z(2) + z(3)) * z(3) ** 2
-    f = fr(Fraction(5, 3), num, [(wall, 2, frozenset({1})), (LinForm.variable(3), 1, frozenset({3}))])
-    g = f.reduce()
-    # every term carries z3^2, so the z3 factor cancels; the wall stays
-    assert [fac.form for fac in g.den] == [wall.canonicalized()[1]]
-    assert g != f
-    assert g.reduce() == g
-    # value equality at three random non-pole rational points
+    den = [(wall, 2, frozenset({1})), (LinForm.variable(3), 1, frozenset({3}))]
+    f = fr(Fraction(5, 3), num, den)
+    # every term carries z3^2, so construction cancels the z3 factor; the wall stays
+    assert [fac.form for fac in f.den] == [wall.canonicalized()[1]]
+    assert f.num == -1 * (z(0) + z(1)) * wall.to_mpoly() * (z(2) + z(3)) * z(3)
+    assert FactoredRat(f.scalar, f.num, f.den, f.factors) == f
+    assert f.reduce() is f
+    # value equality with the uncancelled quotient at three random non-pole rational points
     for _ in range(3):
-        pts = _non_pole_points(rng, [f, g])
-        assert evaluate(f, pts) == evaluate(g, pts)
-    # untouched input comes back unchanged
+        pts = _non_pole_points(rng, [wall, LinForm.variable(3)])
+        assert evaluate(f, pts) == Fraction(5, 3) * evaluate(num, pts) / (evaluate(wall, pts) ** 2 * pts[3])
+    # a numerator that carries no denominator variable is left as given
     h = fr(1, z(0) + z(1), [(LinForm.variable(2), 1, frozenset({2}))])
-    assert h.reduce() == h
+    assert h.num == z(0) + z(1) and h.den == (TaggedFactor(LinForm.variable(2), 1, frozenset({2})),)
 
 
 def test_fr_den_closed_under_derivative_and_subst():
@@ -382,30 +392,37 @@ _mixed_forms = st.lists(st.tuples(st.one_of(_single_forms, _general_forms), st.i
 @given(p=_polys, num_forms=_mixed_forms, den=_mixed_forms, tagged=st.lists(st.booleans(), min_size=4, max_size=4),
        seed=st.integers(0, 2 ** 16))
 def test_fr_reduce_cancels_carried_variable_powers_only(p, num_forms, den, tagged, seed):
+    # Construction cancels each denominator z_v^m against the z_v^k that every numerator
+    # term carries: z_v^(m-k) survives with its allowed set when k < m, none when k = m.
+    # Every other factor stays, and no surviving z_v divides the numerator.
     assume(not p.is_zero())
     num = p * MPoly.factored(num_forms)
-    f = fr(Fraction(2, 3), num,
-           [(form, m, frozenset({min(form.support)}) if t else frozenset()) for (form, m), t in zip(den, tagged)])
-    g = f.reduce()
+    den = [(form, m, frozenset({min(form.support)}) if t else frozenset()) for (form, m), t in zip(den, tagged)]
+    f = fr(Fraction(2, 3), num, den)
+    table = {}
+    for form, m, allowed in den:
+        canon = form.canonicalized()[1]
+        _, total, tags = table.get(canon.key(), (canon, 0, frozenset()))
+        table[canon.key()] = (canon, total + m, tags | allowed)
+    expected = []
+    for _, (canon, m, tags) in sorted(table.items()):
+        if len(canon.coeffs) == 1:
+            m -= min(m, *(dict(e).get(min(canon.coeffs), 0) for e in num.terms))
+        if m:
+            expected.append(TaggedFactor(canon, m, tags))
+    assert f.den == tuple(expected)
     rng = random.Random(seed)
     for _ in range(2):
-        pts = _non_pole_points(rng, [f], nvars=3)
-        assert evaluate(g, pts) == evaluate(f, pts)
-    assert g.reduce() == g
-    assert all(k > 0 for e in g.num.terms for _, k in e)
-    for fac in g.den:
-        if len(fac.form.support) == 1:
-            assert 0 in g.num.split(min(fac.form.support))
-    assert [fac for fac in g.den if len(fac.form.support) > 1] == \
-        [fac for fac in f.den if len(fac.form.support) > 1]
-    # z_v^m cut by k < m survives as z_v^(m-k) with its allowed set; k = m removes it
+        pts = _non_pole_points(rng, [form for form, _, _ in den], nvars=3)
+        raw = Fraction(2, 3) * evaluate(num, pts)
+        for form, m, _ in den:
+            raw /= evaluate(form, pts) ** m
+        assert evaluate(f, pts) == raw
+    assert FactoredRat(f.scalar, f.num, f.den, f.factors) == f and f.reduce() is f
+    assert all(k > 0 for e in f.num.terms for _, k in e)
     for fac in f.den:
         if len(fac.form.support) == 1:
-            v = min(fac.form.support)
-            k = min(fac.multiplicity, *(dict(e).get(v, 0) for e in f.num.terms))
-            survivors = [h for h in g.den if h.form == fac.form]
-            expected = [TaggedFactor(fac.form, fac.multiplicity - k, fac.allowed)] if k < fac.multiplicity else []
-            assert survivors == expected
+            assert 0 in f.num.split(min(fac.form.support))
 
 
 @given(form=_small_forms, s=st.fractions(min_value=-7, max_value=7, max_denominator=7).filter(bool))
@@ -494,7 +511,8 @@ def test_coefficients_are_ints_where_integral(p, q, form, other, s, var, k, m, p
     assert _typed(root)
     v_pt = at(v, evaluate(root, pt))
     assert evaluate(form, v_pt) == 0
-    # construction, reduce and one residue; the same scalar given as an int gives an equal object
+    # construction, which cancels the carried z_var^2, and one residue; the same scalar
+    # given as an int gives an equal object
     assume(not p.is_zero() and not point.is_zero() and pt[var])
     assume(evaluate(form, pt) and evaluate(other, pt) and evaluate(other, v_pt))
     den = [(form, 1, frozenset({v})), (other, 1, frozenset()), (LinForm.variable(var), 2, frozenset({var}))]
@@ -502,12 +520,13 @@ def test_coefficients_are_ints_where_integral(p, q, form, other, s, var, k, m, p
     assume(not f.is_zero())
     assert _typed(f)
     assert evaluate(f, pt) == s * evaluate(p, pt) * evaluate(point, pt) / (evaluate(form, pt) * evaluate(other, pt))
+    assert sum(fac.multiplicity for fac in f.den if fac.form == LinForm.variable(var)) <= \
+        sum(g.support == {var} for g in (form, other))
     if s.denominator == 1:
         assert FactoredRat(s.numerator, p * z(var) ** 2, den, [(point, 1)]) == f
-    g = f.reduce()
-    assert _typed(g) and evaluate(g, pt) == evaluate(f, pt)
     h = FactoredRat(s, p * MPoly.factored([(point, 1)]), den[:2])
-    pole = next(fac for fac in h.den if v in fac.allowed)
+    pole = next((fac for fac in h.den if v in fac.allowed), None)
+    assume(pole is not None)  # else a single-variable form was cancelled against the numerator
     assert pole.form.solve_for(v) == root
     r = residue_at_point(h, v, pole)
     assert _typed(r)

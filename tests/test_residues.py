@@ -10,7 +10,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polys import dense, linform
+from polys import dense, evaluate, linform
 from quasimap import residues
 from quasimap.checks import (
     IDEAL_SAMPLES,
@@ -111,15 +111,21 @@ def test_homogeneity_filter_keeps_matching_component():
            (linform((0, 2), (1, 1)), 1, frozenset({0})), (linform((0, 1), (1, 2)), 1, frozenset({1}))]
     right = MPoly.monomial({0: 6 * d + 2})
     f = FactoredRat(1, right, den)
-    kept = homogeneity_filter(f, d)
-    assert kept.num == right and kept.scalar == 1
+    assert homogeneity_filter(f, d) is f
 
     wrong = MPoly.monomial({0: 5})
     assert homogeneity_filter(FactoredRat(1, wrong, den), d).is_zero()
 
-    mixed = right + wrong
-    kept = homogeneity_filter(FactoredRat(1, mixed, den), d)
-    assert kept.num == right
+    # construction cancels the z0^4 that both components carry; the filter keeps the right one
+    kept = homogeneity_filter(FactoredRat(1, right + wrong, den), d)
+    assert kept == f and kept.num == MPoly.monomial({0: 4}) and kept.scalar == 1
+    rng = random.Random(108)
+    for _ in range(3):
+        pts = [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(2)]
+        value = evaluate(right, pts)
+        for form, mult, _ in den:
+            value /= evaluate(form, pts) ** mult
+        assert evaluate(kept, pts) == value
 
     zero = FactoredRat(0, MPoly.const(1))
     assert homogeneity_filter(zero, d) is zero
@@ -327,6 +333,23 @@ def test_closure_check_steps_the_engine_loop(monkeypatch):
     monkeypatch.setattr(residues, "residue_step", counted)
     assert _denominators_closed(IntegrandSpec.insertions(2, 1, 0).build(), range(3))
     assert calls == [0, 1, 2]
+
+
+def test_merged_sum_that_cancels_merges_again():
+    # At z0 = 0 the branches give 1/z1, z2/z1^2 and (z1 - z2)/z1^2.  The last two
+    # merge into z1/z1^2, which construction cancels to 1/z1: the denominator the
+    # first residue is held under, so it must merge again rather than replace it.
+    def branch(num, m):
+        return FactoredRat(1, num, [(zvar(0), 1, frozenset({0})), (zvar(1), m, frozenset({1}))])
+
+    branches = dict(enumerate([branch(MPoly.const(1), 1), branch(z(2), 2), branch(z(1) + -1 * z(2), 2)]))
+    merged = residues.residue_step(branches, 0, [], [])
+    assert list(merged.values()) == [FactoredRat(2, MPoly.const(1), [(zvar(1), 1, frozenset({1}))])]
+    rng = random.Random(126)
+    for _ in range(3):
+        pts = [Fraction(0)] + [Fraction(rng.randint(1, 40), rng.randint(1, 7)) for _ in range(2)]
+        unmerged = sum(evaluate(residue_at_point(b, 0, b.den[0]), pts) for b in branches.values())
+        assert sum(evaluate(r, pts) for r in merged.values()) == unmerged
 
 
 def test_plan_cover_is_checked_before_the_tags():
@@ -552,14 +575,16 @@ def test_sweep_guard_compares_the_first_d_minus_1_entries(d):
 
 def test_closure_line_fails_when_a_residue_keeps_its_variable(monkeypatch):
     # A residue that keeps z_var / z_var, z_var tagged {var}, has the right
-    # value (the next step's reduce cancels it; a last step's constant is left
-    # alone) but breaks the tag rule: an integrated contour is never visited again.
+    # value (the next step's construction cancels it; a last step's constant is
+    # left alone) but breaks the tag rule: an integrated contour is never visited
+    # again.  The pair is set past the constructor, which would cancel it at once.
     def keeps_variable(f, var, pole):
         r = residue_at_point(f, var, pole)
         if not r.den:
             return r
-        kept = TaggedFactor(LinForm.variable(var), 1, frozenset({var}))
-        return FactoredRat(r.scalar, r.num * z(var), r.den + (kept,))
+        r.num = r.num * z(var)
+        r.den += (TaggedFactor(LinForm.variable(var), 1, frozenset({var})),)
+        return r
 
     assert all(r.ok for r in check_properties())
     monkeypatch.setattr(residues, "residue_at_point", keeps_variable)
