@@ -116,18 +116,21 @@ def check_period_coefficients(period: list[Fraction]) -> list[CheckResult]:
     ]
 
 
-def _integrate_volume(d: int, order: Sequence[int] | None = None, inverse: FactoredRat | None = None) -> Fraction:
-    """The volume class, kept factored: over ``R`` (``inverse`` is ``1/R``) it cancels to ``1/prod z_j``."""
+def _integrate_volume(d: int, order: Sequence[int] | None = None) -> Fraction:
+    """The volume class, kept factored: over ``R`` it cancels to ``1/prod z_j``."""
     scalar, factors = volume_form_factors(d)
-    return integrate_class(d, MPoly.const(scalar), order, factors, inverse)
+    return integrate_class(d, MPoly.const(scalar), order, factors)
 
 
-def check_volume_normalization(dmax: int) -> list[CheckResult]:
-    """The volume class integrates to exactly 1."""
-    return [
-        _cmp(f"volume normalization d={d}", Fraction(1), _integrate_volume(d))
-        for d in range(1, dmax + 1)
-    ]
+def ascending_volumes(dmax: int) -> list[Fraction]:
+    """The volume class integrated in the ascending order, one value per ``d = 1..dmax``."""
+    return [_integrate_volume(d) for d in range(1, dmax + 1)]
+
+
+def check_volume_normalization(volumes: list[Fraction]) -> list[CheckResult]:
+    """The volume class integrates to exactly 1; ``volumes`` is :func:`ascending_volumes`."""
+    return [_cmp(f"volume normalization d={d}", Fraction(1), value)
+            for d, value in enumerate(volumes, start=1)]
 
 
 def _random_monomial(d: int, degree: int, rng: random.Random) -> MPoly:
@@ -173,25 +176,23 @@ def check_degree_selection(dmax: int) -> list[CheckResult]:
     return out
 
 
-def check_order_independence(dmax: int, w: list[Fraction],
-                             period: list[Fraction]) -> list[CheckResult]:
+def check_order_independence(dmax: int, w: list[Fraction], period: list[Fraction],
+                             volumes: list[Fraction]) -> list[CheckResult]:
     """Ascending and descending integration orders agree on the insertion
     integrands and the volume class, for every ``d <= dmax``.
 
-    The ascending insertion values are the prefixes of the sweeps ``w``
-    (``(1, 0)``) and ``period`` (``(2, -1)``), each of length at least ``dmax``,
-    so each insertion line also ties the sweep to a full descending residue of
-    the integrand; the volume class is integrated in both orders here."""
-    if min(len(w), len(period)) < dmax:
+    The ascending values are the prefixes of the sweeps ``w`` (``(1, 0)``) and
+    ``period`` (``(2, -1)``) and of :func:`ascending_volumes` ``volumes``, each of
+    length at least ``dmax``, so each line ties them to a full descending residue."""
+    if min(len(w), len(period), len(volumes)) < dmax:
         raise ValueError(f"need sweeps of length >= {dmax}")
     out = []
     for d in range(1, dmax + 1):
         for (a, b), sweep in (((1, 0), w), ((2, -1), period)):
             down = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), range(d, -1, -1))
             out.append(_cmp(f"order independence d={d} insertions=({a},{b})", sweep[d - 1], down))
-        inverse = r_inverse(d)
-        up, down = (_integrate_volume(d, order, inverse) for order in (None, range(d, -1, -1)))
-        out.append(_cmp(f"order independence d={d} volume", up, down))
+        down = _integrate_volume(d, range(d, -1, -1))
+        out.append(_cmp(f"order independence d={d} volume", volumes[d - 1], down))
     return out
 
 
@@ -324,8 +325,9 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     """Yield every check of the ladder, each as soon as its family has run.
 
     The w-coefficient, period and volume normalization checks run for every
-    ``d <= degree_max``; each of the two sweeps runs once, and the order
-    independence and insertion identities read their prefixes.  The other
+    ``d <= degree_max``; each of the two sweeps and the ascending volumes run
+    once, and the order independence and insertion identities read their
+    prefixes.  The other
     residue families keep the fixed ranges below, and the toric, series and
     property checks do not depend on ``degree_max``.  The command line bounds
     it above by ``cli.DEGREE_MAX``.
@@ -336,10 +338,11 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     yield from check_w_coefficients(w)
     period = w_sweep(degree_max, 2, -1)
     yield from check_period_coefficients(period)
-    yield from check_volume_normalization(degree_max)
+    volumes = ascending_volumes(degree_max)
+    yield from check_volume_normalization(volumes)
     yield from check_ideal_annihilation(min(degree_max, 3))
     yield from check_degree_selection(min(degree_max, 3))
-    yield from check_order_independence(min(degree_max, 3), w, period)
+    yield from check_order_independence(min(degree_max, 3), w, period, volumes)
     yield from check_insertion_identities(min(degree_max, 4), w, period)
     yield from check_toric()
     yield from check_series()

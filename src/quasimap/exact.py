@@ -2,9 +2,12 @@
 
 Every quantity is exact, and nothing here ever touches floating point.  A
 coefficient of a ``LinForm`` or ``MPoly`` is an ``int`` when its value is an
-integer and a ``fractions.Fraction`` otherwise, so the residue engine does
-integer arithmetic wherever the values are integers.  A ``FactoredRat`` scalar
-is a ``Fraction``.  The three layers are
+integer and a ``fractions.Fraction`` otherwise.  A ``Fraction`` coefficient only
+ever comes from a caller: a ``FactoredRat`` keeps its forms canonical and its
+numerator of content 1, so its parts are integral, and the residue engine,
+which works on those parts, never makes a ``Fraction`` coefficient.  A
+``FactoredRat`` scalar is a ``Fraction``, the one rational number it carries.
+The three layers are
 
 * ``LinForm``   -- homogeneous linear forms ``sum_j c_j z_j`` (no constant term),
 * ``MPoly``     -- sparse multivariate polynomials over the rationals,
@@ -27,17 +30,14 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 
-def _as_rat(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(_as_coeff(x))
-
-
 def _content(cs) -> int | Fraction:
     """Positive rational content of the nonzero coefficients ``cs`` (gcd of
     numerators over lcm of denominators), an ``int`` when every ``c`` is."""
-    den = lcm(*(c.denominator for c in cs))
-    if den == 1:
+    try:
         return gcd(*cs)
-    return Fraction(gcd(*(c.numerator * (den // c.denominator) for c in cs)), den)
+    except TypeError:  # a Fraction among them
+        den = lcm(*(c.denominator for c in cs))
+        return Fraction(gcd(*(c.numerator * (den // c.denominator) for c in cs)), den)
 
 
 def _as_coeff(x) -> int | Fraction:
@@ -51,6 +51,23 @@ def _as_coeff(x) -> int | Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+_ZERO_FORM = "the zero form has no canonical representative"
+
+
+def _linform(coeffs: dict) -> LinForm:
+    """The ``LinForm`` of ``coeffs``, nonzero ``int``s by ``int`` variable, taken unchecked."""
+    form = object.__new__(LinForm)
+    form.coeffs = coeffs
+    return form
+
+
+def _mpoly(terms: dict) -> MPoly:
+    """The ``MPoly`` of ``terms``, nonzero coefficients as ``MPoly`` keeps them, taken unchecked."""
+    poly = object.__new__(MPoly)
+    poly.terms = terms
+    return poly
+
+
 class LinForm:
     """A homogeneous linear form ``sum_j c_j z_j`` with exact rational coefficients.
 
@@ -58,20 +75,21 @@ class LinForm:
     homogeneous, so a constant appearing in a pole locus would signal a bug.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_key")
 
     def __init__(self, coeffs: Mapping[int, int | Fraction] | None = None):
         d = {}
         if coeffs:
             for v, c in coeffs.items():
-                c = _as_coeff(c)
+                if type(c) is not int:
+                    c = _as_coeff(c)
                 if c:
                     d[int(v)] = c
         self.coeffs = d
 
     @classmethod
     def variable(cls, j: int) -> LinForm:
-        return cls({j: 1})
+        return _linform({int(j): 1})
 
     @property
     def support(self) -> frozenset[int]:
@@ -102,8 +120,12 @@ class LinForm:
         return hash(frozenset(self.coeffs.items()))
 
     def key(self) -> tuple:
-        """Deterministic sort key."""
-        return tuple(sorted(self.coeffs.items()))
+        """Deterministic sort key, computed once per form."""
+        try:
+            return self._key
+        except AttributeError:
+            self._key = key = tuple(sorted(self.coeffs.items()))
+            return key
 
     def subst(self, var: int, point: LinForm) -> LinForm:
         """Replace ``z_var`` by the linear form ``point``."""
@@ -116,11 +138,12 @@ class LinForm:
         return rest + point * c
 
     def solve_for(self, var: int) -> LinForm:
-        """The point ``z_var = p`` with ``self = 0``, i.e. ``p = -(self - c*z_var)/c``."""
+        """The point ``z_var = p`` with ``self = 0``, i.e. ``p = -(self - c*z_var)/c``, a
+        rational form; the tests' reference point, which the integer residue engine never makes."""
         c = self.coeffs.get(var)
         if not c:
             raise ValueError(f"form does not involve z_{var}")
-        c = _as_rat(c)  # an int divisor would make ``-w / c`` a float
+        c = Fraction(c)  # an int divisor would make ``-w / c`` a float
         return LinForm({v: -w / c for v, w in self.coeffs.items() if v != var})
 
     def canonicalized(self) -> tuple[int | Fraction, LinForm]:
@@ -130,17 +153,23 @@ class LinForm:
         so proportional forms always canonicalize to the identical form.  A
         form that is already canonical comes back as ``(1, self)``.
         """
-        if not self.coeffs:
-            raise ValueError("the zero form has no canonical representative")
-        c = _content(self.coeffs.values())
-        if self.coeffs[min(self.coeffs)] < 0:
+        coeffs = self.coeffs
+        if not coeffs:
+            raise ValueError(_ZERO_FORM)
+        items = sorted(coeffs.items())
+        c = _content(coeffs.values())
+        if items[0][1] < 0:
             c = -c
         if c == 1:
+            self._key = tuple(items)
             return 1, self
-        return c, LinForm({v: x // c for v, x in self.coeffs.items()})  # exact: c is the content
+        key = tuple([(v, x // c) for v, x in items])  # exact: c is the content
+        canon = _linform(dict(key))
+        canon._key = key
+        return c, canon
 
     def to_mpoly(self) -> MPoly:
-        return MPoly({((v, 1),): c for v, c in self.coeffs.items()})
+        return _mpoly({((v, 1),): c for v, c in self.coeffs.items()})
 
     def render(self, names: str = "z") -> str:
         return self.to_mpoly().render(names)
@@ -164,7 +193,8 @@ class MPoly:
         clean = {}
         if terms:
             for e, c in terms.items():
-                c = _as_coeff(c)
+                if type(c) is not int:
+                    c = _as_coeff(c)
                 if c:
                     clean[e] = c
         self.terms = clean
@@ -185,10 +215,11 @@ class MPoly:
 
     @classmethod
     def product(cls, factors: Iterable[LinForm | MPoly]) -> MPoly:
-        out = cls.const(1)
+        out = None
         for f in factors:
-            out = out * (f.to_mpoly() if isinstance(f, LinForm) else f)
-        return out
+            f = f.to_mpoly() if isinstance(f, LinForm) else f
+            out = f if out is None else out * f
+        return cls.const(1) if out is None else out
 
     @classmethod
     def factored(cls, factors: Iterable[tuple[LinForm, int]]) -> MPoly:
@@ -242,7 +273,7 @@ class MPoly:
         return max((_degree(e) for e in self.terms), default=-1)
 
     def homogeneous_component(self, k: int) -> MPoly:
-        return MPoly({e: c for e, c in self.terms.items() if _degree(e) == k})
+        return _mpoly({e: c for e, c in self.terms.items() if _degree(e) == k})
 
     def split(self, var: int) -> dict[int, MPoly]:
         """``{k: P_k}`` with ``self = sum_k P_k z_var^k``; no ``P_k`` involves ``z_var``."""
@@ -253,12 +284,13 @@ class MPoly:
                 parts.setdefault(e[i][1], {})[e[:i] + e[i + 1:]] = c
             else:
                 parts.setdefault(0, {})[e] = c
-        return {k: MPoly(part) for k, part in parts.items()}
+        return {k: _mpoly(part) for k, part in parts.items()}
 
     def taylor(self, var: int, point: LinForm, m: int) -> list[MPoly]:
         """The coefficients of ``t^0 .. t^(m-1)`` in ``self`` at ``z_var = point + t``
         (``point`` must not involve ``z_var``), by Horner's rule in ``point + t``
-        truncated after ``t^(m-1)``; ``taylor(var, point, 1)[0]`` is the substitution."""
+        truncated after ``t^(m-1)``; ``taylor(var, point, 1)[0]`` is the substitution.
+        The tests' reference: ``residue_at_point`` keeps its own expansion in ``int``s."""
         if var in point.support:
             raise ValueError("substitution point must not involve the substituted variable")
         parts = self.split(var)
@@ -268,11 +300,6 @@ class MPoly:
             low = parts.get(k, MPoly())
             out = [out[i] * point_poly + (out[i - 1] if i else low) for i in range(m)]
         return out
-
-    def content(self) -> int | Fraction:
-        """Positive rational content (gcd of numerators over lcm of denominators),
-        an ``int`` when every coefficient is an ``int``."""
-        return _content(self.terms.values()) if self.terms else 1
 
     def render(self, names: str = "z") -> str:
         if not self.terms:
@@ -340,14 +367,17 @@ class FactoredRat:
 
     The constructor checks each denominator factor ``(form, multiplicity,
     allowed)`` -- a positive multiplicity, a nonzero form, ``allowed`` inside
-    the form's support -- and raises ``ValueError`` otherwise, whatever the
-    numerator; ``num = 0`` then collapses the object to the zero function.
+    the form's support -- and each numerator factor's multiplicity and form,
+    and raises ``ValueError`` otherwise, whatever the numerator; ``num = 0``
+    then collapses the object to the zero function.
     A :class:`TaggedFactor`, which only a ``FactoredRat`` makes, is taken on
-    trust: its form is canonical and it was checked, so it is entered as it is.
+    trust: its form is canonical and it was checked, so it is entered as it is,
+    and an entry nothing else touches comes out as the same object.
     ``factors`` holds linear numerator factors ``(g_k, n_k)``, each ``n_k``
     positive, unexpanded until the first residue step whose variable they
     involve.  Each form is canonicalized (its scale, like the content of
-    ``num``, goes into ``scalar``) and entered in one table by canonical form:
+    ``num``, joins the scalar's ``int`` numerator and denominator, which make
+    one ``Fraction`` at the end) and entered in one table by canonical form:
     a denominator factor subtracts its multiplicity and adds its tags to the
     entry's allowed set, a numerator factor adds its multiplicity.  Each
     ``z_p`` entry then takes back the power of ``z_p`` that every term of
@@ -363,59 +393,94 @@ class FactoredRat:
     __slots__ = ("scalar", "num", "den", "factors")
 
     def __init__(self, scalar, num: MPoly, den: Iterable = (), factors: Iterable[tuple[LinForm, int]] = ()):
-        scalar = _as_rat(scalar)
-        net: dict[tuple, list] = {}  # canonical key -> [form, net exponent, allowed]
+        if type(scalar) is not Fraction:
+            scalar = Fraction(_as_coeff(scalar))
+        p, q = scalar.numerator, scalar.denominator  # every scale and the content join these
+        net: dict[tuple, list] = {}  # canonical key -> [form, net exponent, allowed, TaggedFactor kept as is]
         for fac in den:
-            if isinstance(fac, TaggedFactor):  # made, and so checked, by a FactoredRat
-                canon, mult, allowed = fac
+            if type(fac) is TaggedFactor:  # made, and so checked, by a FactoredRat
+                form, mult, allowed = fac
             else:
                 form, mult, allowed = fac
                 if mult < 1:
                     raise ValueError("multiplicity must be positive")
-                scale, canon = form.canonicalized()  # raises on the zero form
+                scale, form = form.canonicalized()  # raises on the zero form
                 allowed = frozenset(allowed)
-                if not allowed <= form.support:
+                if not form.coeffs.keys() >= allowed:
                     raise ValueError("allowed set must lie inside the support of the form")
                 if scale != 1:
-                    scalar /= scale ** mult
-            entry = net.setdefault(canon.key(), [canon, 0, frozenset()])
-            entry[1] -= mult
-            entry[2] |= allowed
-        if num.is_zero() or scalar == 0:
+                    p *= scale.denominator ** mult
+                    q *= scale.numerator ** mult
+                fac = None
+            key = form.key()
+            entry = net.get(key)
+            if entry is None:
+                net[key] = [form, -mult, allowed, fac]
+            else:
+                entry[1] -= mult
+                entry[2] = entry[2] | allowed
+                entry[3] = None
+        factors = list(factors)
+        for form, mult in factors:
+            if mult < 1:
+                raise ValueError("multiplicity must be positive")
+            if not form.coeffs:
+                raise ValueError(_ZERO_FORM)
+        terms = num.terms
+        if not terms or not p:
             self.scalar = Fraction(0)
             self.num = MPoly.zero()
             self.den = ()
             self.factors = ()
             return
         for form, mult in factors:
-            if mult < 1:
-                raise ValueError("multiplicity must be positive")
-            scale, canon = form.canonicalized()
+            scale, form = form.canonicalized()
             if scale != 1:
-                scalar *= scale ** mult
-            net.setdefault(canon.key(), [canon, 0, frozenset()])[1] += mult
-        c = num.content()
-        if num.terms[max(num.terms, key=_dense_order)] < 0:
+                p *= scale.numerator ** mult
+                q *= scale.denominator ** mult
+            key = form._key  # set by canonicalized
+            entry = net.get(key)
+            if entry is None:
+                net[key] = [form, mult, frozenset(), None]
+            else:
+                entry[1] += mult
+                entry[3] = None
+        c = _content(terms.values())
+        if terms[max(terms, key=_dense_order) if len(terms) > 1 else next(iter(terms))] < 0:
             c = -c
         if c != 1:
-            scalar *= c
-            num = MPoly({e: v // c for e, v in num.terms.items()})  # exact: c is the content
-        cut = {min(form.coeffs): -e for form, e, _ in net.values() if e < 0 and len(form.coeffs) == 1}
-        for e in num.terms:
+            p *= c.numerator
+            q *= c.denominator
+            terms = {e: v // c for e, v in terms.items()}  # exact: c is the content
+        rest = iter(terms)
+        cut = {}  # z_p -> the power every term carries, up to its net denominator exponent
+        for v, k in next(rest):
+            entry = net.get(((v, 1),))
+            if entry is not None and entry[1] < 0:
+                cut[v] = min(k, -entry[1])
+        for e in rest:
             if not cut:
                 break
             exps = dict(e)
             cut = {v: min(k, exps[v]) for v, k in cut.items() if v in exps}
         if cut:
-            num = MPoly({tuple((v, k - cut.get(v, 0)) for v, k in e if k != cut.get(v, 0)): c
-                         for e, c in num.terms.items()})
+            terms = {tuple([(v, k - cut.get(v, 0)) for v, k in e if k != cut.get(v, 0)]): x
+                     for e, x in terms.items()}
             for v, k in cut.items():
-                net[((v, 1),)][1] += k
-        self.scalar = scalar
-        self.num = num
-        table = [entry for _, entry in sorted(net.items())]
-        self.den = tuple(TaggedFactor(form, -e, allowed) for form, e, allowed in table if e < 0)
-        self.factors = tuple((form, e) for form, e, _ in table if e > 0)
+                entry = net[((v, 1),)]
+                entry[1] += k
+                entry[3] = None
+        self.scalar = scalar if p == scalar.numerator and q == scalar.denominator else Fraction(p, q)
+        self.num = num if terms is num.terms else _mpoly(terms)
+        den, kept = [], []
+        for key in sorted(net):
+            form, e, allowed, tagged = net[key]
+            if e < 0:
+                den.append(TaggedFactor(form, -e, allowed) if tagged is None else tagged)
+            elif e:
+                kept.append((form, e))
+        self.den = tuple(den)
+        self.factors = tuple(kept)
 
     def is_zero(self) -> bool:
         return self.scalar == 0

@@ -27,10 +27,10 @@ chain family ``f_1..f_D`` on one ascending pass of it over ``f_D``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterator, Sequence
 
-from .exact import FactoredRat, MPoly, TaggedFactor
+from .exact import FactoredRat, LinForm, MPoly, TaggedFactor
 
 
 class ResidueError(ValueError):
@@ -38,40 +38,75 @@ class ResidueError(ValueError):
 
 
 def residue_at_point(f: FactoredRat, var: int, pole: TaggedFactor) -> FactoredRat:
-    """Residue of ``f`` at the zero ``z_var = point`` of its denominator factor ``pole``.
+    """Residue of ``f`` at the zero ``z_var = P/c`` of its denominator factor ``pole``.
 
-    With ``pole = (c*(z_var - point))^m``, the only factor of ``f`` that vanishes
-    there, the residue is ``c^-m`` times the coefficient of ``t^(m-1)`` in the
-    rest of ``f`` at ``z_var = point + t``.  One truncated expansion in ``t``
-    takes that coefficient for every pole order: the numerator's Taylor
-    coefficients at ``point`` (:meth:`MPoly.taylor`), times each other factor
-    ``(a + c t)^-k`` that involves ``z_var``, expanded to order ``m-1`` over
-    ``a^(k+m-1)``.  The result no longer involves ``z_var``.
+    With ``pole = (c z_var - P)^m``, the only factor of ``f`` that vanishes there,
+    the residue is ``1/c`` times the coefficient of ``u^(m-1)`` in the rest of ``f``
+    at ``z_var = (P + u)/c``.  Everything stays in ``int``s.  The numerator, of degree
+    ``K`` in ``z_var``, becomes ``c^-K`` times its Horner expansion in ``P + u`` scaled
+    by ``c^K`` (:func:`_horner`).  Each other factor ``a z_var + b`` becomes
+    ``(A + a u)/c`` with ``A = a P + c b``, and ``(A + a u)^-k`` is expanded to order
+    ``m-1`` over ``A^(k+m-1)``; a factor free of ``z_var`` stays as it is.  Every power
+    of ``c`` goes into the scalar, and a simple pole takes the substitution alone.
+    The result no longer involves ``z_var``.
     """
-    c = pole.form.coeff(var)
     others = [fac for fac in f.den if fac != pole]
+    pole_coeffs = pole.form.coeffs
+    c = pole_coeffs.get(var)
     if not c or len(others) == len(f.den):
         raise ResidueError(f"not a pole: not a denominator factor of f in z{var}")
-    point = pole.form.solve_for(var)
     m = pole.multiplicity
-    # The product of the other factors' expansions in t; the numerator's
-    # Taylor coefficients join only for the one coefficient that is kept.
-    series = [MPoly.const(1)] + [MPoly.zero()] * (m - 1)
+    num = f.num * MPoly.factored(f.factors) if f.factors else f.num
+    parts = num.split(var)
+    point = MPoly({((v, 1),): -w for v, w in pole_coeffs.items() if v != var})
+    top = _horner(parts, point, c, m)
+    power = -1 - max(parts)  # of c in the scalar
+    p, q = f.scalar.numerator, f.scalar.denominator
+    series = None
     den = []
     for fac in others:
-        a = fac.form.subst(var, point)
+        coeffs = fac.form.coeffs
+        a = coeffs.get(var)
+        if a is None:
+            den.append(fac)
+            continue
+        moved = LinForm({v: c * coeffs.get(v, 0) - a * pole_coeffs.get(v, 0)
+                         for v in coeffs.keys() | pole_coeffs.keys() if v != var})
         mult = fac.multiplicity
-        if fac.form.coeff(var):
-            inverse = _inverse_power(a.to_mpoly(), fac.form.coeff(var), mult, m)
-            series = [_coefficient(series, inverse, n) for n in range(m)]
+        power += mult
+        if m > 1:
+            inverse = _inverse_power(moved.to_mpoly(), a, mult, m)
+            series = inverse if series is None else [_coefficient(series, inverse, n) for n in range(m)]
             mult += m - 1
-        den.append((a, mult, (fac.allowed - {var}) & a.support))
-    num = f.num * MPoly.factored(f.factors) if f.factors else f.num
-    top = _coefficient(num.taylor(var, point, m), series, m - 1)
-    return FactoredRat(f.scalar / c ** m, top, den)
+        scale, form = moved.canonicalized()
+        q *= scale ** mult
+        den.append(TaggedFactor(form, mult, fac.allowed.intersection(form.coeffs)))  # form is free of z_var
+    if power > 0:
+        p *= c ** power
+    else:
+        q *= c ** -power
+    top = top[m - 1] if series is None else _coefficient(top, series, m - 1)
+    return FactoredRat(Fraction(p, q), top, den)
 
 
-def _inverse_power(a: MPoly, c: int | Fraction, k: int, m: int) -> list[MPoly]:
+def _horner(parts: dict[int, MPoly], point: MPoly, c: int, m: int) -> list[MPoly]:
+    """The coefficients of ``u^0 .. u^(m-1)`` in ``sum_k P_k c^(K-k) (point + u)^k`` for
+    ``parts = {k: P_k}`` with top key ``K``: Horner's rule in ``point + u``, truncated
+    after ``u^(m-1)``, with ``P_k`` scaled by one more ``c`` per step down."""
+    k = max(parts)
+    if not point.terms:  # the pole is c z_var: each coefficient is one part
+        return [parts[n] * c ** (k - n) if n in parts else MPoly() for n in range(m)]
+    out = [parts[k]] + [MPoly()] * (m - 1)
+    scale = 1
+    for k in range(k - 1, -1, -1):
+        scale *= c
+        out = [out[i] * point + out[i - 1] if i else out[0] * point for i in range(m)]
+        if (low := parts.get(k)) is not None:
+            out[0] = out[0] + (low * scale if scale != 1 else low)
+    return out
+
+
+def _inverse_power(a: MPoly, c: int, k: int, m: int) -> list[MPoly]:
     """``(a + c t)^-k`` to order ``t^(m-1)``, times ``a^(k+m-1)``: the
     coefficient of ``t^n`` is ``binom(-k, n) c^n a^(m-1-n)``."""
     return [a ** (m - 1 - n) * ((-c) ** n * comb(k + n - 1, n)) for n in range(m)]
@@ -101,8 +136,8 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
 
 def _prepared(f: FactoredRat, d: int) -> FactoredRat:
     """``f`` filtered for ``d+1`` integrations; it must involve only ``z_0..z_d``."""
-    involved = f.num.variables().union(*(form.support for form, _ in f.factors),
-                                       *(fac.form.support for fac in f.den))
+    involved = f.num.variables().union(*(form.coeffs for form, _ in f.factors),
+                                       *(fac.form.coeffs for fac in f.den))
     if not involved <= set(range(d + 1)):
         raise ResidueError("order does not cover the integrand's variables")
     return homogeneity_filter(f, d)
@@ -117,9 +152,9 @@ def join_schedule(f: FactoredRat, order: Sequence[int]) -> list[tuple[list, list
     if not f.num.is_constant():
         joins[min(map(step.get, f.num.variables()))][0].append(f.num)
     for form, mult in f.factors:
-        joins[min(map(step.get, form.support))][0].append(form.to_mpoly() ** mult)
+        joins[min(map(step.get, form.coeffs))][0].append(form.to_mpoly() ** mult)
     for fac in f.den:
-        joins[min(map(step.get, fac.form.support))][1].append(fac)
+        joins[min(map(step.get, fac.form.coeffs))][1].append(fac)
     return joins
 
 
@@ -132,15 +167,25 @@ def residue_step(branches: dict, var: int, nums: list, dens: list) -> dict:
     local = MPoly.product(nums)
     local_den = tuple(dens)
     merged: dict[tuple, FactoredRat] = {}
-    for branch in branches.values():
-        g = FactoredRat(branch.scalar, branch.num * local, branch.den + local_den)
+    for g in branches.values():
+        if nums or dens:  # else the branch stands as it was built
+            g = FactoredRat(g.scalar, g.num * local if nums else g.num, g.den + local_den)
         for pole in [fac for fac in g.den if var in fac.allowed]:
             r = residue_at_point(g, var, pole)
             while (prev := merged.pop(r.den, None)) is not None:
-                r = FactoredRat(1, prev.scalar * prev.num + r.scalar * r.num, r.den)
+                r = _sum(prev, r)
             if not r.is_zero():
                 merged[r.den] = r
     return merged
+
+
+def _sum(f: FactoredRat, g: FactoredRat) -> FactoredRat:
+    """``f + g`` for two functions with the same denominator, over the ``lcm`` of their
+    scalars' denominators, so that the numerator stays in ``int``s."""
+    a, b = f.scalar, g.scalar
+    den = lcm(a.denominator, b.denominator)
+    num = f.num * (a.numerator * (den // a.denominator)) + g.num * (b.numerator * (den // b.denominator))
+    return FactoredRat(Fraction(1, den), num, f.den)
 
 
 def _value(branches: dict) -> Fraction:

@@ -21,6 +21,7 @@ from quasimap.checks import (
     IDEAL_SEED,
     ORIENTATION_DMAX,
     RELATION_DMAX,
+    ascending_volumes,
     check_degree_selection,
     check_ideal_annihilation,
     check_insertion_identities,
@@ -60,7 +61,7 @@ def test_criterion_2_period_coefficients():
 
 def test_criterion_3_volume_normalization():
     _report("criterion 3: volume class integrates to 1 for d<=10",
-            check_volume_normalization(10))
+            check_volume_normalization(ascending_volumes(10)))
 
 
 def test_criterion_4_ideal_annihilation():
@@ -83,12 +84,12 @@ def test_sample_counts_and_seeds_are_pinned():
 def test_criterion_6_order_independence():
     _report("criterion 6: ascending vs descending residue plans agree, "
             "insertion integrands and volume class d<=10",
-            check_order_independence(10, w_sweep(10, 1, 0), w_sweep(10, 2, -1)))
+            check_order_independence(10, w_sweep(10, 1, 0), w_sweep(10, 2, -1), ascending_volumes(10)))
 
 
 def test_order_independence_needs_sweeps_of_length_dmax():
-    w, period = w_sweep(2, 1, 0), w_sweep(2, 2, -1)
-    for short in ((w[:1], period), (w, period[:1])):
+    w, period, volumes = w_sweep(2, 1, 0), w_sweep(2, 2, -1), ascending_volumes(2)
+    for short in ((w[:1], period, volumes), (w, period[:1], volumes), (w, period, volumes[:1])):
         with pytest.raises(ValueError, match="length >= 2"):
             check_order_independence(2, *short)
 
@@ -140,7 +141,7 @@ def _one_class(d):
 def _order_independence_perturbed():
     """Order independence at d<=2 with the ascending w value at d=2 off by one."""
     w = w_sweep(2, 1, 0)
-    return check_order_independence(2, [w[0], w[1] + 1], w_sweep(2, 2, -1))
+    return check_order_independence(2, [w[0], w[1] + 1], w_sweep(2, 2, -1), ascending_volumes(2))
 
 
 @pytest.mark.parametrize("check, predicate, replacement, failures, first", [
@@ -191,7 +192,9 @@ def test_ladder_repeats_no_exact_work(monkeypatch):
     # the carried z_p powers cancel inside the constructor, with no second FactoredRat:
     # the ladder to d=4 then calls block_forms at most 150 and LinForm.canonicalized
     # at most 3,000 times (288 and 6,217 when R was rebuilt per class) and constructs
-    # at most 900 FactoredRat (1,141 when a separate pass rebuilt each cancelled one).
+    # at most 850 FactoredRat (1,141 when a separate pass rebuilt each cancelled one,
+    # 865 when the ascending volumes were integrated twice and a step rebuilt every
+    # branch it joined nothing to).
     counts = Counter()
 
     def count(owner, name):
@@ -209,4 +212,4 @@ def test_ladder_repeats_no_exact_work(monkeypatch):
     assert all(r.ok for r in run_verification(4))
     assert counts["block_forms"] <= 150
     assert counts["canonicalized"] <= 3000
-    assert counts["__init__"] <= 900
+    assert counts["__init__"] <= 850

@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from quasimap.cli import CommandResult, main
-from quasimap.exact import FactoredRat
+from quasimap.exact import FactoredRat, LinForm, MPoly
 from quasimap.residues import residue_at_point
 
 
@@ -459,15 +459,18 @@ def test_tracer_targets_exist():
     ["verify", "--degree-max", "4", "--format", "json"],
 ], ids=" ".join)
 def test_cli_never_runs_the_derivative_reference(monkeypatch, argv):
-    # ``FactoredRat.derivative``, ``.subst`` and ``.expand`` are the independent
-    # reference the residue tests check ``residue_at_point`` against; an engine
-    # that ran them would be compared with itself.  ``.reduce`` is the identity,
+    # ``FactoredRat.derivative``, ``.subst`` and ``.expand``, with the rational point
+    # of ``LinForm.solve_for`` and the Taylor coefficients of ``MPoly.taylor``, are the
+    # independent reference the residue tests check ``residue_at_point`` against; an
+    # engine that ran them would be compared with itself.  ``.reduce`` is the identity,
     # since the constructor cancels: nothing may call it.
     def refuse(*args, **kwargs):
         raise AssertionError("the CLI ran the derivative reference or reduce")
 
     for name in ("derivative", "subst", "expand", "reduce"):
         monkeypatch.setattr(FactoredRat, name, refuse)
+    monkeypatch.setattr(LinForm, "solve_for", refuse)
+    monkeypatch.setattr(MPoly, "taylor", refuse)
     assert run_cli(argv)[0] == 0
 
 

@@ -137,11 +137,17 @@ def test_fr_rejects_bad_denominator_factor(num, bad, message):
         FactoredRat(1, num, [bad])
 
 
-@pytest.mark.parametrize("mult", [-1, 0])
-def test_fr_rejects_nonpositive_numerator_factor_multiplicity(mult):
-    # (2 z0)^-1 as a numerator factor would leave a float 0.5 scalar and an untagged z0 denominator
-    with pytest.raises(ValueError, match="multiplicity must be positive"):
-        FactoredRat(1, MPoly.const(1), factors=[(LinForm({0: 2}), mult)])
+@pytest.mark.parametrize("factor, message", [
+    ((LinForm({0: 2}), -1), "multiplicity must be positive"),
+    ((LinForm({0: 1}), 0), "multiplicity must be positive"),
+    ((LinForm(), 1), "the zero form has no canonical representative"),
+], ids=["-1", "0", "zero-form"])
+def test_fr_rejects_nonpositive_numerator_factor_multiplicity(factor, message):
+    # (2 z0)^-1 as a numerator factor would leave a float 0.5 scalar and an untagged z0
+    # denominator; the factors are checked before a zero numerator collapses the function
+    for num in (MPoly.const(1), MPoly.zero()):
+        with pytest.raises(ValueError, match=message):
+            FactoredRat(1, num, factors=[factor])
 
 
 def test_fr_derivative_simple_pole():

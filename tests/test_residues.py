@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import functools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import factorial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polys import dense, evaluate, linform
-from quasimap import residues
+from quasimap import exact, residues
 from quasimap.checks import (
     IDEAL_SAMPLES,
     IDEAL_SEED,
@@ -20,6 +22,7 @@ from quasimap.checks import (
     check_degree_selection,
     check_ideal_annihilation,
     check_properties,
+    run_verification,
 )
 from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 from quasimap.intersection import (
@@ -508,6 +511,7 @@ _num = st.dictionaries(
 
 @given(
     var=st.integers(0, 2),
+    lead=st.integers(1, 3),
     point_row=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
     order=st.integers(1, 4),
     scales=st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=2),
@@ -515,23 +519,27 @@ _num = st.dictionaries(
     num=_num,
     factors=st.lists(st.tuples(_rows, st.integers(1, 2)), max_size=2),
 )
-def test_laurent_residue_matches_repeated_derivatives(var, point_row, order, scales, others, num, factors):
-    # A pole of the given order at z_var = point, split over one or two
-    # proportional factors; the other factors do not vanish there.
+def test_laurent_residue_matches_repeated_derivatives(var, lead, point_row, order, scales, others, num, factors):
+    # A pole of the given order on lead * z_var = point, split over one or two
+    # proportional factors; the other factors do not vanish there.  A lead of 2
+    # or 3 makes the zero point / lead rational, as on the walls 2 z_i - z_{i-1} - z_{i+1}.
     point = LinForm({v: c for v, c in enumerate(point_row) if v != var})
-    pole = LinForm.variable(var) + point * -1
+    pole = LinForm({var: lead}) + point * -1
+    zero = point * Fraction(1, lead)
     mults = [order] if order == 1 else [order - len(scales) + 1] + [1] * (len(scales) - 1)
     den = [(pole * c, mult, frozenset({var})) for c, mult in zip(scales, mults)]
 
     def off_pole(rows):
         forms = [(LinForm(dict(enumerate(row))), mult) for row, mult in rows]
-        return [(form, mult) for form, mult in forms if not form.subst(var, point).is_zero()]
+        return [(form, mult) for form, mult in forms if not form.subst(var, zero).is_zero()]
 
     den += [(form, mult, form.support) for form, mult in off_pole(others)]
+    # a pole lead * z_var takes back the power of z_var that every term of num carries
+    assume(not point.is_zero() or 0 in dense(num).split(var))
     f = FactoredRat(Fraction(3, 7), dense(num), den, off_pole(factors))
-    vanishing = [fac for fac in f.den if fac.form.subst(var, point).is_zero()]
+    vanishing = [fac for fac in f.den if fac.form.subst(var, zero).is_zero()]
     assert len(vanishing) == 1 and vanishing[0].multiplicity == order
-    assert residue_at_point(f, var, vanishing[0]) == _residue_by_derivatives(f, var, point)
+    assert residue_at_point(f, var, vanishing[0]) == _residue_by_derivatives(f, var, zero)
 
 
 @pytest.mark.parametrize("family", sorted(_CHAIN_FAMILIES))
@@ -592,3 +600,37 @@ def test_closure_line_fails_when_a_residue_keeps_its_variable(monkeypatch):
     line = next(r for r in results if r.name == "denominator closure")
     assert [r.name for r in results if not r.ok] == ["denominator closure"]
     assert line.line() == "FAIL denominator closure: expected linear tagged factors only, actual violation"
+
+
+def test_engine_builds_no_fraction_coefficient(monkeypatch):
+    # The parts of a FactoredRat are integral, and the engine keeps them so: it reaches
+    # a pole z_var = P/c by substituting (P + u)/c with every power of c in the scalar,
+    # and merges branches over the lcm of their scalars' denominators.  No MPoly or
+    # LinForm built while a function of residues.py runs may hold a Fraction (about
+    # 1,030 and 170 over these calls when the pole point was the rational form P/c).
+    built = Counter()
+
+    def watch(kind, values):
+        frame = sys._getframe(2)
+        while frame is not None and frame.f_code.co_filename != residues.__file__:
+            frame = frame.f_back
+        if frame is not None:
+            built[kind, any(type(c) is Fraction for c in values)] += 1
+
+    for cls, attr in ((MPoly, "terms"), (LinForm, "coeffs")):
+        def init(self, *args, _real=cls.__init__, _attr=attr, **kwargs):
+            _real(self, *args, **kwargs)
+            watch(type(self).__name__, getattr(self, _attr).values())
+
+        monkeypatch.setattr(cls, "__init__", init)
+    for name, attr in (("_mpoly", "terms"), ("_linform", "coeffs")):
+        def make(values, _real=getattr(exact, name), _attr=attr):
+            out = _real(values)
+            watch(type(out).__name__, getattr(out, _attr).values())
+            return out
+
+        monkeypatch.setattr(exact, name, make)
+    assert all(r.ok for r in run_verification(4))
+    assert compute_w(5, 1, 0) == Fraction(6338685466447488, 5)
+    assert built["MPoly", False] > 1000 and built["LinForm", False] > 100
+    assert built["MPoly", True] == built["LinForm", True] == 0
