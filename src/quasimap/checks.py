@@ -38,7 +38,7 @@ from .series import (
 )
 from .toric import (
     build_fan,
-    det_Bk,
+    corner_determinants,
     divisor_classes,
     orientation_enumeration,
     orientation_premises,
@@ -227,12 +227,12 @@ def check_toric() -> list[CheckResult]:
     out = []
     for d in range(1, RELATION_DMAX + 1):
         out.append(_cmp(f"ray relations d={d}", True, relation_check(build_fan(d))))
-    dets_ok = all(det_Bk(k) == 9 * k - 6 for k in range(1, DET_KMAX + 1))
+    dets_ok = corner_determinants(DET_KMAX) == [9 * k - 6 for k in range(1, DET_KMAX + 1)]
     out.append(_verdict(f"corner determinants k<={DET_KMAX}", dets_ok, "9k-6 for all k",
                         "all match", "mismatch"))
     for d in range(1, ORIENTATION_DMAX + 1):
         rep = orientation_enumeration(d)
-        out.append(CheckResult(f"orientation d={d}", rep.all_positive and rep.region_count == 4 ** d,
+        out.append(CheckResult(f"orientation d={d}", rep.min_det > 0 and rep.region_count == 4 ** d,
                                f"{4 ** d} regions, all determinants positive",
                                f"{rep.region_count} regions, min determinant {rep.min_det}"))
     miss = next(filter(None, map(orientation_premises, range(1, RELATION_DMAX + 1))), None)

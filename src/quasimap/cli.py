@@ -81,7 +81,7 @@ def _cmd_fan(degree: int) -> list[tuple[str, str]]:
     fan = build_fan(degree)
     values = [
         ("dimension", str(fan.dimension)),
-        ("ray_count", str(fan.ray_count)),
+        ("ray_count", str(len(fan.rays))),
         ("max_cones", str(max_cone_count(degree))),
         ("relation_check", "true" if relation_check(fan) else "false"),
     ]
@@ -104,7 +104,7 @@ def _cmd_chow(degree: int) -> list[tuple[str, str]]:
         values.append((f"generator {i} factors", pretty))
         values.append((f"generator {i} expanded", poly.render("H")))
     classes = divisor_classes(degree)
-    for label in build_fan(degree).labels:
+    for label in build_fan(degree).rays:
         values.append((f"class {label}", classes[label].render("H")))
     return values
 

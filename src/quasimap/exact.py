@@ -27,6 +27,7 @@ from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
+from operator import index
 from typing import NamedTuple
 
 
@@ -84,12 +85,12 @@ class LinForm:
                 if type(c) is not int:
                     c = _as_coeff(c)
                 if c:
-                    d[int(v)] = c
+                    d[index(v)] = c
         self.coeffs = d
 
     @classmethod
     def variable(cls, j: int) -> LinForm:
-        return _linform({int(j): 1})
+        return _linform({index(j): 1})
 
     @property
     def support(self) -> frozenset[int]:
@@ -97,9 +98,6 @@ class LinForm:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def coeff(self, j: int) -> int | Fraction:
-        return self.coeffs.get(j, 0)
 
     def __add__(self, other: LinForm) -> LinForm:
         d = dict(self.coeffs)
@@ -200,15 +198,12 @@ class MPoly:
         self.terms = clean
 
     @classmethod
-    def zero(cls) -> MPoly:
-        return cls()
-
-    @classmethod
     def const(cls, c) -> MPoly:
         return cls({(): _as_coeff(c)})
 
     @classmethod
     def monomial(cls, exps: Mapping[int, int], c=1) -> MPoly:
+        exps = {index(v): index(k) for v, k in exps.items()}
         if any(k < 0 for k in exps.values()):
             raise ValueError("monomial exponents must be nonnegative")
         return cls({tuple(sorted((v, k) for v, k in exps.items() if k)): _as_coeff(c)})
@@ -263,8 +258,6 @@ class MPoly:
     def __eq__(self, other) -> bool:
         return isinstance(other, MPoly) and self.terms == other.terms
 
-    __hash__ = None
-
     def variables(self) -> frozenset[int]:
         return frozenset(v for e in self.terms for v, _ in e)
 
@@ -286,19 +279,17 @@ class MPoly:
                 parts.setdefault(0, {})[e] = c
         return {k: _mpoly(part) for k, part in parts.items()}
 
-    def taylor(self, var: int, point: LinForm, m: int) -> list[MPoly]:
-        """The coefficients of ``t^0 .. t^(m-1)`` in ``self`` at ``z_var = point + t``
-        (``point`` must not involve ``z_var``), by Horner's rule in ``point + t``
-        truncated after ``t^(m-1)``; ``taylor(var, point, 1)[0]`` is the substitution.
-        The tests' reference: ``residue_at_point`` keeps its own expansion in ``int``s."""
+    def subst(self, var: int, point: LinForm) -> MPoly:
+        """``self`` at ``z_var = point`` (``point`` must not involve ``z_var``), by
+        Horner's rule.  The tests' reference: ``residue_at_point`` keeps its own
+        expansion in ``int``s."""
         if var in point.support:
             raise ValueError("substitution point must not involve the substituted variable")
         parts = self.split(var)
         point_poly = point.to_mpoly()
-        out = [MPoly()] * m
+        out = MPoly()
         for k in range(max(parts, default=0), -1, -1):
-            low = parts.get(k, MPoly())
-            out = [out[i] * point_poly + (out[i - 1] if i else low) for i in range(m)]
+            out = out * point_poly + parts.get(k, MPoly())
         return out
 
     def render(self, names: str = "z") -> str:
@@ -370,9 +361,10 @@ class FactoredRat:
     the form's support -- and each numerator factor's multiplicity and form,
     and raises ``ValueError`` otherwise, whatever the numerator; ``num = 0``
     then collapses the object to the zero function.
-    A :class:`TaggedFactor`, which only a ``FactoredRat`` makes, is taken on
-    trust: its form is canonical and it was checked, so it is entered as it is,
-    and an entry nothing else touches comes out as the same object.
+    A :class:`TaggedFactor` is entered on trust, as it is, and one nothing else
+    touches comes out as the same object: its three makers, this constructor,
+    :meth:`derivative` and ``residues.residue_at_point``, keep its form canonical,
+    its multiplicity positive and its tags inside the form's support.
     ``factors`` holds linear numerator factors ``(g_k, n_k)``, each ``n_k``
     positive, unexpanded until the first residue step whose variable they
     involve.  Each form is canonicalized (its scale, like the content of
@@ -398,10 +390,8 @@ class FactoredRat:
         p, q = scalar.numerator, scalar.denominator  # every scale and the content join these
         net: dict[tuple, list] = {}  # canonical key -> [form, net exponent, allowed, TaggedFactor kept as is]
         for fac in den:
-            if type(fac) is TaggedFactor:  # made, and so checked, by a FactoredRat
-                form, mult, allowed = fac
-            else:
-                form, mult, allowed = fac
+            form, mult, allowed = fac
+            if type(fac) is not TaggedFactor:  # a TaggedFactor is taken on trust
                 if mult < 1:
                     raise ValueError("multiplicity must be positive")
                 scale, form = form.canonicalized()  # raises on the zero form
@@ -429,7 +419,7 @@ class FactoredRat:
         terms = num.terms
         if not terms or not p:
             self.scalar = Fraction(0)
-            self.num = MPoly.zero()
+            self.num = MPoly()
             self.den = ()
             self.factors = ()
             return
@@ -485,9 +475,6 @@ class FactoredRat:
     def is_zero(self) -> bool:
         return self.scalar == 0
 
-    def den_degree(self) -> int:
-        return sum(f.multiplicity for f in self.den)
-
     def num_degree(self) -> int:
         """Total degree of the whole numerator, unexpanded factors included."""
         return self.num.degree() + sum(mult for _, mult in self.factors)
@@ -514,7 +501,7 @@ class FactoredRat:
         total = n_prime * MPoly.product(f.form for f in involved)
         for i, f in enumerate(involved):
             rest = MPoly.product(g.form for j, g in enumerate(involved) if j != i)
-            total = total + (-f.form.coeff(var) * f.multiplicity) * (self.num * rest)
+            total = total + (-f.form.coeffs[var] * f.multiplicity) * (self.num * rest)
         new_den = others + [TaggedFactor(f.form, f.multiplicity + 1, f.allowed) for f in involved]
         return FactoredRat(self.scalar, total, new_den)
 
@@ -528,7 +515,7 @@ class FactoredRat:
         """Substitute ``z_var = point``; no denominator factor may vanish there."""
         if self.factors:
             return self.expand().subst(var, point)
-        num = self.num.taylor(var, point, 1)[0]
+        num = self.num.subst(var, point)
         den = []
         for f in self.den:
             form = f.form.subst(var, point)
@@ -546,8 +533,6 @@ class FactoredRat:
             and self.den == other.den
             and self.factors == other.factors
         )
-
-    __hash__ = None
 
     def render(self, names: str = "z") -> str:
         if self.is_zero():

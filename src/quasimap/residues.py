@@ -129,7 +129,7 @@ def homogeneity_filter(f: FactoredRat, d: int) -> FactoredRat:
     integrations; every other component is annihilated and is discarded here.
     The linear factors kept unexpanded count towards that degree.
     """
-    target = f.den_degree() - (d + 1) - sum(mult for _, mult in f.factors)
+    target = sum(fac.multiplicity for fac in f.den) - (d + 1) - sum(mult for _, mult in f.factors)
     num = f.num.homogeneous_component(target)
     return f if len(num.terms) == len(f.num.terms) else FactoredRat(f.scalar, num, f.den, f.factors)
 

@@ -13,7 +13,7 @@ generator ``i``, proportional to the classes' product over collection ``i``.
 Completeness and simpliciality reduce to finite linear algebra on the
 tridiagonal linearity-region matrices of the gluing map: one depth-first walk
 of their leading minors (:func:`_band_walk`) enumerates every region determinant
-(:func:`orientation_enumeration`; the corner region gives :func:`det_Bk`), and
+(:func:`orientation_enumeration`; the corner regions give :func:`corner_determinants`), and
 three premises on the rows alone make every determinant positive and the
 recession map a homeomorphism at every degree (:func:`orientation_premises`).
 """
@@ -39,23 +39,15 @@ def _u_label(k: int) -> str:
 
 class FanData(NamedTuple):
     """The degree-d fan's ray columns keyed by label in :func:`build_fan` order, and its
-    primitive collections; ``labels`` reads that order off the keys."""
+    primitive collections."""
 
     d: int
     rays: dict[str, tuple[int, ...]]
     primitive_collections: tuple[tuple[str, ...], ...]
 
     @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(self.rays)
-
-    @property
     def dimension(self) -> int:
         return 6 * self.d + 2
-
-    @property
-    def ray_count(self) -> int:
-        return len(self.rays)
 
 
 def build_fan(d: int) -> FanData:
@@ -236,17 +228,19 @@ def _row_choices(d: int) -> list[list[dict[int, int]]]:
     return choices
 
 
-def det_Bk(k: int) -> int:
-    """Determinant of the (k+1)x(k+1) corner matrix; equals ``9k - 6``.
-
-    The gluing map's region where each row takes the last form of its block
-    of :func:`block_forms`: first row ``(2, 1, 0, ...)``, the walls
-    ``(-1, 2, -1)`` inside, last row ``(..., 1, 2)``.  It is the one region of
-    :func:`_band_walk` over these rows: ``O(k)`` ``int`` steps.
+def corner_determinants(kmax: int) -> list[int]:
+    """``det B_k`` for ``k = 1..kmax``; each equals ``9k - 6``.  ``B_k`` is the degree-``k``
+    gluing map's region where each row takes the last form of its block of
+    :func:`block_forms`: first row ``(2, 1, 0, ...)``, the walls ``(-1, 2, -1)``, last row
+    ``(..., 1, 2)``.  Its first ``k`` rows are those of ``B_kmax`` and its last row that of
+    ``B_kmax`` moved ``kmax - k`` columns left, so one :func:`_row_choices` table serves
+    every ``k``, with one region of :func:`_band_walk` each: ``O(k)`` ``int`` steps.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return next(_band_walk([[rows[-1]] for rows in _row_choices(k)]))[-1]
+    if kmax < 1:
+        raise ValueError("kmax must be >= 1")
+    last = [[rows[-1]] for rows in _row_choices(kmax)]
+    return [next(_band_walk(last[:k] + [[{j + k - kmax: c for j, c in last[-1][0].items()}]]))[-1]
+            for k in range(1, kmax + 1)]
 
 
 class OrientationReport(NamedTuple):
@@ -254,10 +248,6 @@ class OrientationReport(NamedTuple):
 
     region_count: int
     min_det: int
-
-    @property
-    def all_positive(self) -> bool:
-        return self.min_det > 0
 
 
 def orientation_enumeration(d: int) -> OrientationReport:

@@ -10,7 +10,7 @@ from quasimap.exact import FactoredRat, LinForm, MPoly
 
 def dense(terms: dict[tuple[int, ...], object]) -> MPoly:
     """The polynomial ``sum c * z_0^e_0 * z_1^e_1 * ...`` over ``{(e_0, e_1, ...): c}``."""
-    out = MPoly.zero()
+    out = MPoly()
     for e, c in terms.items():
         out = out + MPoly.monomial(dict(enumerate(e)), c)
     return out

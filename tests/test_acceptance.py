@@ -145,7 +145,7 @@ def _order_independence_perturbed():
 
 
 @pytest.mark.parametrize("check, predicate, replacement, failures, first", [
-    (check_toric, "det_Bk", lambda k: 0, 1,
+    (check_toric, "corner_determinants", lambda kmax: [0] * kmax, 1,
      "FAIL corner determinants k<=30: expected 9k-6 for all k, actual mismatch"),
     (check_toric, "orientation_enumeration", lambda d: OrientationReport(4 ** d, -3), 4,
      "FAIL orientation d=1: expected 4 regions, all determinants positive, "
@@ -189,9 +189,11 @@ def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, 
 def test_ladder_repeats_no_exact_work(monkeypatch):
     # Each degree's 1/R is built once and reused by every class paired against it,
     # factors a FactoredRat made are entered without being canonicalized again, and
-    # the carried z_p powers cancel inside the constructor, with no second FactoredRat:
-    # the ladder to d=4 then calls block_forms at most 150 and LinForm.canonicalized
-    # at most 3,000 times (288 and 6,217 when R was rebuilt per class) and constructs
+    # the carried z_p powers cancel inside the constructor, with no second FactoredRat,
+    # and the corner determinants share one row table: the ladder to d=4 then calls
+    # block_forms at most 110 and LinForm.canonicalized at most 3,000 times (288 and
+    # 6,217 when R was rebuilt per class, 136 block_forms with a table per corner
+    # determinant) and constructs
     # at most 850 FactoredRat (1,141 when a separate pass rebuilt each cancelled one,
     # 865 when the ascending volumes were integrated twice and a step rebuilt every
     # branch it joined nothing to).
@@ -210,6 +212,6 @@ def test_ladder_repeats_no_exact_work(monkeypatch):
     count(LinForm, "canonicalized")
     count(FactoredRat, "__init__")
     assert all(r.ok for r in run_verification(4))
-    assert counts["block_forms"] <= 150
+    assert counts["block_forms"] <= 110
     assert counts["canonicalized"] <= 3000
     assert counts["__init__"] <= 850

@@ -332,6 +332,16 @@ def _by_argv(cases):
      "9a1a1f9b506f432af4be7e3e2f2464e01706af76ebe120d9b5fef87b2b2c77d7"),
     (["jinv", "--order", "30"],
      "6cb873579010f25af356fa8299f45dd95a8d0fa384a13e3c3d3fe3609035b9b1"),
+    (["verify", "--degree-max", "60", "--format", "json"],
+     "39f0a661c56b8f4cca869a22d811673b783f1567e9bc1c955b5bed3a9eedca1e"),
+    (["intersect", "--degree", "25", "--a", "1", "--b", "0"],
+     "b0ea573fd0bbf69fccb5149eec6f3304791370094ab0c43785665d57f1407822"),
+    (["intersect", "--degree", "25", "--a", "2", "--b", "-1"],
+     "cd07de6ef5a648a6ff4099b765b5428cda212c3af2757e7555894092740d8eec"),
+    (["intersect", "--degree", "25", "--a", "-2", "--b", "3"],
+     "9bcaffb5de6035a79b978a24c6922d5b24aab9fcecc7321b983e1961f4a9e54e"),
+    (["mirror", "--order", "100"],
+     "cac10fcabfb0a56ca105cf401b1ef5a5b3a385663d20287349a444752ace440f"),
 ]))
 def test_golden_stdout(argv, digest):
     # The sha256 of the exact stdout: any change of value, order or format shows.
@@ -407,7 +417,7 @@ def test_verify_reports_a_failing_check(monkeypatch):
     assert len(set(names)) == len(names) == 85
     total = len(list(checks.run_verification(2)))
     summary = f"{total - 1}/{total} checks passed"
-    monkeypatch.setattr(checks, "det_Bk", lambda k: 0)
+    monkeypatch.setattr(checks, "corner_determinants", lambda kmax: [0] * kmax)
     code, text = run_cli(["verify", "--degree-max", "2"])
     assert code == 1
     assert "FAIL corner determinants k<=30: expected 9k-6 for all k, actual mismatch\n" in text
@@ -460,7 +470,7 @@ def test_tracer_targets_exist():
 ], ids=" ".join)
 def test_cli_never_runs_the_derivative_reference(monkeypatch, argv):
     # ``FactoredRat.derivative``, ``.subst`` and ``.expand``, with the rational point
-    # of ``LinForm.solve_for`` and the Taylor coefficients of ``MPoly.taylor``, are the
+    # of ``LinForm.solve_for`` and the substitution ``MPoly.subst``, are the
     # independent reference the residue tests check ``residue_at_point`` against; an
     # engine that ran them would be compared with itself.  ``.reduce`` is the identity,
     # since the constructor cancels: nothing may call it.
@@ -470,7 +480,7 @@ def test_cli_never_runs_the_derivative_reference(monkeypatch, argv):
     for name in ("derivative", "subst", "expand", "reduce"):
         monkeypatch.setattr(FactoredRat, name, refuse)
     monkeypatch.setattr(LinForm, "solve_for", refuse)
-    monkeypatch.setattr(MPoly, "taylor", refuse)
+    monkeypatch.setattr(MPoly, "subst", refuse)
     assert run_cli(argv)[0] == 0
 
 

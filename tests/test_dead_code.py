@@ -1,8 +1,10 @@
 """Dead-code check over ``src/quasimap``, with the standard library's ``ast`` alone.
 
-A module may not import a name it never uses, and a module-level ``_private``
+A module may not import a name it never uses, a module-level ``_private``
 function or class must be named by some other top-level statement of the
-package; otherwise it is dead and should go.
+package, and a public method or property of a package class must be named by
+some other statement of the package or the tests; otherwise it is dead and
+should go.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ import quasimap
 PACKAGE = pathlib.Path(quasimap.__file__).resolve().parent
 MODULES = {path.name: ast.parse(path.read_text(), filename=str(path))
            for path in sorted(PACKAGE.glob("*.py"))}
+TESTS = [ast.parse(path.read_text(), filename=str(path))
+         for path in sorted(pathlib.Path(__file__).resolve().parent.glob("*.py"))]
 
 
 def _names(node: ast.AST) -> set[str]:
@@ -62,3 +66,17 @@ def test_every_private_definition_is_named_elsewhere():
             if not any(stmt.name in names for _, other, names in statements if other is not stmt):
                 dead.append(f"{module}:{stmt.lineno} {stmt.name}")
     assert not dead, f"private definitions no other statement names: {dead}"
+
+
+def test_every_public_method_is_named_elsewhere():
+    # A class body counts as its statements: a method named only inside its own body is
+    # dead, and one that a sibling method calls is not.
+    statements = [stmt for tree in [*MODULES.values(), *TESTS] for top in tree.body
+                  for stmt in (top.body if isinstance(top, ast.ClassDef) else [top])]
+    named = [(stmt, _names(stmt)) for stmt in statements]
+    dead = [f"{module}:{member.lineno} {cls.name}.{member.name}"
+            for module, tree in MODULES.items() for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+            and not any(member.name in names for stmt, names in named if stmt is not member)]
+    assert not dead, f"public methods no other statement names: {dead}"

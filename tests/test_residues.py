@@ -495,7 +495,7 @@ def _residue_by_derivatives(f, var, point):
     m = sum(fac.multiplicity for fac in vanishing)
     scalar = f.scalar
     for fac in vanishing:
-        scalar /= fac.form.coeff(var) ** fac.multiplicity
+        scalar /= fac.form.coeffs[var] ** fac.multiplicity
     g = FactoredRat(scalar, f.num, surviving, f.factors)
     for _ in range(m - 1):
         g = g.derivative(var)

@@ -15,7 +15,7 @@ from quasimap.toric import (
     FanData,
     block_forms,
     build_fan,
-    det_Bk,
+    corner_determinants,
     divisor_classes,
     max_cone_count,
     orientation_enumeration,
@@ -44,7 +44,7 @@ def volume_form(d):
 def test_fan_counts_and_dimension():
     for d in range(1, 11):
         fan = build_fan(d)
-        assert fan.ray_count == 7 * d + 3
+        assert len(fan.rays) == 7 * d + 3
         assert fan.dimension == 6 * d + 2
         assert all(len(col) == fan.dimension for col in fan.rays.values())
         sizes = [len(c) for c in fan.primitive_collections]
@@ -59,7 +59,7 @@ def test_fan_rejects_bad_degree():
 
 def test_degree_one_fan_details():
     fan = build_fan(1)
-    assert fan.ray_count == 10 and fan.dimension == 8
+    assert len(fan.rays) == 10 and fan.dimension == 8
     assert fan.primitive_collections[0] == ("v0_0", "v1_0", "v2_0", "v3_0", "v3_1")
     assert fan.primitive_collections[1] == ("v0_1", "v1_1", "v2_1", "v3_2", "v3_3")
     # v_{0,0} carries p0, minus the first weight column, and no u-block
@@ -70,7 +70,7 @@ def test_degree_one_fan_details():
 
 def test_degree_two_fan_details():
     fan = build_fan(2)
-    assert fan.ray_count == 17 and fan.dimension == 14
+    assert len(fan.rays) == 17 and fan.dimension == 14
     assert len(fan.primitive_collections[1]) == 7
     assert "u1" in fan.primitive_collections[1]
     # u_1 sits at the single coordinate of the compactifying block
@@ -113,7 +113,7 @@ def test_rays_off_v0_form_a_lattice_basis():
     # the class table is the only Gale dual of the ray matrix.
     for d in range(1, 9):
         fan = build_fan(d)
-        others = [fan.rays[label] for label in fan.labels if not label.startswith("v0_")]
+        others = [fan.rays[label] for label in fan.rays if not label.startswith("v0_")]
         assert len(others) == fan.dimension
         assert abs(bareiss([list(row) for row in zip(*others)])) == 1
 
@@ -193,25 +193,29 @@ def test_volume_form_degree_and_walls():
 
 
 def test_det_Bk_values_and_formula():
-    assert det_Bk(1) == 3
-    assert det_Bk(2) == 12  # cofactor expansion of the 3x3
-    assert det_Bk(30) == 264
-    assert all(det_Bk(k) == 9 * k - 6 for k in range(1, 101))
-    # The recurrence against the dense corner matrix through Bareiss elimination.
-    for k in range(1, 31):
-        value = det_Bk(k)
+    dets = corner_determinants(100)
+    assert dets[:2] == [3, 12]  # cofactor expansion of the 3x3
+    assert dets[29] == 264
+    assert dets == [9 * k - 6 for k in range(1, 101)]
+    # One table for every k: a smaller kmax gives the same prefix.
+    assert corner_determinants(30) == dets[:30] and corner_determinants(1) == [3]
+    # The recurrence against the dense corner matrix of the degree-k blocks through
+    # Bareiss elimination.
+    for k, value in enumerate(dets[:30], start=1):
         corner = _dense([c[-1] for c in _row_choices(k)], k)
         assert type(value) is int and value == bareiss([list(row) for row in corner])
+    with pytest.raises(ValueError, match="kmax must be >= 1"):
+        corner_determinants(0)
 
 
 @pytest.mark.parametrize("walk, row, stray", [
     pytest.param(walk, row, stray, id=f"{prefix}{row}-{stray}")
-    for walk, prefix in ((det_Bk, ""), (orientation_enumeration, "orientation-"),
+    for walk, prefix in ((corner_determinants, ""), (orientation_enumeration, "orientation-"),
                          (orientation_premises, "premises-"))
     for row, stray in [(0, 2), (2, 0), (2, 4), (4, 5)]])
 def test_det_Bk_rejects_a_row_off_the_band(monkeypatch, walk, row, stray):
     # Row ``row`` of the k=4 corner matrix gains a coefficient at column ``stray``,
-    # two columns off the diagonal or past the last column; the corner region, the
+    # two columns off the diagonal or past the last column; the corner table, the
     # walk over every region and the premises all refuse it.
     real = block_forms
 
@@ -237,7 +241,6 @@ def test_orientation_degree_one_exact_matrices():
     rep = orientation_enumeration(1)
     assert rep.region_count == 4
     assert rep.min_det == 1
-    assert rep.all_positive
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
@@ -300,7 +303,7 @@ def test_orientation_all_positive_up_to_four():
     for d in (2, 3, 4):
         rep = orientation_enumeration(d)
         assert rep.region_count == 4 ** d
-        assert rep.all_positive
+        assert rep.min_det > 0
 
 
 def test_orientation_identity_selection():
