@@ -202,6 +202,8 @@ def check_insertion_identities(dmax: int, w: list[Fraction],
     values come from a residue sweep, and the product side of each chain split
     from the prefixes of the sweeps ``w`` (``(1, 0)``) and ``period`` (``(2, -1)``),
     each of length at least ``dmax - 1``."""
+    if min(len(w), len(period)) < dmax - 1:
+        raise ValueError(f"need sweeps of length >= {dmax - 1}")
     out = [
         _cmp(f"mixed insertion d={d}", mixed_insertion_closed_form(d), value)
         for d, value in enumerate(mixed_insertion_residues(dmax), start=1)

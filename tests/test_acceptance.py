@@ -99,6 +99,14 @@ def test_criterion_7_insertion_identities():
             check_insertion_identities(7, w_sweep(7, 1, 0), w_sweep(7, 2, -1)))
 
 
+def test_insertion_identities_need_sweeps_of_length_dmax_minus_one():
+    w, period = w_sweep(2, 1, 0), w_sweep(2, 2, -1)
+    for short in ((w[:1], period), (w, period[:1]), ([], [])):
+        with pytest.raises(ValueError, match="length >= 2"):
+            check_insertion_identities(3, *short)
+    assert all(r.ok for r in check_insertion_identities(3, w, period))
+
+
 def test_criterion_8_toric_checks():
     _report("criterion 8: ray relations d<=10, corner determinants k<=30, "
             "orientation d<=4, orientation premises d<=10, ideal generators d<=2",
