@@ -18,9 +18,9 @@ from .exact import FactoredRat, LinForm, MPoly
 from .intersection import (
     IntegrandSpec,
     compute_w,
+    integrand,
     integrate_class,
     mixed_insertion_residues,
-    r_inverse,
     telescoped_insertion_residue,
     w_sweep,
     wall_insertion_residue,
@@ -138,25 +138,29 @@ def _random_monomial(d: int, degree: int, rng: random.Random) -> MPoly:
     return MPoly.monomial(Counter(rng.randrange(d + 1) for _ in range(degree)))
 
 
-def _sampled_zeros(name: str, d: int, inverse: FactoredRat, monomials: list[MPoly],
+def _sampled_zeros(name: str, d: int, base: FactoredRat, monomials: list[MPoly],
                    factors: Iterable[tuple[LinForm, int]] = ()) -> CheckResult:
-    """Each class ``mono * prod factors`` integrates to 0 over ``inverse``, ``1/R``; a miss is ``(monomial, value)``."""
+    """Each class ``mono * prod factors`` integrates to 0; a miss is ``(monomial, value)``.
+
+    ``base`` is ``integrand(d, MPoly.const(1))``, so ``R`` is built once per degree and
+    each sample only swaps in its numerator."""
     misses = [(mono.render(), str(value)) for mono in monomials
-              if (value := integrate_class(d, mono, factors=factors, inverse=inverse))]
+              if (value := iterated_residue(FactoredRat(base.scalar, mono, base.den, factors), range(d + 1)))]
     return _all_zero(name, f"0 on {len(monomials)} samples", misses)
 
 
 def check_ideal_annihilation(dmax: int) -> list[CheckResult]:
     """Each ideal generator times complementary-degree monomials integrates to 0.  Generator ``i``
-    cancels every factor of ``R`` tagged ``{i}``, so the tags decide this check; unpruned, the engine gives 0 too."""
+    cancels every factor of ``R`` tagged ``{i}``, so the tags decide this check; unpruned, the engine gives 0 too.
+    ``R`` is built once per degree, and each sample only swaps the numerator."""
     rng = random.Random(IDEAL_SEED)
     out = []
     for d in range(1, dmax + 1):
-        inverse = r_inverse(d)
+        base = integrand(d, MPoly.const(1))
         for gi, factors in enumerate(sr_ideal_factors(d)):
             comp = 6 * d + 2 - sum(mult for _, mult in factors)
             monomials = [_random_monomial(d, comp, rng) for _ in range(IDEAL_SAMPLES)]
-            out.append(_sampled_zeros(f"ideal annihilation d={d} generator={gi}", d, inverse, monomials, factors))
+            out.append(_sampled_zeros(f"ideal annihilation d={d} generator={gi}", d, base, monomials, factors))
     return out
 
 
@@ -172,7 +176,7 @@ def check_degree_selection(dmax: int) -> list[CheckResult]:
             if degree == 6 * d + 2:
                 degree += 1
             monomials.append(_random_monomial(d, degree, rng))
-        out.append(_sampled_zeros(f"degree selection d={d}", d, r_inverse(d), monomials))
+        out.append(_sampled_zeros(f"degree selection d={d}", d, integrand(d, MPoly.const(1)), monomials))
     return out
 
 

@@ -7,8 +7,9 @@ linear forms; the two-point numbers
     w(O_{z^a} O_{z^b})_{0,d} = integral of
         H_0^a H_d^b * prod_{i=1}^d e6(H_{i-1}, H_i) / prod_{i=1}^{d-1} 6 H_i
 
-come from the same pairing.  The insertion integrands are listed factor by
-factor (:class:`IntegrandSpec`) and handed to :class:`~quasimap.exact.FactoredRat`,
+come from the same pairing.  Every integrand, chain (:class:`IntegrandSpec`) or
+class (:func:`integrate_class`), is listed factor by factor and handed through
+:func:`integrand`, the one statement of ``R``, to :class:`~quasimap.exact.FactoredRat`,
 which cancels each numerator factor against a proportional denominator factor;
 this shrinks the excluded-factor population to the wall forms
 ``2 z_j - z_{j-1} - z_{j+1}`` and keeps the residue branching small.  The
@@ -37,22 +38,16 @@ def e6_factors(x: int, y: int) -> list[LinForm]:
     return [LinForm({x: 6 - j, y: j}) for j in range(7)]
 
 
-def r_denominator_factors(d: int) -> tuple[Fraction, list[tuple[LinForm, int, frozenset[int]]]]:
-    """Scalar ``3^{d+1}`` and tagged factors of the pairing denominator ``R``.
+def integrand(d: int, num: MPoly, factors: Iterable[tuple[LinForm, int]] = (),
+              den: Iterable[tuple[LinForm, int, frozenset[int]]] = ()) -> FactoredRat:
+    """``num * prod factors / (R * prod den)`` over the degree-d moduli, the one statement of ``R``.
 
-    ``R`` is the scalar times the product of the ideal generators; every form
+    ``R`` is ``3^{d+1}`` times the product of the ideal generators; every form
     of block ``i`` (:func:`~quasimap.toric.block_forms`) is tagged ``{i}``,
     since the ``z_i`` contour encloses its zero.
     """
-    return Fraction(3 ** (d + 1)), [(form, mult, frozenset({i}))
-                                    for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
-
-
-def r_inverse(d: int) -> FactoredRat:
-    """``1/R`` as a :class:`FactoredRat`, from :func:`r_denominator_factors`: build it
-    once per degree and hand it to every :func:`integrate_class` of that degree."""
-    scalar, den = r_denominator_factors(d)
-    return FactoredRat(1 / scalar, MPoly.const(1), den)
+    r_den = [(form, mult, frozenset({i})) for i, gen in enumerate(sr_ideal_factors(d)) for form, mult in gen]
+    return FactoredRat(Fraction(1, 3 ** (d + 1)), num, [*r_den, *den], factors)
 
 
 class IntegrandSpec(NamedTuple):
@@ -79,13 +74,12 @@ class IntegrandSpec(NamedTuple):
         proportional ones and keeps the survivors unexpanded.
         """
         d = self.d
-        scalar, den = r_denominator_factors(d)
-        den += [(LinForm({i: 6}), 1, frozenset({i})) for i in range(1, d)]
+        den = [(LinForm({i: 6}), 1, frozenset({i})) for i in range(1, d)]
         den += [(LinForm.variable(v), -e, frozenset({v})) for v, e in self.monomial if e < 0]
         num = [(form, 1) for i in range(1, d + 1) for form in e6_factors(i - 1, i)]
         num += [(form, 1) for form in self.extra_forms]
         num += [(LinForm.variable(v), e) for v, e in self.monomial if e > 0]
-        return FactoredRat(1 / scalar, MPoly.const(1), den, num)
+        return integrand(d, MPoly.const(1), num, den)
 
 
 def compute_w(d: int, a: int, b: int) -> Fraction:
@@ -105,24 +99,19 @@ def _chain(d: int, a: int, b: int) -> FactoredRat:
 
 
 def integrate_class(d: int, omega: MPoly, order: Sequence[int] | None = None,
-                    factors: Iterable[tuple[LinForm, int]] = (),
-                    inverse: FactoredRat | None = None) -> Fraction:
+                    factors: Iterable[tuple[LinForm, int]] = ()) -> Fraction:
     """Pair the class ``omega * prod(form ** mult for form, mult in factors)``
     in ``H_0..H_d`` against the degree-d moduli.
 
     ``H_j`` is variable ``j``, and the value is the iterated residue of the class over
     ``R`` in ``order``, a permutation of ``0..d`` (else ``ValueError``), ascending unless
     given.  A class given as a factor list stays factored and cancels against ``R`` factor by factor.
-    ``inverse`` is ``r_inverse(d)``, built here unless given.
     """
     if max(omega.variables(), default=0) > d:
         raise ValueError(f"omega must be a class in H_0..H_{d}")
     if order is not None and len(order) != d + 1:
         raise ResidueError(f"order must cover H_0..H_{d}, got {len(order)} variables")
-    if inverse is None:
-        inverse = r_inverse(d)
-    integrand = FactoredRat(inverse.scalar, omega, inverse.den, factors)
-    return iterated_residue(integrand, range(d + 1) if order is None else order)
+    return iterated_residue(integrand(d, omega, factors), range(d + 1) if order is None else order)
 
 
 def w_sweep(dmax: int, a: int, b: int) -> list[Fraction]:

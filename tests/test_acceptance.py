@@ -169,10 +169,10 @@ def _order_independence_perturbed():
     (check_series, "lagrange_oracle", lambda w: [], 1,
      "FAIL j reconstruction routes N=20: expected composition, inversion and modular "
      "routes agree, actual diverge"),
-    (lambda: check_ideal_annihilation(1), "integrate_class", lambda *args, **kwargs: Fraction(5), 2,
+    (lambda: check_ideal_annihilation(1), "iterated_residue", lambda *args, **kwargs: Fraction(5), 2,
      "FAIL ideal annihilation d=1 generator=0: expected 0 on 10 samples, "
      "actual nonzero at ('z0^3', '5')"),
-    (lambda: check_degree_selection(1), "integrate_class", lambda *args, **kwargs: Fraction(5), 1,
+    (lambda: check_degree_selection(1), "iterated_residue", lambda *args, **kwargs: Fraction(5), 1,
      "FAIL degree selection d=1: expected 0 on 20 samples, actual nonzero at ('z0^6*z1^3', '5')"),
     (check_properties, "compute_w", lambda d, a, b: Fraction(1), 1,
      "FAIL degree zeros a+b != 1: expected w = 0 for all off-degree insertions, "
@@ -195,7 +195,7 @@ def test_each_failing_check_prints_its_fail_line(monkeypatch, check, predicate, 
 
 
 def test_ladder_repeats_no_exact_work(monkeypatch):
-    # Each degree's 1/R is built once and reused by every class paired against it,
+    # Each sampled family builds R once per degree and swaps in each sample's numerator,
     # factors a FactoredRat made are entered without being canonicalized again, and
     # the carried z_p powers cancel inside the constructor, with no second FactoredRat,
     # and the corner determinants share one row table: the ladder to d=4 then calls

@@ -1,10 +1,10 @@
 """Dead-code check over ``src/quasimap``, with the standard library's ``ast`` alone.
 
-A module may not import a name it never uses, a module-level ``_private``
-function or class must be named by some other top-level statement of the
-package, and a public method or property of a package class must be named by
-some other statement of the package or the tests; otherwise it is dead and
-should go.
+A module may not import a name it never uses, a module-level function or
+class, public or ``_private``, must be named by some other top-level statement
+of the package (a name only the tests use does not count), and a public method
+or property of a package class must be named by some other statement of the
+package or the tests; otherwise it is dead and should go.
 """
 
 from __future__ import annotations
@@ -57,15 +57,24 @@ def test_no_unused_imports(module):
     assert not unused, f"{module} imports names it never uses: {unused}"
 
 
-def test_every_private_definition_is_named_elsewhere():
+def _unnamed_definitions(private: bool) -> list[str]:
+    """Module-level functions and classes, ``_private`` or public, that no other top-level
+    statement of the package names."""
     statements = [(module, stmt, _names(stmt)) for module, tree in MODULES.items() for stmt in tree.body]
-    dead = []
-    for module, stmt, _ in statements:
-        if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and stmt.name.startswith("_")
-                and not stmt.name.startswith("__")):
-            if not any(stmt.name in names for _, other, names in statements if other is not stmt):
-                dead.append(f"{module}:{stmt.lineno} {stmt.name}")
+    return [f"{module}:{stmt.lineno} {stmt.name}" for module, stmt, _ in statements
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("__")
+            and stmt.name.startswith("_") == private
+            and not any(stmt.name in names for _, other, names in statements if other is not stmt)]
+
+
+def test_every_private_definition_is_named_elsewhere():
+    dead = _unnamed_definitions(private=True)
     assert not dead, f"private definitions no other statement names: {dead}"
+
+
+def test_every_public_definition_is_named_elsewhere():
+    dead = _unnamed_definitions(private=False)
+    assert not dead, f"public definitions no other statement of the package names: {dead}"
 
 
 def test_every_public_method_is_named_elsewhere():

@@ -13,9 +13,9 @@ from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
     e6_factors,
+    integrand,
     integrate_class,
     mixed_insertion_residues,
-    r_inverse,
     telescoped_insertion_residue,
     w_sweep,
     wall_form,
@@ -292,18 +292,15 @@ def test_built_integrands_pass_through_the_constructor_unchanged(d):
     # The constructor takes a TaggedFactor on trust; each one a FactoredRat makes is
     # canonical, so feeding a built integrand back in, factors as they are, is the identity.
     built = [IntegrandSpec.insertions(d, a, b).build() for a, b in ((1, 0), (2, -1), (-2, 3), (3, -1))]
-    for f in [*built, r_inverse(d)]:
+    for f in [*built, integrand(d, MPoly.const(1))]:
         assert all(fac.form.canonicalized() == (1, fac.form) for fac in f.den)
         assert FactoredRat(f.scalar, f.num, f.den, f.factors) == f
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_integrate_class_takes_a_prebuilt_inverse(d):
-    inverse = r_inverse(d)
-    scalar, factors = volume_form_factors(d)
-    for order in (None, range(d, -1, -1)):
-        assert integrate_class(d, MPoly.const(scalar), order, factors, inverse) == 1
-    rng = random.Random(d)
-    for gen in sr_ideal(d):
-        mono = MPoly.monomial({rng.randrange(d + 1): 6 * d + 2 - gen.degree()})
-        assert integrate_class(d, gen * mono, inverse=inverse) == integrate_class(d, gen * mono) == 0
+def test_one_zero_chain_written_as_a_class():
+    # The (1, 0) chain is the class z_0 * prod e6 / prod 6 z_i: every e6(i-1, i) with
+    # i >= 2 drops its j = 0 factor 6 z_{i-1}, which divides by 6 z_1 .. 6 z_{d-1}.
+    for d in range(1, 6):
+        factors = [(form, 1) for form in e6_factors(0, 1)]
+        factors += [(form, 1) for i in range(2, d + 1) for form in e6_factors(i - 1, i)[1:]]
+        assert integrate_class(d, MPoly.monomial({0: 1}), factors=factors) == compute_w(d, 1, 0), d

@@ -28,9 +28,9 @@ from quasimap.exact import FactoredRat, LinForm, MPoly, TaggedFactor
 from quasimap.intersection import (
     IntegrandSpec,
     compute_w,
+    integrand,
     integrate_class,
     mixed_insertion_residues,
-    r_denominator_factors,
     telescoped_insertion_residue,
     wall_form,
     wall_insertion_residue,
@@ -228,12 +228,6 @@ def test_excluded_factors_are_never_visited():
     assert iterated_residue(_excluded_for_z1(), range(2)) == 0
 
 
-def _class_integrand(d, omega, factors):
-    """The integrand ``integrate_class(d, omega, factors=factors)`` integrates."""
-    scalar, den = r_denominator_factors(d)
-    return FactoredRat(1 / scalar, omega, den, factors)
-
-
 def _untagged(f, d):
     prepared = residues._prepared(f, d)
     return set(range(d + 1)) - set().union(*(fac.allowed for fac in prepared.den))
@@ -251,7 +245,7 @@ def test_ideal_generators_die_when_stepped():
 
     runs = [run for d in (1, 2, 3) for gi in range(d + 1) for run in draws(d, gi, IDEAL_SAMPLES)]
     for d, gi, factors, mono in runs + draws(4, 2, 1):
-        f = _class_integrand(d, mono, factors)
+        f = integrand(d, mono, factors)
         assert _untagged(f, d) == {gi}, (d, gi)
         *_, (_, branches) = _stepped(f, range(d + 1))
         assert branches == {}, (d, gi, mono.render())
@@ -265,10 +259,10 @@ def _tag_families():
             yield f"insertions({a},{b}) d={d}", d, IntegrandSpec.insertions(d, a, b).build(), set()
     for d in range(1, 5):
         scalar, factors = volume_form_factors(d)
-        yield f"volume d={d}", d, _class_integrand(d, MPoly.const(scalar), factors), set()
+        yield f"volume d={d}", d, integrand(d, MPoly.const(scalar), factors), set()
     for gi, factors in enumerate(sr_ideal_factors(2)):
         omega = MPoly.monomial({0: 6 * 2 + 2 - sum(mult for _, mult in factors)})
-        yield f"generator {gi} d=2", 2, _class_integrand(2, omega, factors), {gi}
+        yield f"generator {gi} d=2", 2, integrand(2, omega, factors), {gi}
     for d in range(1, 7):
         yield f"mixed d={d}", d, _CHAIN_FAMILIES["mixed"](d).build(), set()
 

@@ -10,7 +10,7 @@ import pytest
 from polys import bareiss, dense, homogeneous_degree
 from quasimap import checks, toric
 from quasimap.exact import FactoredRat, LinForm, MPoly
-from quasimap.intersection import r_denominator_factors
+from quasimap.intersection import integrand
 from quasimap.toric import (
     FanData,
     block_forms,
@@ -371,10 +371,8 @@ def test_volume_and_r_factors_match_literal_lists():
         assert scalar == 3 ** (d + 1)
         assert sorted(key(f, m) for f, m in factors) == sorted(
             key(_form(row), m) for row, m in VOLUME_LITERAL[d])
-        scalar, r_factors = r_denominator_factors(d)
-        assert scalar == 3 ** (d + 1)
-        assert sorted(key(f, m, tuple(tags)) for f, m, tags in r_factors) == sorted(
-            key(_form(row), m, (tag,)) for row, m, tag in R_LITERAL[d])
+        r_literal = [(_form(row), m, frozenset({tag})) for row, m, tag in R_LITERAL[d]]
+        assert integrand(d, MPoly.const(1)) == FactoredRat(Fraction(1, 3 ** (d + 1)), MPoly.const(1), r_literal)
 
 
 def test_block_forms_reject_bad_degree():
