@@ -59,10 +59,11 @@ DEGREE_SELECTION_SAMPLES = 20
 DEGREE_SELECTION_SEED = 62
 
 # check_toric's ranges: ray relations and orientation premises up to d, corner determinants
-# up to k, and the enumeration of every region up to d.
+# up to k, and the enumeration of every region up to d; and check_series's order N.
 RELATION_DMAX = 10
 DET_KMAX = 30
 ORIENTATION_DMAX = 4
+SERIES_ORDER = 20
 
 
 class CheckResult(NamedTuple):
@@ -180,38 +181,31 @@ def check_degree_selection(dmax: int) -> list[CheckResult]:
     return out
 
 
-def check_order_independence(dmax: int, w: list[Fraction], period: list[Fraction],
+def check_order_independence(w: list[Fraction], period: list[Fraction],
                              volumes: list[Fraction]) -> list[CheckResult]:
-    """Ascending and descending integration orders agree on the insertion
-    integrands and the volume class, for every ``d <= dmax``.
+    """Ascending and descending integration orders agree on the insertion integrands and the volume class.
 
-    The ascending values are the prefixes of the sweeps ``w`` (``(1, 0)``) and
-    ``period`` (``(2, -1)``) and of :func:`ascending_volumes` ``volumes``, each of
-    length at least ``dmax``, so each line ties them to a full descending residue."""
-    if min(len(w), len(period), len(volumes)) < dmax:
-        raise ValueError(f"need sweeps of length >= {dmax}")
+    ``w``, ``period`` and ``volumes`` are ``w_sweep(dmax, 1, 0)``, ``w_sweep(dmax, 2, -1)`` and
+    :func:`ascending_volumes`; their common length is the range ``d = 1..dmax``."""
+    rows = list(zip(w, period, volumes, strict=True))
     out = []
-    for d in range(1, dmax + 1):
-        for (a, b), sweep in (((1, 0), w), ((2, -1), period)):
+    for d, (w_d, period_d, volume_d) in enumerate(rows, start=1):
+        for (a, b), up in (((1, 0), w_d), ((2, -1), period_d)):
             down = iterated_residue(IntegrandSpec.insertions(d, a, b).build(), range(d, -1, -1))
-            out.append(_cmp(f"order independence d={d} insertions=({a},{b})", sweep[d - 1], down))
+            out.append(_cmp(f"order independence d={d} insertions=({a},{b})", up, down))
         down = _integrate_volume(d, range(d, -1, -1))
-        out.append(_cmp(f"order independence d={d} volume", volumes[d - 1], down))
+        out.append(_cmp(f"order independence d={d} volume", volume_d, down))
     return out
 
 
-def check_insertion_identities(dmax: int, w: list[Fraction],
+def check_insertion_identities(mixed: list[Fraction], w: list[Fraction],
                                period: list[Fraction]) -> list[CheckResult]:
-    """Mixed insertion closed form, chain splitting, telescoped insertion; the mixed
-    values come from a residue sweep, and the product side of each chain split
-    from the prefixes of the sweeps ``w`` (``(1, 0)``) and ``period`` (``(2, -1)``),
-    each of length at least ``dmax - 1``."""
-    if min(len(w), len(period)) < dmax - 1:
-        raise ValueError(f"need sweeps of length >= {dmax - 1}")
-    out = [
-        _cmp(f"mixed insertion d={d}", mixed_insertion_closed_form(d), value)
-        for d, value in enumerate(mixed_insertion_residues(dmax), start=1)
-    ]
+    """Mixed insertion closed form, chain splitting (its product side read off ``w`` and ``period``),
+    telescoped insertion.  ``mixed``, ``w`` and ``period`` are :func:`mixed_insertion_residues`,
+    ``w_sweep(dmax, 1, 0)`` and ``w_sweep(dmax, 2, -1)``; their common length is the range ``d = 1..dmax``."""
+    dmax = len(list(zip(mixed, w, period, strict=True)))
+    out = [_cmp(f"mixed insertion d={d}", mixed_insertion_closed_form(d), value)
+           for d, value in enumerate(mixed, start=1)]
     for d in range(2, dmax + 1):
         for f in range(1, d):
             product = (w[d - f - 1] / 2) * (period[f - 1] / 2)
@@ -256,17 +250,17 @@ def check_toric() -> list[CheckResult]:
 
 def check_series() -> list[CheckResult]:
     """Differential-equation recursion, mirror coefficients, j-coefficients, three routes."""
-    failure = pf_first_failure(20)
-    out = [_verdict("differential-equation check N=20", failure is None,
-                    "no failing order through 20", "none", f"fails at order {failure}")]
-    w = mirror_w(20)
+    failure = pf_first_failure(SERIES_ORDER)
+    out = [_verdict(f"differential-equation check N={SERIES_ORDER}", failure is None,
+                    f"no failing order through {SERIES_ORDER}", "none", f"fails at order {failure}")]
+    w = mirror_w(SERIES_ORDER)
     for d in range(1, 5):
         out.append(_cmp(f"mirror coefficient w_{d}", Fraction(W_KNOWN[d - 1]), w[d - 1]))
     j = j_from_w(w)
     for d in range(1, 6):
         out.append(_cmp(f"j coefficient j_{d}", Fraction(J_KNOWN[d - 1]), j[d - 1]))
-    agree = j == lagrange_oracle(w) == j_modular(20)
-    out.append(_verdict("j reconstruction routes N=20", agree,
+    agree = j == lagrange_oracle(w) == j_modular(SERIES_ORDER)
+    out.append(_verdict(f"j reconstruction routes N={SERIES_ORDER}", agree,
                         "composition, inversion and modular routes agree", "agree", "diverge"))
     return out
 
@@ -331,12 +325,12 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     """Yield every check of the ladder, each as soon as its family has run.
 
     The w-coefficient, period and volume normalization checks run for every
-    ``d <= degree_max``; each of the two sweeps and the ascending volumes run
-    once, and the order independence and insertion identities read their
-    prefixes.  The other
-    residue families keep the fixed ranges below, and the toric, series and
-    property checks do not depend on ``degree_max``.  The command line bounds
-    it above by ``cli.DEGREE_MAX``.
+    ``d <= degree_max``.  The ``(1, 0)`` and ``(2, -1)`` sweeps, the ascending volumes
+    and the mixed insertion sweep each run once, here, and each family that reads them
+    takes the prefix it checks: ``d <= 3`` for order independence, ``d <= 4`` for the
+    insertion identities.  The sampled families run to ``d <= 3``, and the toric,
+    series and property checks do not depend on ``degree_max``.  The command line
+    bounds it above by ``cli.DEGREE_MAX``.
     """
     if degree_max < 1:
         raise ValueError("degree_max must be >= 1")
@@ -348,8 +342,9 @@ def run_verification(degree_max: int) -> Iterator[CheckResult]:
     yield from check_volume_normalization(volumes)
     yield from check_ideal_annihilation(min(degree_max, 3))
     yield from check_degree_selection(min(degree_max, 3))
-    yield from check_order_independence(min(degree_max, 3), w, period, volumes)
-    yield from check_insertion_identities(min(degree_max, 4), w, period)
+    yield from check_order_independence(w[:3], period[:3], volumes[:3])
+    mixed = mixed_insertion_residues(min(degree_max, 4))
+    yield from check_insertion_identities(mixed, w[:4], period[:4])
     yield from check_toric()
     yield from check_series()
     yield from check_properties()

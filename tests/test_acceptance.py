@@ -21,6 +21,7 @@ from quasimap.checks import (
     IDEAL_SEED,
     ORIENTATION_DMAX,
     RELATION_DMAX,
+    SERIES_ORDER,
     ascending_volumes,
     check_degree_selection,
     check_ideal_annihilation,
@@ -35,7 +36,7 @@ from quasimap.checks import (
     run_verification,
 )
 from quasimap.exact import FactoredRat, LinForm
-from quasimap.intersection import w_sweep
+from quasimap.intersection import mixed_insertion_residues, w_sweep
 from quasimap.series import j_from_w, j_modular
 from quasimap.toric import OrientationReport
 
@@ -84,27 +85,34 @@ def test_sample_counts_and_seeds_are_pinned():
 def test_criterion_6_order_independence():
     _report("criterion 6: ascending vs descending residue plans agree, "
             "insertion integrands and volume class d<=10",
-            check_order_independence(10, w_sweep(10, 1, 0), w_sweep(10, 2, -1), ascending_volumes(10)))
-
-
-def test_order_independence_needs_sweeps_of_length_dmax():
-    w, period, volumes = w_sweep(2, 1, 0), w_sweep(2, 2, -1), ascending_volumes(2)
-    for short in ((w[:1], period, volumes), (w, period[:1], volumes), (w, period, volumes[:1])):
-        with pytest.raises(ValueError, match="length >= 2"):
-            check_order_independence(2, *short)
+            check_order_independence(w_sweep(10, 1, 0), w_sweep(10, 2, -1), ascending_volumes(10)))
 
 
 def test_criterion_7_insertion_identities():
     _report("criterion 7: mixed insertion, chain splitting, telescoped insertion, d<=7",
-            check_insertion_identities(7, w_sweep(7, 1, 0), w_sweep(7, 2, -1)))
+            check_insertion_identities(mixed_insertion_residues(7), w_sweep(7, 1, 0), w_sweep(7, 2, -1)))
 
 
-def test_insertion_identities_need_sweeps_of_length_dmax_minus_one():
+@pytest.mark.parametrize("family, short", [
+    pytest.param(family, short, id=f"{family.__name__}-{name}")
+    for family, names in ((check_order_independence, ("w", "period", "volumes")),
+                          (check_insertion_identities, ("mixed", "w", "period")))
+    for short, name in enumerate(names)])
+def test_each_family_refuses_lists_of_unequal_length(monkeypatch, family, short):
+    # A family's range is the common length of its lists: one list an entry short is a
+    # ValueError, raised before the first residue.
     w, period = w_sweep(2, 1, 0), w_sweep(2, 2, -1)
-    for short in ((w[:1], period), (w, period[:1]), ([], [])):
-        with pytest.raises(ValueError, match="length >= 2"):
-            check_insertion_identities(3, *short)
-    assert all(r.ok for r in check_insertion_identities(3, w, period))
+    lists = ([w, period, ascending_volumes(2)] if family is check_order_independence
+             else [mixed_insertion_residues(2), w, period])
+    lists[short] = lists[short][:-1]
+
+    def no_residue(*args, **kwargs):
+        raise AssertionError("a residue ran before the list lengths were checked")
+
+    for name in ("iterated_residue", "wall_insertion_residue", "telescoped_insertion_residue"):
+        monkeypatch.setattr(checks, name, no_residue)
+    with pytest.raises(ValueError, match=r"zip\(\) argument \d is (shorter|longer)"):
+        family(*lists)
 
 
 def test_criterion_8_toric_checks():
@@ -120,6 +128,13 @@ def test_toric_ranges_are_pinned():
     assert {"ray relations d=10", "corner determinants k<=30", "orientation d=4",
             "orientation premises d<=10"} <= names
     assert not {"ray relations d=11", "orientation d=5"} & names
+
+
+def test_series_order_is_pinned():
+    # Criterion 9 states this order, and verify prints it in two lines.
+    assert SERIES_ORDER == 20
+    names = {r.name for r in check_series()}
+    assert {"differential-equation check N=20", "j reconstruction routes N=20"} <= names
 
 
 def test_criterion_9_series_suite():
@@ -149,7 +164,7 @@ def _one_class(d):
 def _order_independence_perturbed():
     """Order independence at d<=2 with the ascending w value at d=2 off by one."""
     w = w_sweep(2, 1, 0)
-    return check_order_independence(2, [w[0], w[1] + 1], w_sweep(2, 2, -1), ascending_volumes(2))
+    return check_order_independence([w[0], w[1] + 1], w_sweep(2, 2, -1), ascending_volumes(2))
 
 
 @pytest.mark.parametrize("check, predicate, replacement, failures, first", [
